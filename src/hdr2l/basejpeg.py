@@ -292,35 +292,37 @@ def _from_blocks(blocks: np.ndarray, bh: int, bw: int, h: int, w: int) -> np.nda
 # Huffman coding
 
 
-def _build_encode_table(bits, values) -> dict[int, tuple[int, int]]:
-    table = {}
+def _canonical_codes(bits, values, ac: bool, offset: int = 0) -> list[tuple[int, int, int]]:
+    """(symbol, code, length) of each entry of a canonical Huffman table.  Rejects
+    counts that disagree with the symbols or overflow the code space, and symbols
+    beyond baseline (DC size > 11, AC size > 10), so the scan needs no range check."""
+    if len(bits) != 16 or sum(bits) != len(values):
+        raise ParseError("Huffman code counts disagree with the symbol list", offset=offset)
+    max_size = 10 if ac else 11
+    codes = []
     code = 0
-    i = 0
-    for length in range(1, 17):
-        for _ in range(bits[length - 1]):
-            table[values[i]] = (code, length)
+    symbols = iter(values)
+    for length, count in enumerate(bits, 1):
+        for _ in range(count):
+            symbol = next(symbols)
+            if (symbol & 0x0F if ac else symbol) > max_size:
+                raise ParseError(f"Huffman symbol 0x{symbol:02X} out of range", offset=offset)
+            codes.append((symbol, code, length))
             code += 1
-            i += 1
+        if code > 1 << length:
+            raise ParseError("Huffman code counts overflow the code space", offset=offset)
         code <<= 1
-    return table
-
-def _build_decode_table(bits, values) -> dict[tuple[int, int], int]:
-    table = {}
-    code = 0
-    i = 0
-    for length in range(1, 17):
-        for _ in range(bits[length - 1]):
-            table[(length, code)] = values[i]
-            code += 1
-            i += 1
-        code <<= 1
-    return table
+    return codes
 
 
-_DC_ENC = (_build_encode_table(DC_LUMA_BITS, DC_LUMA_VALUES),
-           _build_encode_table(DC_CHROMA_BITS, DC_CHROMA_VALUES))
-_AC_ENC = (_build_encode_table(AC_LUMA_BITS, AC_LUMA_VALUES),
-           _build_encode_table(AC_CHROMA_BITS, AC_CHROMA_VALUES))
+def _encode_map(bits, values, ac: bool) -> dict[int, tuple[int, int]]:
+    return {symbol: (code, length) for symbol, code, length in _canonical_codes(bits, values, ac)}
+
+
+_DC_ENC = (_encode_map(DC_LUMA_BITS, DC_LUMA_VALUES, False),
+           _encode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES, False))
+_AC_ENC = (_encode_map(AC_LUMA_BITS, AC_LUMA_VALUES, True),
+           _encode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES, True))
 
 
 class _JpegBitWriter:
@@ -544,6 +546,8 @@ def decode_base(stream: bytes) -> LdrImage:
                 pq_tq = payload[off]
                 if pq_tq >> 4 != 0:
                     raise ParseError("only 8-bit quantization tables supported", offset=body_pos + off)
+                if len(payload) - off < 65:
+                    raise ParseError("truncated quantization table", offset=body_pos + off)
                 entries = np.frombuffer(payload, dtype=np.uint8, count=64, offset=off + 1)
                 natural = np.empty(64, dtype=np.int64)
                 natural[ZIGZAG] = entries
@@ -551,6 +555,8 @@ def decode_base(stream: bytes) -> LdrImage:
                 off += 65
             continue
         if marker == 0xC0:
+            if len(payload) < 15:
+                raise ParseError("truncated frame header", offset=body_pos)
             precision, height, width, ncomp = struct.unpack_from(">BHHB", payload, 0)
             if precision != 8 or ncomp != 3:
                 raise ParseError("only 8-bit 3-component frames supported", offset=body_pos)
@@ -564,13 +570,17 @@ def decode_base(stream: bytes) -> LdrImage:
             off = 0
             while off < len(payload):
                 tc_th = payload[off]
-                bits = tuple(payload[off + 1 : off + 17])
-                total = sum(bits)
-                values = tuple(payload[off + 17 : off + 17 + total])
-                htables[(tc_th >> 4, tc_th & 0x0F)] = _build_decode_table(bits, values)
-                off += 17 + total
+                bits = payload[off + 1 : off + 17]
+                values = payload[off + 17 : off + 17 + sum(bits)]
+                codes = _canonical_codes(bits, values, tc_th >> 4 == 1, body_pos + off)
+                htables[(tc_th >> 4, tc_th & 0x0F)] = {
+                    (length, code): symbol for symbol, code, length in codes
+                }
+                off += 17 + len(values)
             continue
         if marker == 0xDA:
+            if len(payload) < 10:
+                raise ParseError("truncated scan header", offset=body_pos)
             ncomp = payload[0]
             if ncomp != 3:
                 raise ParseError("only 3-component scans supported", offset=body_pos)
@@ -581,18 +591,27 @@ def decode_base(stream: bytes) -> LdrImage:
             break
         raise ParseError(f"unsupported marker 0xFF{marker:02X}", offset=pos - length - 2)
 
-    if not width or not qtables or not htables:
-        raise ParseError("scan started before frame was fully described", offset=scan_start)
+    if not width or not height:
+        raise ParseError("scan started before the frame header", offset=scan_start)
+    try:
+        comp_tables = [
+            (htables[(0, dc_id)], htables[(1, ac_id)], qtables[qid])
+            for (dc_id, ac_id), qid in zip(scan_tables, comp_q)
+        ]
+    except KeyError as exc:
+        raise ParseError(f"scan uses undefined table {exc.args[0]}", offset=scan_start) from None
 
     bh = (height + 7) // 8
     bw = (width + 7) // 8
+    # Each block codes at least one DC and one AC symbol per component, of at
+    # least one bit each: reject a frame the scan cannot fill before allocating.
+    if 3 * bh * bw * 2 > 8 * (len(stream) - scan_start):
+        raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=scan_start)
     reader = _JpegBitReader(stream, scan_start)
     coeff_planes = [np.zeros((bh * bw, 64), dtype=np.int64) for _ in range(3)]
     pred = [0, 0, 0]
     for block_index in range(bh * bw):
-        for comp in range(3):
-            dc_tbl = htables[(0, scan_tables[comp][0])]
-            ac_tbl = htables[(1, scan_tables[comp][1])]
+        for comp, (dc_tbl, ac_tbl, _) in enumerate(comp_tables):
             block = coeff_planes[comp][block_index]
             size = _read_huffman(reader, dc_tbl)
             pred[comp] += _extend(reader.read(size), size)
@@ -621,10 +640,9 @@ def decode_base(stream: bytes) -> LdrImage:
         raise ParseError("missing EOI marker after scan", offset=tail)
 
     planes = []
-    for comp in range(3):
+    for comp, (_, _, qtab) in enumerate(comp_tables):
         dezz = np.zeros((bh * bw, 64), dtype=np.int64)
         dezz[:, ZIGZAG] = coeff_planes[comp]
-        qtab = qtables[comp_q[comp]]
         spatial = idct_islow_blocks(dezz.reshape(-1, 8, 8), qtab)
         planes.append(_from_blocks(spatial, bh, bw, height, width))
     rgb = ycbcr_to_rgb(np.stack(planes))
@@ -633,6 +651,9 @@ def decode_base(stream: bytes) -> LdrImage:
 
 # ---------------------------------------------------------------------------
 # Refinement plane
+
+# Legal refinement depths R: the base alone, or a 12-bit tone-mapped image.
+REFINE_BIT_CHOICES = (0, 4)
 
 
 @dataclass(frozen=True)
@@ -645,8 +666,8 @@ class RefinementPlane:
     height: int
 
     def __post_init__(self):
-        if self.refine_bits not in (0, 4):
-            raise ParameterError(f"refinement bits must be 0 or 4, got {self.refine_bits}")
+        if self.refine_bits not in REFINE_BIT_CHOICES:
+            raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
         if self.refine_bits == 0 and self.payloads:
             raise ParameterError("refinement payload must be absent when R == 0")
         if self.refine_bits and len(self.payloads) != 3:
@@ -656,8 +677,8 @@ class RefinementPlane:
 def split_refinement(image: LdrImage) -> tuple[LdrImage, RefinementPlane]:
     """Split an (8+R)-bit image into its 8-bit top and a coded R-bit plane."""
     refine_bits = image.bit_depth - 8
-    if refine_bits not in (0, 4):
-        raise ParameterError(f"bit depth {image.bit_depth} is not 8 or 12")
+    if refine_bits not in REFINE_BIT_CHOICES:
+        raise ParameterError(f"bit depth {image.bit_depth} is not 8 + R, R in {REFINE_BIT_CHOICES}")
     if refine_bits == 0:
         return image, RefinementPlane(0, (), image.width, image.height)
     top = LdrImage(image.samples >> refine_bits, bit_depth=8)

@@ -364,6 +364,7 @@ def summarize(records: list[RunRecord]) -> dict:
             (r.image_id, arm_label(r.tmo, r.mode, r.q, r.refine))
             for r in records if not r.lossless_ok
         ],
+        "tmqi_unscored": sum(r.tmqi_decoded is None for r in ok),
         "quartile_method": QUARTILE_METHOD_NOTE,
     }
 

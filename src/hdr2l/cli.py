@@ -9,10 +9,12 @@ import tempfile
 from pathlib import Path
 
 from . import bench, container
+from .basejpeg import REFINE_BIT_CHOICES
 from .container import CodecParams, MODE_BY_NAME
 from .errors import Hdr2lError, LosslessnessError
 from .imagio import parse_ppm, write_pfm
 from .tmo import TMO_BY_NAME, TmoParams
+from .tmqi import MIN_SIDE as TMQI_MIN_SIDE
 from .tmqi import tmqi as tmqi_score
 
 
@@ -23,7 +25,7 @@ def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
                         help="base layer JPEG quality")
     parser.add_argument("--mode", choices=sorted(MODE_BY_NAME), default="hp",
                         help="coder arm: histogram-packed (hp) or plain (xt)")
-    parser.add_argument("--refine", type=int, choices=(0, 4), default=0,
+    parser.add_argument("--refine", type=int, choices=REFINE_BIT_CHOICES, default=0,
                         help="refinement bits (xt mode only)")
 
 
@@ -138,6 +140,11 @@ def _cmd_bench(args) -> int:
         print(
             f"  cross-TMO cov @ {key}: hp={entry['hp']:.4f} xt_r0={entry['xt_r0']:.4f} "
             f"{'(hp smaller)' if entry['hp_smaller'] else '(hp NOT smaller)'}"
+        )
+    if config.compute_tmqi and summary["tmqi_unscored"]:
+        print(
+            f"tmqi: {summary['tmqi_unscored']} of {len(result.records)} cells unscored "
+            f"(side < {TMQI_MIN_SIDE} px)"
         )
     for name, reason in summary.get("skipped", []):
         print(f"  skipped {name}: {reason}", file=sys.stderr)

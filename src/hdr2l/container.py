@@ -10,7 +10,7 @@ bytes     field
 1         coder mode (0 = HP, 1 = XT)
 1         base quality q
 1         refinement bits R
-1         residual refinement bits rR (always 0)
+1         reserved, must be 0
 4 + 4     width, height (u32 each)
 73        tone-mapping parameter block
 4 + n     base JPEG length + bytes
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import basejpeg, rescodec, tmo
+from .basejpeg import REFINE_BIT_CHOICES
 from .errors import FormatError, Hdr2lError, ParameterError
 from .imagio import HdrImage, luminance
 
@@ -56,19 +57,16 @@ class CodecParams:
     tmo: tmo.TmoParams
     q: int = 80
     refine_bits: int = 0
-    residual_refine_bits: int = 0
 
     def __post_init__(self):
         if not isinstance(self.mode, CoderMode):
             object.__setattr__(self, "mode", CoderMode(self.mode))
         if not 1 <= int(self.q) <= 100:
             raise ParameterError(f"quality must lie in [1, 100], got {self.q}")
-        if self.refine_bits not in (0, 4):
-            raise ParameterError(f"refinement bits must be 0 or 4, got {self.refine_bits}")
+        if self.refine_bits not in REFINE_BIT_CHOICES:
+            raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
         if self.mode == CoderMode.HP and self.refine_bits != 0:
             raise ParameterError("the HP coder never carries a refinement scan (R must be 0)")
-        if self.residual_refine_bits != 0:
-            raise ParameterError("residual refinement bits are fixed to 0 in this codec")
         object.__setattr__(self, "q", int(self.q))
 
 
@@ -100,16 +98,12 @@ class SizeReport:
 
 @dataclass(frozen=True)
 class _Parsed:
-    mode: CoderMode
-    q: int
-    refine_bits: int
+    params: CodecParams
     width: int
     height: int
-    tmo_params: tmo.TmoParams
     base: bytes
     refinement_payloads: tuple[bytes, ...]
     residual: bytes
-    total_bytes: int
 
 
 def _stage(name: str, fn, *args):
@@ -139,7 +133,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
 
     out = bytearray()
     out += _HEADER.pack(
-        MAGIC, VERSION, int(params.mode), params.q, params.refine_bits, 0,
+        MAGIC, VERSION, int(params.mode), params.q, params.refine_bits, 0,  # reserved
         hdr.width, hdr.height,
     )
     out += tmo.serialize_tmo_params(bound)
@@ -154,7 +148,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
 def _parse(data: bytes) -> _Parsed:
     if len(data) < _HEADER.size + tmo.TMO_PARAMS_SIZE + 12:
         raise FormatError(f"stream too short ({len(data)} bytes)")
-    magic, version, mode_v, q, refine_bits, r_residual, width, height = _HEADER.unpack_from(data, 0)
+    magic, version, mode, q, refine_bits, reserved, width, height = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -162,18 +156,18 @@ def _parse(data: bytes) -> _Parsed:
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != crc_stored:
         raise FormatError("CRC-32 mismatch")
-    try:
-        mode = CoderMode(mode_v)
-    except ValueError:
-        raise FormatError(f"unknown coder mode {mode_v}") from None
-    if refine_bits not in (0, 4) or (mode == CoderMode.HP and refine_bits != 0):
-        raise FormatError(f"invalid refinement bits {refine_bits} for mode {mode.name}")
-    if r_residual != 0:
-        raise FormatError(f"nonzero residual refinement bits {r_residual}")
+    if reserved != 0:
+        raise FormatError(f"reserved header byte is {reserved}, not 0")
+    if not width or not height:
+        raise FormatError(f"empty image {width}x{height}")
 
     pos = _HEADER.size
     tmo_params = tmo.parse_tmo_params(data[pos : pos + tmo.TMO_PARAMS_SIZE])
     pos += tmo.TMO_PARAMS_SIZE
+    try:
+        params = CodecParams(mode=mode, tmo=tmo_params, q=q, refine_bits=refine_bits)
+    except ValueError as exc:
+        raise FormatError(f"invalid header: {exc}") from None
 
     def take_block(name: str) -> bytes:
         nonlocal pos
@@ -193,9 +187,8 @@ def _parse(data: bytes) -> _Parsed:
     if pos != len(data) - 4:
         raise FormatError(f"{len(data) - 4 - pos} unaccounted bytes in stream")
     return _Parsed(
-        mode=mode, q=q, refine_bits=refine_bits, width=width, height=height,
-        tmo_params=tmo_params, base=base, refinement_payloads=payloads,
-        residual=residual, total_bytes=len(data),
+        params=params, width=width, height=height, base=base,
+        refinement_payloads=payloads, residual=residual,
     )
 
 
@@ -204,10 +197,10 @@ def decode(data: bytes) -> HdrImage:
     parsed = _parse(data)
     base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
     plane = basejpeg.RefinementPlane(
-        parsed.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
+        parsed.params.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
     )
     merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, plane)
-    prediction = _stage("predict", tmo.predict_hdr, merged, parsed.tmo_params)
+    prediction = _stage("predict", tmo.predict_hdr, merged, parsed.params.tmo)
     residual = _stage(
         "decode-residual", rescodec.decode_residual, parsed.residual, parsed.width, parsed.height
     )
@@ -222,20 +215,16 @@ def extract_ldr(data: bytes) -> bytes:
 def measure(data: bytes) -> SizeReport:
     """Per-section byte breakdown and total bits per pixel of a valid stream."""
     parsed = _parse(data)
-    res_sections = rescodec.split_residual_sections(parsed.residual)
+    sections = rescodec.split_residual_sections(parsed.residual)
     refinement = sum(len(p) for p in parsed.refinement_payloads)
-    accounted = (
-        len(parsed.base)
-        + refinement
-        + res_sections["tables"]
-        + res_sections["payloads"]
-    )
+    tables = sum(s.table_bytes for s in sections)
+    payload = sum(len(s.payload) for s in sections)
     return SizeReport(
-        total_bytes=parsed.total_bytes,
+        total_bytes=len(data),
         pixels=parsed.width * parsed.height,
         base=len(parsed.base),
         refinement=refinement,
-        tables=res_sections["tables"],
-        residual_payload=res_sections["payloads"],
-        overhead=parsed.total_bytes - accounted,
+        tables=tables,
+        residual_payload=payload,
+        overhead=len(data) - len(parsed.base) - refinement - tables - payload,
     )

@@ -83,14 +83,6 @@ def serialize_table(table: PackTable) -> bytes:
     return bytes(out)
 
 
-def parse_table(data: bytes) -> PackTable:
-    """Exact inverse of :func:`serialize_table`; rejects trailing bytes."""
-    table, pos = read_table(data, 0)
-    if pos != len(data):
-        raise ParseError(f"{len(data) - pos} trailing bytes after pack table", offset=pos)
-    return table
-
-
 def read_table(data: bytes, pos: int) -> tuple[PackTable, int]:
     """Parse one serialized table starting at ``pos``; returns (table, end)."""
     if len(data) - pos < 4:

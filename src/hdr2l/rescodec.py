@@ -247,16 +247,12 @@ def decode_plane(data: bytes, width: int, height: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ResidualPlanes:
-    """Post-color-transform residual planes plus packing side information."""
+class PlaneSection:
+    """One coded plane of a residual block."""
 
-    planes: np.ndarray  # (3, h, w) uint16
-    packed: bool
-    tables: tuple[PackTable, ...] = ()
-
-    def __post_init__(self):
-        if self.packed and len(self.tables) != 3:
-            raise ParameterError("packed residual planes require three pack tables")
+    table: PackTable | None  # None when the plane is not histogram-packed
+    table_bytes: int  # serialized size of the pack table
+    payload: bytes
 
 
 def encode_residual(raw_planes: np.ndarray, use_packing: bool) -> bytes:
@@ -280,15 +276,20 @@ def encode_residual(raw_planes: np.ndarray, use_packing: bool) -> bytes:
     return bytes(out)
 
 
-def decode_residual(data: bytes, width: int, height: int) -> np.ndarray:
-    """Exact inverse of :func:`encode_residual`; returns (3, h, w) uint16."""
-    planes = []
+def split_residual_sections(data: bytes) -> tuple[PlaneSection, ...]:
+    """Walk a residual block: each plane's header, pack table and payload.
+
+    This is the only reader of the block layout, so every bounds and count
+    check on it lives here.
+    """
+    sections = []
     pos = 0
     for _ in range(3):
         if len(data) - pos < PLANE_HEADER.size:
             raise CorruptStreamError("truncated residual plane header")
         count, payload_len = PLANE_HEADER.unpack_from(data, pos)
         pos += PLANE_HEADER.size
+        table_start = pos
         table = None
         if count:
             table, pos = read_table(data, pos)
@@ -298,28 +299,19 @@ def decode_residual(data: bytes, width: int, height: int) -> np.ndarray:
                 )
         if len(data) - pos < payload_len:
             raise CorruptStreamError("truncated residual plane payload")
-        plane = decode_plane(data[pos : pos + payload_len], width, height)
+        sections.append(PlaneSection(table, pos - table_start, data[pos : pos + payload_len]))
         pos += payload_len
-        if table is not None:
-            plane = unpack(plane, table)
-        planes.append(plane)
     if pos != len(data):
         raise CorruptStreamError(f"{len(data) - pos} trailing bytes in residual block")
+    return tuple(sections)
+
+
+def decode_residual(data: bytes, width: int, height: int) -> np.ndarray:
+    """Exact inverse of :func:`encode_residual`; returns (3, h, w) uint16."""
+    planes = []
+    for section in split_residual_sections(data):
+        plane = decode_plane(section.payload, width, height)
+        if section.table is not None:
+            plane = unpack(plane, section.table)
+        planes.append(plane)
     return color_transform_inv(np.stack(planes))
-
-
-def split_residual_sections(data: bytes) -> dict[str, int]:
-    """Byte accounting of a residual block: headers, tables, payloads."""
-    headers = tables = payloads = 0
-    pos = 0
-    for _ in range(3):
-        count, payload_len = PLANE_HEADER.unpack_from(data, pos)
-        pos += PLANE_HEADER.size
-        headers += PLANE_HEADER.size
-        if count:
-            _, end = read_table(data, pos)
-            tables += end - pos
-            pos = end
-        payloads += payload_len
-        pos += payload_len
-    return {"headers": headers, "tables": tables, "payloads": payloads}

@@ -22,11 +22,11 @@ from enum import IntEnum
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .basejpeg import REFINE_BIT_CHOICES
 from .errors import InternalError, ParameterError, ParseError
 from .imagio import HdrImage, LdrImage, half_encode_array, luminance
 
 LOG_AVERAGE_DELTA = 1e-6
-REFINE_BIT_CHOICES = (0, 4)
 
 # Local operator constants: center/surround scale ratio, sharpening exponent
 # in the activity normalizer, and the smallest Gaussian scale in pixels.
@@ -130,22 +130,15 @@ def parse_tmo_params(data: bytes) -> TmoParams:
     if len(data) != TMO_PARAMS_SIZE:
         raise ParseError(f"TMO parameter block must be {TMO_PARAMS_SIZE} bytes, got {len(data)}")
     fields = _PARAMS_STRUCT.unpack(data)
-    try:
-        kind = TmoKind(fields[0])
-    except ValueError:
-        raise ParseError(f"unknown TMO kind {fields[0]}") from None
-    return TmoParams(
-        kind=kind,
-        key_a=fields[1],
-        l_white=fields[2],
-        bias=fields[3],
-        ldmax=fields[4],
-        local_scales=int(fields[5]),
-        local_threshold=fields[6],
-        log_avg=fields[7],
-        l_max=fields[8],
-        gamma=fields[9],
-    )
+    try:  # the fields are in TmoParams declaration order
+        params = TmoParams(TmoKind(fields[0]), *fields[1:5], int(fields[5]), *fields[6:])
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"invalid TMO parameter block: {exc}") from None
+    # bind_image_stats never stores a peak below this floor; the logarithmic
+    # curve divides by log10(1 + l_max).
+    if params.l_max < LOG_AVERAGE_DELTA:
+        raise ParseError(f"TMO peak luminance {params.l_max} below {LOG_AVERAGE_DELTA}")
+    return params
 
 
 def log_average_luminance(lum: np.ndarray) -> float:

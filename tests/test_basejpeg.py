@@ -173,6 +173,40 @@ def test_decode_rejects_corruption():
     assert err.value.offset is not None
 
 
+def _edit(stream: bytes, marker: int, offset: int, value: bytes) -> bytes:
+    """Overwrite bytes at ``offset`` inside the payload of the first ``marker`` segment."""
+    start = stream.index(bytes([0xFF, marker])) + 4 + offset
+    return stream[:start] + value + stream[start + len(value) :]
+
+
+def test_decode_rejects_malformed_headers_with_offsets():
+    stream = encode_base(_gradient_ldr(16, 16), 80)
+    dht_dc_luma_values = 1 + 16
+    dht = stream.index(b"\xFF\xC4")
+    dht_length = int.from_bytes(stream[dht + 2 : dht + 4], "big")
+    bad = {
+        "counts beyond the symbols": _edit(stream, 0xC4, -2, (dht_length - 1).to_bytes(2, "big")),
+        "code space overflow": _edit(stream, 0xC4, 1, bytes([2])),
+        "DC symbol above 11": _edit(stream, 0xC4, dht_dc_luma_values, bytes([12])),
+        "AC size above 10": _edit(stream, 0xC4, 2 * 17 + 12, bytes([0x0B])),
+        "undefined Huffman table": _edit(stream, 0xDA, 4, bytes([0x22])),
+        "undefined quantization table": _edit(stream, 0xC0, 8, bytes([5])),
+        "short DQT": _edit(stream, 0xDB, -2, (2 + 64).to_bytes(2, "big")),
+        "short SOF": _edit(stream, 0xC0, -2, (2 + 6).to_bytes(2, "big")),
+    }
+    for name, data in bad.items():
+        with pytest.raises(ParseError) as err:
+            decode_base(data)
+        assert err.value.offset is not None, name
+
+
+def test_decode_rejects_frame_larger_than_scan_before_allocating():
+    stream = encode_base(_gradient_ldr(16, 16), 80)
+    huge = _edit(stream, 0xC0, 1, (65535).to_bytes(2, "big") * 2)  # height, width
+    with pytest.raises(ParseError, match="larger than its scan data"):
+        decode_base(huge)
+
+
 def test_color_conversion_round_trip_is_close(rng):
     rgb = rng.integers(0, 256, size=(3, 8, 8)).astype(np.int64)
     back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))

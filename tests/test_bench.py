@@ -93,10 +93,12 @@ def test_csv_round_trip():
 def test_summary_never_reports_failed_streams():
     good = RunRecord("a", "default", "hp", 80, 0, 5.0, None, None, True, 0.1, 0.1)
     bad = RunRecord("b", "default", "hp", 80, 0, 9.0, None, None, False, 0.1, 0.1)
-    summary = summarize([good, bad])
+    scored = RunRecord("c", "default", "hp", 80, 0, 5.0, 0.8, 0.7, True, 0.1, 0.1)
+    summary = summarize([good, bad, scored])
     stats = summary["arm_stats"]["default/HP/q80"]
     assert stats.median == 5.0  # the failed record's bitrate is excluded
     assert summary["lossless_failures"] == [("b", "default/HP/q80")]
+    assert summary["tmqi_unscored"] == 1  # the failed cell is reported as a failure instead
 
 
 def test_require_lossless_raises():
@@ -173,6 +175,17 @@ def test_cli_bench_synthetic_with_outputs(tmp_path):
     records = records_from_csv(csv_path.read_text())
     assert len(records) == 12
     ET.fromstring(svg_path.read_text())
+
+
+def test_cli_bench_reports_unscored_tmqi_cells(tmp_path, capsys):
+    from hdr2l.cli import main
+
+    corpus = str(tmp_path / "corpus")
+    args = ["bench", corpus, "--synthetic", "1", "--size", "24", "--tmo", "default"]
+    assert main(args) == 0
+    assert "tmqi: 6 of 6 cells unscored (side < 176 px)" in capsys.readouterr().out
+    assert main(args + ["--no-tmqi"]) == 0
+    assert "unscored" not in capsys.readouterr().out
 
 
 def test_cli_bench_exit_code_on_lossless_failure(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,32 @@ def test_hp_mode_rejects_refinement():
         CodecParams(mode=CoderMode.HP, tmo=tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), refine_bits=4)
 
 
-def test_residual_refinement_fixed_to_zero():
-    with pytest.raises(ParameterError):
-        CodecParams(
-            mode=CoderMode.XT, tmo=tmo.TmoParams(kind=tmo.TmoKind.DEFAULT),
-            residual_refine_bits=1,
-        )
+def _edited(stream: bytes, offset: int, value: bytes) -> bytes:
+    """``stream`` with ``value`` written at ``offset`` and the CRC recomputed."""
+    out = bytearray(stream)
+    out[offset : offset + len(value)] = value
+    out[-4:] = zlib.crc32(out[:-4]).to_bytes(4, "little")
+    return bytes(out)
+
+
+def test_reserved_header_byte_must_be_zero():
+    stream = encode(sparse_hdr_image(8, 8), _params(mode=CoderMode.XT))
+    bad = _edited(stream, 8, bytes([1]))  # the byte after the refinement bits R
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(FormatError, match="reserved"):
+            reader(bad)
+
+
+def test_header_fields_checked_as_codec_params():
+    stream = encode(sparse_hdr_image(8, 8), _params(mode=CoderMode.XT, refine=4))
+    # byte 5 mode, 6 quality, 7 refinement bits
+    for offset, value in ((5, 7), (6, 0), (6, 101), (7, 3)):
+        with pytest.raises(FormatError, match="invalid header"):
+            measure(_edited(stream, offset, bytes([value])))
+    with pytest.raises(FormatError, match="HP"):
+        decode(_edited(stream, 5, bytes([int(CoderMode.HP)])))
+    with pytest.raises(FormatError, match="empty image"):
+        measure(_edited(stream, 9, bytes(4)))  # width 0
 
 
 def test_full_grid_round_trip_small_image():

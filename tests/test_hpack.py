@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdr2l.errors import CorruptStreamError, IntegrityError, ParseError
-from hdr2l.hpack import PackTable, build_table, pack, parse_table, serialize_table, unpack
+from hdr2l.hpack import PackTable, build_table, pack, read_table, serialize_table, unpack
 
 
 def test_build_table_examples():
@@ -75,14 +75,14 @@ def test_serialize_table_golden():
     data = serialize_table(t)
     # K=3 little-endian, then gap-1 varints 0, 4, 994 (994 = 0xE2 0x07)
     assert data == bytes([3, 0, 0, 0, 0x00, 0x04, 0xE2, 0x07])
-    assert parse_table(data) == t
+    assert read_table(data, 0) == (t, len(data))
 
 
 def test_serialize_identity_table():
     t = PackTable(np.arange(65536, dtype=np.uint16))
     data = serialize_table(t)
     assert len(data) == 4 + 65536  # every gap-1 is a single zero byte
-    assert parse_table(data) == t
+    assert read_table(data, 0) == (t, len(data))
 
 
 def test_table_round_trip_random(rng):
@@ -90,17 +90,20 @@ def test_table_round_trip_random(rng):
         k = int(rng.integers(1, 400))
         symbols = np.sort(rng.choice(65536, size=k, replace=False)).astype(np.uint16)
         t = PackTable(symbols)
-        assert parse_table(serialize_table(t)) == t
+        data = serialize_table(t)
+        # a table read from inside a larger block ends where its bytes end
+        assert read_table(b"\xAA" + data + b"\x00", 1) == (t, 1 + len(data))
 
 
-def test_parse_table_errors():
+def test_read_table_errors():
     with pytest.raises(ParseError):
-        parse_table(bytes([0, 0, 0, 0]))  # K == 0
+        read_table(bytes([0, 0, 0, 0]), 0)  # K == 0
     with pytest.raises(ParseError):
-        parse_table(bytes([2, 0, 0, 0, 0x01]))  # truncated varints
+        read_table(bytes([2, 0, 0, 0, 0x01]), 0)  # truncated varints
+    with pytest.raises(ParseError):
+        read_table(bytes([1, 0, 0]), 0)  # truncated count
     good = serialize_table(PackTable(np.array([1, 2], dtype=np.uint16)))
-    with pytest.raises(ParseError):
-        parse_table(good + b"\x00")  # trailing bytes
+    assert read_table(good + b"\x00", 0)[1] == len(good)  # trailing bytes are not read
     overflow = bytes([2, 0, 0, 0]) + bytes([0xFF, 0xFF, 0x03]) + bytes([0x00])
     with pytest.raises(ParseError):
-        parse_table(overflow)  # second symbol lands beyond 16 bits
+        read_table(overflow, 0)  # second symbol lands beyond 16 bits

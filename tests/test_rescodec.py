@@ -159,8 +159,9 @@ def test_encode_residual_zero_plane_packs_to_near_empty():
     zeros = np.zeros((3, 8, 8), dtype=np.uint16)
     packed = encode_residual(zeros, use_packing=True)
     sections = split_residual_sections(packed)
-    assert sections["tables"] == 3 * len(serialize_table(build_table(np.zeros(1, dtype=np.uint16))))
-    assert sections["payloads"] < 40
+    table_bytes = len(serialize_table(build_table(np.zeros(1, dtype=np.uint16))))
+    assert [s.table_bytes for s in sections] == [table_bytes] * 3
+    assert sum(len(s.payload) for s in sections) < 40
     assert np.array_equal(decode_residual(packed, 8, 8), zeros)
 
 
@@ -175,7 +176,8 @@ def test_packing_shrinks_sparse_payload(rng):
     sparse = rng.choice(np.arange(0, 65536, 256, dtype=np.uint16), size=(3, 64, 64))
     packed = split_residual_sections(encode_residual(sparse, True))
     unpacked = split_residual_sections(encode_residual(sparse, False))
-    assert packed["payloads"] < unpacked["payloads"]
+    assert sum(len(s.payload) for s in packed) < sum(len(s.payload) for s in unpacked)
+    assert all(s.table is None and s.table_bytes == 0 for s in unpacked)
 
 
 def test_decode_residual_errors(rng):

@@ -8,6 +8,7 @@ import pytest
 from hdr2l.errors import ParameterError, ParseError
 from hdr2l.imagio import HdrImage, half_decode_array, half_encode, half_encode_array, luminance
 from hdr2l.tmo import (
+    LOG_AVERAGE_DELTA,
     TMO_PARAMS_SIZE,
     TmoKind,
     TmoParams,
@@ -93,6 +94,14 @@ def test_parse_params_rejects_bad_kind():
     data[0] = 99
     with pytest.raises(ParseError):
         parse_tmo_params(bytes(data))
+
+
+def test_parse_params_rejects_peak_below_stats_floor():
+    params = TmoParams(kind=TmoKind.DRAGO, log_avg=1.0, l_max=1e-300)
+    with pytest.raises(ParseError, match="peak luminance"):
+        parse_tmo_params(serialize_tmo_params(params))
+    floor = TmoParams(kind=TmoKind.DRAGO, log_avg=1.0, l_max=LOG_AVERAGE_DELTA)
+    assert parse_tmo_params(serialize_tmo_params(floor)) == floor
 
 
 def test_bind_image_stats():
