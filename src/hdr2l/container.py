@@ -196,13 +196,19 @@ def decode(data: bytes) -> HdrImage:
     """Bit-exact inverse of :func:`encode`."""
     parsed = _parse(data)
     base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
+    if (base_dec.width, base_dec.height) != (parsed.width, parsed.height):
+        raise FormatError(
+            f"base layer is {base_dec.width}x{base_dec.height}, "
+            f"the container says {parsed.width}x{parsed.height}"
+        )
     plane = basejpeg.RefinementPlane(
         parsed.params.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
     )
     merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, plane)
     prediction = _stage("predict", tmo.predict_hdr, merged, parsed.params.tmo)
     residual = _stage(
-        "decode-residual", rescodec.decode_residual, parsed.residual, parsed.width, parsed.height
+        "decode-residual", rescodec.decode_residual,
+        parsed.residual, parsed.width, parsed.height, parsed.params.mode == CoderMode.HP,
     )
     return _stage("reconstruct", rescodec.apply_residual, prediction, residual)
 
@@ -215,7 +221,7 @@ def extract_ldr(data: bytes) -> bytes:
 def measure(data: bytes) -> SizeReport:
     """Per-section byte breakdown and total bits per pixel of a valid stream."""
     parsed = _parse(data)
-    sections = rescodec.split_residual_sections(parsed.residual)
+    sections = rescodec.split_residual_sections(parsed.residual, parsed.params.mode == CoderMode.HP)
     refinement = sum(len(p) for p in parsed.refinement_payloads)
     tables = sum(s.table_bytes for s in sections)
     payload = sum(len(s.payload) for s in sections)

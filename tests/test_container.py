@@ -14,7 +14,7 @@ from hdr2l.container import (
     extract_ldr,
     measure,
 )
-from hdr2l.errors import FormatError, ParameterError
+from hdr2l.errors import CorruptStreamError, FormatError, ParameterError
 from hdr2l.imagio import HdrImage, luminance
 from conftest import sparse_hdr_image, smooth_hdr_image
 
@@ -60,6 +60,24 @@ def test_header_fields_checked_as_codec_params():
         decode(_edited(stream, 5, bytes([int(CoderMode.HP)])))
     with pytest.raises(FormatError, match="empty image"):
         measure(_edited(stream, 9, bytes(4)))  # width 0
+
+
+def test_frame_size_must_match_container_size():
+    stream = encode(sparse_hdr_image(12, 10), _params())
+    for width, height in ((13, 10), (12, 9), (1, 120), (60000, 60000)):
+        bad = _edited(stream, 9, width.to_bytes(4, "little") + height.to_bytes(4, "little"))
+        with pytest.raises(FormatError, match=f"base layer is 12x10, the container says {width}x{height}"):
+            decode(bad)
+
+
+def test_mode_byte_must_match_residual_packing():
+    for mode in CoderMode:
+        stream = encode(sparse_hdr_image(8, 8), _params(mode=mode))
+        other = CoderMode.XT if mode == CoderMode.HP else CoderMode.HP
+        bad = _edited(stream, 5, bytes([int(other)]))
+        for reader in (decode, measure):
+            with pytest.raises(CorruptStreamError, match="pack-table count"):
+                reader(bad)
 
 
 def test_full_grid_round_trip_small_image():

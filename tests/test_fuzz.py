@@ -3,24 +3,30 @@
 CRC-valid mutants of two small streams (byte flips, bit flips and u32
 overwrites, with the CRC recomputed so the mutation reaches the parsers) must
 make ``decode``, ``measure`` and ``extract_ldr`` raise nothing but
-``Hdr2lError`` subclasses.
+``Hdr2lError`` subclasses.  Besides random sites, a share of the mutants
+rewrite the fields that readers size their work from: the container width and
+height and each residual plane's payload length.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import numpy as np
 import pytest
 
 from hdr2l import tmo
-from hdr2l.container import CodecParams, CoderMode, decode, encode, extract_ldr, measure
+from hdr2l.container import CodecParams, CoderMode, _parse, decode, encode, extract_ldr, measure
 from hdr2l.errors import Hdr2lError
 from hdr2l.imagio import HdrImage
+from hdr2l.rescodec import PLANE_HEADER, split_residual_sections
 from conftest import sparse_hdr_image
 
 SIDE = 20
 MUTANTS = 300
+FIELD_MUTANTS = 30
+WIDTH_OFFSET = 9  # u32 width, then u32 height
 
 
 def _mutants(stream: bytes, count: int, seed: int):
@@ -36,7 +42,36 @@ def _mutants(stream: bytes, count: int, seed: int):
             mutant[pos] ^= 1 << int(rng.integers(8))
         else:
             mutant[pos : pos + 4] = int(rng.integers(1 << 32)).to_bytes(4, "little")
-        yield bytes(mutant + zlib.crc32(mutant).to_bytes(4, "little"))
+        yield _with_crc(mutant)
+
+
+def _with_crc(body: bytearray) -> bytes:
+    return bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+def _size_fields(stream: bytes, packed: bool) -> list[int]:
+    """Offsets of the u32 fields a decoder sizes its work from: the width, the
+    height and the payload length of each residual plane."""
+    residual = _parse(stream).residual
+    pos = len(stream) - 4 - len(residual)  # the residual block comes last
+    fields = [WIDTH_OFFSET, WIDTH_OFFSET + 4]
+    for section in split_residual_sections(residual, packed):
+        fields.append(pos + 4)
+        pos += PLANE_HEADER.size + section.table_bytes + len(section.payload)
+    return fields
+
+
+def _field_mutants(stream: bytes, packed: bool, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    fields = _size_fields(stream, packed)
+    for _ in range(count):
+        mutant = bytearray(stream[:-4])
+        pos = fields[int(rng.integers(len(fields)))]
+        value = int.from_bytes(mutant[pos : pos + 4], "little")
+        choices = (0, 1, value - 1, value + 1, 2 * value, value // 2, 0xFFFF, 0xFFFFFFFF)
+        new = choices[int(rng.integers(len(choices)))] if rng.integers(4) else int(rng.integers(1 << 32))
+        mutant[pos : pos + 4] = (new & 0xFFFFFFFF).to_bytes(4, "little")
+        yield _with_crc(mutant)
 
 
 def _patch_image() -> HdrImage:
@@ -52,8 +87,12 @@ def _patch_image() -> HdrImage:
 def test_mutated_streams_raise_only_codec_errors(mode, refine, seed):
     params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=100, refine_bits=refine)
     stream = encode(_patch_image(), params)
+    mutants = itertools.chain(
+        _mutants(stream, MUTANTS, seed),
+        _field_mutants(stream, mode == CoderMode.HP, FIELD_MUTANTS, seed),
+    )
     escapes = []
-    for index, mutant in enumerate(_mutants(stream, MUTANTS, seed)):
+    for index, mutant in enumerate(mutants):
         for reader in (decode, measure, extract_ldr):
             try:
                 reader(mutant)
