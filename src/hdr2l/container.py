@@ -6,12 +6,13 @@ Stream layout (little-endian):
 bytes     field
 ========  =====================================================
 4         magic ``H2L1``
-1         format version (1)
+1         format version (2)
 1         coder mode (0 = HP, 1 = XT)
 1         base quality q
 1         refinement bits R
 1         reserved, must be 0
 4 + 4     width, height (u32 each)
+4         CRC-32 of the source half codes (pixel CRC)
 73        tone-mapping parameter block
 4 + n     base JPEG length + bytes
 3*(4+n)   refinement payloads (only when R > 0)
@@ -20,7 +21,11 @@ bytes     field
 ========  =====================================================
 
 The embedded JPEG is byte-identical to a standalone base-layer encode of the
-same tone-mapped image, so extracting it yields an ordinary JPEG file.
+same tone-mapped image, so extracting it yields an ordinary JPEG file.  The
+trailing CRC covers the bytes; the pixel CRC, taken over the samples as
+(3, h, w) little-endian u16 in C order, covers the reconstruction, which
+rests on floating-point tone-map inversion that another machine may compute
+differently.  Residual planes use the plane format of :mod:`rescodec`.
 """
 
 from __future__ import annotations
@@ -30,14 +35,16 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 from . import basejpeg, rescodec, tmo
 from .basejpeg import REFINE_BIT_CHOICES
-from .errors import FormatError, Hdr2lError, ParameterError
+from .errors import FormatError, Hdr2lError, IntegrityError, ParameterError
 from .imagio import HdrImage, luminance
 
 MAGIC = b"H2L1"
-VERSION = 1
-_HEADER = struct.Struct("<4sBBBBBII")
+VERSION = 2
+_HEADER = struct.Struct("<4sBBBBBIII")
 
 
 class CoderMode(IntEnum):
@@ -101,6 +108,7 @@ class _Parsed:
     params: CodecParams
     width: int
     height: int
+    pixel_crc: int
     base: bytes
     refinement_payloads: tuple[bytes, ...]
     residual: bytes
@@ -114,6 +122,10 @@ def _stage(name: str, fn, *args):
         if exc.args and isinstance(exc.args[0], str):
             exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
         raise
+
+
+def _pixel_crc(image: HdrImage) -> int:
+    return zlib.crc32(np.ascontiguousarray(image.samples, dtype="<u2"))
 
 
 def encode(hdr: HdrImage, params: CodecParams) -> bytes:
@@ -134,7 +146,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
     out = bytearray()
     out += _HEADER.pack(
         MAGIC, VERSION, int(params.mode), params.q, params.refine_bits, 0,  # reserved
-        hdr.width, hdr.height,
+        hdr.width, hdr.height, _pixel_crc(hdr),
     )
     out += tmo.serialize_tmo_params(bound)
     out += struct.pack("<I", len(base)) + base
@@ -148,7 +160,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
 def _parse(data: bytes) -> _Parsed:
     if len(data) < _HEADER.size + tmo.TMO_PARAMS_SIZE + 12:
         raise FormatError(f"stream too short ({len(data)} bytes)")
-    magic, version, mode, q, refine_bits, reserved, width, height = _HEADER.unpack_from(data, 0)
+    magic, version, mode, q, refine_bits, reserved, width, height, pixel_crc = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -187,7 +199,7 @@ def _parse(data: bytes) -> _Parsed:
     if pos != len(data) - 4:
         raise FormatError(f"{len(data) - 4 - pos} unaccounted bytes in stream")
     return _Parsed(
-        params=params, width=width, height=height, base=base,
+        params=params, width=width, height=height, pixel_crc=pixel_crc, base=base,
         refinement_payloads=payloads, residual=residual,
     )
 
@@ -210,7 +222,10 @@ def decode(data: bytes) -> HdrImage:
         "decode-residual", rescodec.decode_residual,
         parsed.residual, parsed.width, parsed.height, parsed.params.mode == CoderMode.HP,
     )
-    return _stage("reconstruct", rescodec.apply_residual, prediction, residual)
+    image = _stage("reconstruct", rescodec.apply_residual, prediction, residual)
+    if _pixel_crc(image) != parsed.pixel_crc:
+        raise IntegrityError("[reconstruct] decoded pixels fail the pixel CRC-32")
+    return image
 
 
 def extract_ldr(data: bytes) -> bytes:

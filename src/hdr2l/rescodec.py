@@ -3,8 +3,31 @@ and the lossless predictive plane coder.
 
 All arithmetic is on 16-bit sample codes mod 2^16, which makes every step
 exactly invertible no matter how poor the prediction is.  The plane coder is
-a raster-order MED predictor followed by an adaptive Golomb-Rice code; it is
-the in-repo stand-in for an arbitrary lossless image encoder.
+a raster-order MED predictor followed by a partitioned Golomb-Rice code (one
+Rice parameter per block of symbols, as in FLAC); it is the in-repo stand-in
+for an arbitrary lossless image encoder.
+
+Plane payload, format version 2.  The symbols u are the MED prediction
+errors mod 2^16 in raster order, folded to 0..65535 (e < 32768 gives 2e, else
+2(65536 - e) - 1), and cut into blocks of B = 48 (the last may be shorter).
+
+====================  ==================================================
+field                 bits
+====================  ==================================================
+U                     u32 little-endian: byte length of the unary stream
+k table               a nibble per block, high nibble first, one zero pad
+                      nibble if the count of blocks is odd: 15 marks a
+                      block of zeros, 0..14 is the block's Rice parameter k
+unary stream          U bytes: per symbol of a coded block, with
+                      q = u >> k, min(q, E) zeros then a one (E = 6)
+remainder stream      the rest: per symbol of a coded block, the low k bits
+                      of u, or all 16 bits of u when q >= E
+====================  ==================================================
+
+Both streams are MSB-first and zero-padded to a byte; a block of zeros puts
+no bits in either.  The encoder gives each block the k of fewest bits (the
+least on a tie).  A decoder rejects any other length, nonzero pad bits, a
+run of more than E zeros, an escaped u with u >> k < E, and u > 65535.
 """
 
 from __future__ import annotations
@@ -19,8 +42,11 @@ from .hpack import PackTable, build_table, pack, read_table, serialize_table, un
 from .imagio import HdrImage
 
 MASK = 0xFFFF
-RICE_ESCAPE_QUOTIENT = 24
-RICE_RESET_COUNT = 64
+RICE_BLOCK = 48  # symbols per Rice parameter (B)
+RICE_ESCAPE_QUOTIENT = 6  # unary zeros before a symbol is sent whole (E)
+RICE_MAX_K = 14
+ZERO_BLOCK = 15  # k-table nibble of a block whose symbols are all 0
+_UNARY_LENGTH = struct.Struct("<I")
 PLANE_HEADER = struct.Struct("<II")  # pack-table K (0 = unpacked), payload length
 
 
@@ -74,56 +100,94 @@ def color_transform_inv(planes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# MED + adaptive Golomb-Rice plane coder
+# MED + partitioned Golomb-Rice plane coder
 
 
 def med_predict(plane: np.ndarray) -> np.ndarray:
     """Vectorized MED prediction; out-of-image neighbors read 0."""
-    x = np.asarray(plane, dtype=np.int64)
-    a = np.zeros_like(x)  # left
-    b = np.zeros_like(x)  # above
-    c = np.zeros_like(x)  # above-left
-    a[:, 1:] = x[:, :-1]
-    b[1:, :] = x[:-1, :]
-    c[1:, 1:] = x[:-1, :-1]
-    hi = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    return np.where(c >= hi, lo, np.where(c <= lo, hi, a + b - c))
+    x = np.asarray(plane, dtype=np.int32)
+    padded = np.zeros((x.shape[0] + 1, x.shape[1] + 1), dtype=np.int32)
+    padded[1:, 1:] = x
+    left = padded[1:, :-1]
+    above = padded[:-1, 1:]
+    # MED(a, b, c) = median(a, b, a + b - c)
+    guess = left + above
+    guess -= padded[:-1, :-1]
+    np.minimum(guess, np.maximum(left, above), out=guess)
+    np.maximum(guess, np.minimum(left, above), out=guess)
+    return guess
 
 
-def _fold(errors: np.ndarray) -> np.ndarray:
-    """Zig-zag fold a mod-2^16 prediction error to an unsigned code."""
-    e = np.asarray(errors, dtype=np.int64)
-    return np.where(e < 32768, 2 * e, 2 * (65536 - e) - 1)
+def _threshold_columns() -> tuple[np.ndarray, np.ndarray]:
+    """Bins of u for counting, per block, the symbols at or above each
+    threshold j << k (1 <= j <= E, 0 <= k <= RICE_MAX_K) at once.
 
-
-def _rice_parameters(u: np.ndarray) -> np.ndarray:
-    """The Rice parameter k of every symbol of a plane, given all its symbols.
-
-    N follows a fixed schedule (1, 2, ..., 63, then 32, ..., 63 again and
-    again), so the only data-dependent step is halving A at the end of each
-    period; it runs in Python once per period, and A within a period is a
-    prefix sum.
+    Returns the bin of every u, and the column of the reverse-cumulated bin
+    counts that holds #{u >= j << k}, indexed [k, j - 1]; a threshold above
+    MASK maps to the extra column of zeros.
     """
-    half = RICE_RESET_COUNT // 2
-    n = np.arange(1, u.size + 1)
-    period = np.maximum(n - half, 0) // half
-    n -= half * period
-    starts = np.r_[0, np.arange(RICE_RESET_COUNT - 1, u.size, RICE_RESET_COUNT - half)]
-    a_start = []
-    a_sum = 4
-    for total in np.add.reduceat(u, starts).tolist():
-        a_start.append(a_sum)
-        a_sum = (a_sum + total) >> 1
-    a = np.cumsum(u)
-    a -= u
-    a += (np.array(a_start) - a[starts])[period]
-    # k = bit_length(ceil(A / N) - 1), which is 0 when A <= N; frexp is
-    # exact on these integers.
-    a -= 1
-    np.maximum(a, 0, out=a)
-    a //= n
-    return np.frexp(a)[1]
+    thresholds = np.arange(1, RICE_ESCAPE_QUOTIENT + 1) << np.arange(RICE_MAX_K + 1)[:, None]
+    edges = np.unique(thresholds[thresholds <= MASK])
+    bin_of = np.searchsorted(edges, np.arange(MASK + 1), side="right").astype(np.uint8)
+    columns = np.where(thresholds <= MASK, bin_of[np.minimum(thresholds, MASK)], edges.size + 1)
+    return bin_of, columns
+
+
+_BIN_OF, _THRESHOLD_COLUMNS = _threshold_columns()
+
+
+def _block_parameters(u: np.ndarray) -> np.ndarray:
+    """The k-table nibble of every block: ZERO_BLOCK when all its symbols are
+    0, else the k in 0..14 that codes it in the fewest bits (the least such k
+    on a tie).
+
+    Under k, a block of m symbols takes m (1 + k) bits of stop bits and
+    remainders, sum_j #{u >= j << k} unary zeros (j = 1..E), and 16 - k more
+    bits for each of the #{u >= E << k} escapes.
+    """
+    blocks = -(-u.size // RICE_BLOCK)
+    nbins = int(_BIN_OF[-1]) + 1
+    keys = np.arange(u.size) // RICE_BLOCK * nbins
+    keys += _BIN_OF[u]
+    counts = np.bincount(keys, minlength=blocks * nbins).reshape(blocks, nbins)
+    at_least = np.zeros((blocks, nbins + 1), dtype=np.int64)  # [:, i]: symbols in bin i or above
+    np.cumsum(counts[:, ::-1], axis=1, out=at_least[:, -2::-1])
+    k = np.arange(RICE_MAX_K + 1)
+    lengths = at_least[:, _THRESHOLD_COLUMNS].sum(axis=2)
+    lengths += at_least[:, :1] * (1 + k)
+    lengths += at_least[:, _THRESHOLD_COLUMNS[:, -1]] * (16 - k)
+    ks = lengths.argmin(axis=1)
+    ks[at_least[:, 1] == 0] = ZERO_BLOCK
+    return ks
+
+
+def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """Concatenate fields of 0 to 16 bits MSB-first, zero-padded to a byte."""
+    # Join fields four at a time into items of at most 64 bits.
+    size = -(-values.size // 4) * 4
+    items = np.zeros(size, dtype=np.uint64)
+    items[: values.size] = values
+    lengths = np.zeros(size, dtype=np.int64)
+    lengths[: values.size] = widths
+    for _ in range(2):
+        items = (items[0::2] << lengths[1::2].view(np.uint64)) | items[1::2]
+        lengths = lengths[0::2] + lengths[1::2]
+    ends = np.cumsum(lengths)
+    nbits = int(ends[-1]) if ends.size else 0
+    starts = ends - lengths
+    # Items are or-ed into 64-bit words, and an item that ends past its word
+    # spills its low bits into the next.  An item is at most 64 bits, so each
+    # word but perhaps the last holds an item start: the n-th word that holds
+    # one is word n.
+    spill = ends - (starts & ~63) - 64
+    heads = items >> np.maximum(spill, 0).view(np.uint64)
+    heads <<= np.clip(-spill, 0, 63).view(np.uint64)
+    first = np.flatnonzero(np.diff(starts >> 6, prepend=-1))
+    words = np.zeros(((nbits + 63) >> 6) + 1, dtype=np.uint64)
+    words[: first.size] = np.bitwise_or.reduceat(heads, first)
+    over = np.flatnonzero(spill > 0)
+    words[(starts[over] >> 6) + 1] |= items[over] << (64 - spill[over]).view(np.uint64)
+    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3]
 
 
 def code_plane(plane: np.ndarray) -> bytes:
@@ -131,112 +195,53 @@ def code_plane(plane: np.ndarray) -> bytes:
 
     Symbols are taken in raster order.  Each is the MED prediction error mod
     2^16 (out-of-image neighbours read 0), folded to u in [0, 65535]: e < 32768
-    gives 2e, otherwise 2(65536 - e) - 1.
+    gives 2e, otherwise 2(65536 - e) - 1.  The symbols are cut into blocks of
+    B = RICE_BLOCK (the last block may be shorter), and each block gets one
+    nibble in the k table: ZERO_BLOCK (15) when all its symbols are 0, else the
+    Rice parameter k in 0..14 that codes the block in the fewest bits (the
+    least such k on a tie).
 
-    Each u is written MSB-first with the adaptive Rice parameter
-    k = bit_length(ceil(A / N) - 1) when A > N, and k = 0 when A <= N; that is
-    the least k with N * 2^k >= A.  The state starts at (A, N) = (4, 1); after
-    each symbol A += u and N += 1, and when N reaches 64 both halve (A floors).
-    With q = u >> k, a symbol is q zeros, a one, then the low k bits of u; when
-    q >= 24 it is instead 24 zeros and the 16 bits of u.  Since A <= 65535 N
-    holds throughout, k <= 16 and no code is longer than 40 bits.  The last
-    byte is padded with zeros, and a decoder ignores whatever bits follow the
-    last symbol.
+    Payload, in order:
+
+    1. ``U``, u32 little-endian: the byte length of the unary stream.
+    2. The k table: one nibble per block, high nibble first, and a zero pad
+       nibble when the count of blocks is odd.
+    3. The unary stream, ``U`` bytes.  For each symbol of a block that is not
+       ZERO_BLOCK, with q = u >> k: min(q, E) zeros, then a one, where
+       E = RICE_ESCAPE_QUOTIENT.
+    4. The remainder stream, to the end of the payload.  For each such symbol,
+       the low k bits of u, or all 16 bits of u when q >= E.
+
+    Both streams are MSB-first and zero-padded to a byte; a ZERO_BLOCK block
+    puts no bits in either.  Given its k table, a plane has exactly one valid
+    payload: :func:`decode_plane` rejects anything else, trailing bytes too.
     """
     x = np.asarray(plane, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError(f"plane must be a non-empty 2D array, got shape {x.shape}")
-    u = _fold((x.astype(np.int64) - med_predict(x)) & MASK).ravel()
-    k = _rice_parameters(u)
+    error = (x - med_predict(x)).ravel()
+    error <<= 16
+    error >>= 16  # the error mod 2^16 as a signed 16-bit value
+    u = (error << 1) ^ (error >> 31)
+    ks = _block_parameters(u)
+    k = np.repeat(ks, RICE_BLOCK)[: u.size]
+    coded = k != ZERO_BLOCK
+    u = u[coded]
+    k = k[coded]
     q = u >> k
     escape = q >= RICE_ESCAPE_QUOTIENT
-    lengths = np.where(escape, RICE_ESCAPE_QUOTIENT + 16, q + 1 + k)
-    # The bits that may be ones: the stop bit and remainder (at most 17), or
-    # the 16 escaped bits.  The zeros before them need no writing.
-    values = np.where(escape, u, (1 << k) | (u & ((1 << k) - 1)))
-    del u, k, q, escape
-    ends = np.cumsum(lengths)
-    size = (int(ends[-1]) + 7) >> 3
-    # Align each code's last bit with its byte, then add its (at most three)
-    # bytes into place; codes share no bits, so adding is or-ing.
-    values <<= -ends & 7
-    last_byte = (ends - 1) >> 3
-    out = np.zeros(size)
-    for lane in range(3):
-        out += np.bincount(
-            np.maximum(last_byte - lane, 0), weights=(values >> 8 * lane) & 0xFF, minlength=size
-        )
-    return out.astype(np.uint8).tobytes()
-
-
-_WORD_MASK = (1 << 64) - 1
-# Payload bytes whose windows are held at a time: one Python int per byte
-# would otherwise cost about 44 bytes per payload byte.
-_WINDOW_CHUNK = 4096
-
-
-def _windows(data: bytes, start: int, count: int) -> list[int]:
-    """The 64 bits that start at each of ``count`` bytes of ``data`` from
-    ``start``, MSB-first, zero-filled past its end: the word of a byte holds
-    any code whose first bit lies in that byte."""
-    chunk = data[start : start + count + 7].ljust(count + 7, b"\0")
-    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(chunk, np.uint8), 8)
-    return windows.copy().view(">u8").ravel().tolist()
-
-
-def _read_symbols(data: bytes, count: int) -> list[int]:
-    """The first ``count`` folded symbols of a plane payload."""
-    nbits = 8 * len(data)
-    symbols = [0] * count
-    a_sum = 4
-    n = 1
-    pos = 0
-    i = 0
-    first = limit = 0  # words[j] starts at byte first + j; limit is where they end
-    while i < count:
-        if pos >= limit:
-            if pos >= nbits:
-                raise CorruptStreamError("bitstream exhausted")
-            first = pos >> 3
-            words = _windows(data, first, _WINDOW_CHUNK)
-            limit = min(nbits, 8 * (first + _WINDOW_CHUNK))
-        word = (words[(pos >> 3) - first] << (pos & 7)) & _WORD_MASK
-        if a_sum > n:
-            k = ((a_sum - 1) // n).bit_length()
-        else:
-            # k == 0 makes a zero symbol one stop bit, and zero symbols keep
-            # A <= N (halving too), so a run of ones is a run of zero symbols:
-            # consume it at once (the list holds zeros already).
-            ones = 64 - (word ^ _WORD_MASK).bit_length()
-            if ones:
-                i += ones
-                pos += ones
-                n += ones
-                while n >= RICE_RESET_COUNT:
-                    a_sum >>= 1
-                    n -= RICE_RESET_COUNT // 2
-                continue
-            k = 0
-        q = 64 - word.bit_length()
-        if q < RICE_ESCAPE_QUOTIENT:
-            # The stop bit is bit 63 - q; u = (q << k) | the k bits after it.
-            u = (word >> (63 - q - k)) + ((q - 1) << k)
-            if u > MASK:
-                raise CorruptStreamError(f"decoded symbol {u} exceeds 16-bit range")
-            pos += q + 1 + k
-        else:
-            u = (word >> (64 - RICE_ESCAPE_QUOTIENT - 16)) & MASK
-            pos += RICE_ESCAPE_QUOTIENT + 16
-        symbols[i] = u
-        i += 1
-        a_sum += u
-        n += 1
-        if n == RICE_RESET_COUNT:
-            a_sum >>= 1
-            n >>= 1
-    if pos > nbits:
-        raise CorruptStreamError("bitstream exhausted")
-    return symbols
+    np.minimum(q, RICE_ESCAPE_QUOTIENT, out=q)
+    q += 1
+    stops = np.cumsum(q)
+    unary = np.zeros(int(stops[-1]) if stops.size else 0, dtype=np.uint8)
+    unary[stops - 1] = 1
+    unary = np.packbits(unary).tobytes()
+    k[escape] = 16  # now the width of each remainder field
+    remainder = _pack_fields(u & ((1 << k) - 1), k)
+    nibbles = np.zeros(-(-ks.size // 2) * 2, dtype=np.uint8)
+    nibbles[: ks.size] = ks
+    table = (nibbles[0::2] << 4) | nibbles[1::2]
+    return _UNARY_LENGTH.pack(len(unary)) + table.tobytes() + unary + remainder
 
 
 def _med_reconstruct(errors: np.ndarray) -> np.ndarray:
@@ -276,14 +281,81 @@ def _med_reconstruct(errors: np.ndarray) -> np.ndarray:
     return plane.astype(np.uint16)
 
 
+def _decode_symbols(data: bytes, count: int) -> np.ndarray:
+    """The ``count`` folded symbols of a plane payload; every rule of the
+    format (see :func:`code_plane`) is checked."""
+    blocks = -(-count // RICE_BLOCK)
+    unary_start = _UNARY_LENGTH.size + (blocks + 1) // 2
+    # The first two checks come before anything of the plane's size exists:
+    # a complete k table bounds the plane to 2 * RICE_BLOCK symbols a byte.
+    if len(data) < unary_start:
+        raise CorruptStreamError(f"{len(data)}-byte payload cannot hold the k table of {count} symbols")
+    (unary_len,) = _UNARY_LENGTH.unpack_from(data)
+    table = np.frombuffer(data, np.uint8, unary_start - _UNARY_LENGTH.size, _UNARY_LENGTH.size)
+    ks = np.stack([table >> 4, table & 0xF], axis=1).ravel()
+    if ks[blocks:].any():
+        raise CorruptStreamError("nonzero pad nibble after the k table")
+    ks = ks[:blocks]
+    coded_count = int(np.count_nonzero(ks != ZERO_BLOCK)) * RICE_BLOCK
+    if ks[-1] != ZERO_BLOCK:
+        coded_count -= blocks * RICE_BLOCK - count  # the last block is short
+    if coded_count > 8 * unary_len:
+        raise CorruptStreamError(f"{unary_len}-byte unary stream cannot hold {coded_count} symbols")
+    if len(data) - unary_start < unary_len:
+        raise CorruptStreamError("truncated unary stream")
+
+    stops = np.flatnonzero(np.unpackbits(np.frombuffer(data, np.uint8, unary_len, unary_start)))
+    if stops.size < coded_count:
+        raise CorruptStreamError(f"unary stream has {stops.size} stop bits for {coded_count} symbols")
+    if stops.size > coded_count:
+        raise CorruptStreamError("nonzero pad bits after the unary stream")
+    if unary_len != (int(stops[-1]) // 8 + 1 if coded_count else 0):
+        raise CorruptStreamError(f"unary stream is {unary_len} bytes, its last stop bit is sooner")
+    q = np.diff(stops, prepend=-1)
+    q -= 1
+    if coded_count and q.max() > RICE_ESCAPE_QUOTIENT:
+        raise CorruptStreamError(f"run of more than {RICE_ESCAPE_QUOTIENT} zeros in the unary stream")
+
+    k = np.repeat(ks, RICE_BLOCK)[:count]
+    coded = k != ZERO_BLOCK
+    k = k[coded].astype(np.int64)
+    escape = np.flatnonzero(q == RICE_ESCAPE_QUOTIENT)
+    width = k.copy()
+    width[escape] = 16
+    starts = np.cumsum(width)
+    remainder_bits = int(starts[-1]) if coded_count else 0
+    starts -= width
+    remainder_start = unary_start + unary_len
+    expected = remainder_start + (remainder_bits + 7) // 8
+    if len(data) != expected:
+        raise CorruptStreamError(f"payload is {len(data)} bytes, its fields imply {expected}")
+    if remainder_bits % 8 and data[-1] & (0xFF >> remainder_bits % 8):
+        raise CorruptStreamError("nonzero pad bits after the remainder stream")
+    # A field of at most 16 bits lies in the 32 bits from its first byte.
+    # One window starts at every byte, and at the end of the stream, where
+    # fields of no bits may start.
+    remainder = np.zeros(len(data) - remainder_start + 4, dtype=np.uint8)
+    remainder[:-4] = np.frombuffer(data, np.uint8, offset=remainder_start)
+    windows = np.ndarray((remainder.size - 3,), dtype=">u4", buffer=remainder, strides=(1,))
+    fields = windows[starts >> 3] >> (32 - (starts & 7) - width)
+    fields &= (1 << width) - 1
+    if ((fields[escape] >> k[escape]) < RICE_ESCAPE_QUOTIENT).any():
+        raise CorruptStreamError("escaped symbol whose quotient is below the escape")
+    q[escape] = 0
+    q <<= k
+    q |= fields
+    if coded_count and q.max() > MASK:
+        raise CorruptStreamError(f"decoded symbol {int(q.max())} exceeds 16-bit range")
+    symbols = np.zeros(count, dtype=np.int64)
+    symbols[coded] = q
+    return symbols
+
+
 def decode_plane(data: bytes, width: int, height: int) -> np.ndarray:
     """Exact inverse of :func:`code_plane`."""
     if width < 1 or height < 1:
         raise ParameterError(f"bad plane dimensions {width}x{height}")
-    if width * height > 8 * len(data):
-        # Every symbol takes at least one bit; checked before sizing anything.
-        raise CorruptStreamError(f"{len(data)}-byte payload cannot hold {width}x{height} symbols")
-    u = np.array(_read_symbols(data, width * height), dtype=np.int32)
+    u = _decode_symbols(data, width * height)
     errors = u >> 1
     errors ^= -(u & 1)  # unfolds to the error mod 2^16, which is all MED needs
     return _med_reconstruct(errors.reshape(height, width))

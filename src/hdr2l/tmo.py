@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .basejpeg import REFINE_BIT_CHOICES
 from .errors import InternalError, ParameterError, ParseError
@@ -175,6 +174,8 @@ def _drago_curve(lum: np.ndarray, l_max: float, bias: float, ldmax: float) -> np
 def _local_adaptation(scaled: np.ndarray, key: float, params: TmoParams) -> np.ndarray:
     """Per-pixel adaptation luminance: the center Gaussian average at the
     largest scale whose center-surround activity stays below the threshold."""
+    from scipy.ndimage import gaussian_filter  # slow to import; only this operator needs it
+
     n = params.local_scales
     centers = [
         gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO**i, mode="nearest")

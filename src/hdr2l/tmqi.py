@@ -30,10 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve
-from scipy.signal.windows import gaussian
-from scipy.stats import beta as beta_dist
-from scipy.stats import norm
 
 from .errors import DomainError, ParameterError
 from .imagio import HdrImage, LdrImage, LUMA_WEIGHTS, luminance
@@ -77,13 +73,18 @@ class BoxStats:
     outliers: tuple[float, ...]
 
 
+# scipy is imported where it is used: importing it costs several times the
+# rest of the package, and encode and decode never need it.
+
+
 def _window() -> np.ndarray:
+    from scipy.signal.windows import gaussian
+
     g = gaussian(WINDOW_SIZE, WINDOW_SIGMA)
     w = np.outer(g, g)
     return w / w.sum()
 
 
-_WINDOW = _window()
 _DOWNSAMPLE_KERNEL = np.full((2, 2), 0.25)
 
 
@@ -110,11 +111,15 @@ def _log_normalize(lum: np.ndarray) -> np.ndarray:
 
 
 def _local_similarity(img1: np.ndarray, img2: np.ndarray, spatial_freq: float) -> float:
-    mu1 = convolve(img1, _WINDOW, mode="valid")
-    mu2 = convolve(img2, _WINDOW, mode="valid")
-    sigma1_sq = convolve(img1 * img1, _WINDOW, mode="valid") - mu1 * mu1
-    sigma2_sq = convolve(img2 * img2, _WINDOW, mode="valid") - mu2 * mu2
-    sigma12 = convolve(img1 * img2, _WINDOW, mode="valid") - mu1 * mu2
+    from scipy.signal import convolve
+    from scipy.stats import norm
+
+    window = _window()
+    mu1 = convolve(img1, window, mode="valid")
+    mu2 = convolve(img2, window, mode="valid")
+    sigma1_sq = convolve(img1 * img1, window, mode="valid") - mu1 * mu1
+    sigma2_sq = convolve(img2 * img2, window, mode="valid") - mu2 * mu2
+    sigma12 = convolve(img1 * img2, window, mode="valid") - mu1 * mu2
     sigma1 = np.sqrt(np.maximum(sigma1_sq, 0.0))
     sigma2 = np.sqrt(np.maximum(sigma2_sq, 0.0))
 
@@ -136,6 +141,8 @@ def _local_similarity(img1: np.ndarray, img2: np.ndarray, spatial_freq: float) -
 
 
 def _structural_fidelity(hdr_luma: np.ndarray, ldr_luma: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    from scipy.signal import convolve
+
     a, b = hdr_luma, ldr_luma
     spatial_freq = 16.0
     per_scale = []
@@ -149,6 +156,8 @@ def _structural_fidelity(hdr_luma: np.ndarray, ldr_luma: np.ndarray) -> tuple[fl
 
 
 def _statistical_naturalness(ldr_luma: np.ndarray) -> float:
+    from scipy.stats import beta as beta_dist
+
     mean = float(np.mean(ldr_luma))
     h, w = ldr_luma.shape
     pad_h = (-h) % WINDOW_SIZE

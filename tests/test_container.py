@@ -14,9 +14,12 @@ from hdr2l.container import (
     extract_ldr,
     measure,
 )
-from hdr2l.errors import CorruptStreamError, FormatError, ParameterError
+from hdr2l.errors import CorruptStreamError, FormatError, IntegrityError, ParameterError
 from hdr2l.imagio import HdrImage, luminance
 from conftest import sparse_hdr_image, smooth_hdr_image
+
+
+PIXEL_CRC_OFFSET = 17  # after magic, five header bytes, width and height
 
 
 def _params(mode=CoderMode.HP, kind=tmo.TmoKind.DEFAULT, q=80, refine=0):
@@ -126,9 +129,36 @@ def test_format_errors():
     with pytest.raises(FormatError):
         decode(stream[:10])
     version_bumped = bytearray(stream)
-    version_bumped[4] = 2
+    version_bumped[4] = 3
     with pytest.raises(FormatError):
         decode(bytes(version_bumped))
+
+
+def test_version_1_stream_rejected():
+    # Version 1 had another plane format and no pixel CRC; no reader is kept.
+    stream = _edited(encode(sparse_hdr_image(8, 8), _params()), 4, bytes([1]))
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            reader(stream)
+
+
+def test_pixel_crc_catches_a_wrong_reconstruction(monkeypatch):
+    img = sparse_hdr_image(8, 8)
+    stream = encode(img, _params())
+    with pytest.raises(IntegrityError, match="pixel CRC"):
+        decode(_edited(stream, PIXEL_CRC_OFFSET, bytes(4)))
+    # A prediction one half code away, as another machine's float maths
+    # might give, decodes to a wrong image that the pixel CRC rejects.
+    predict = tmo.predict_hdr
+
+    def drifted(base, params):
+        samples = predict(base, params).samples.copy()
+        samples[1, 3, 5] += 1
+        return HdrImage(samples)
+
+    monkeypatch.setattr(tmo, "predict_hdr", drifted)
+    with pytest.raises(IntegrityError, match="pixel CRC"):
+        decode(stream)
 
 
 def test_measure_sections_sum_to_total():

@@ -11,8 +11,10 @@ from hdr2l.hpack import build_table, pack, serialize_table
 from hdr2l.imagio import HdrImage
 from hdr2l.rescodec import (
     MASK,
+    RICE_BLOCK,
     RICE_ESCAPE_QUOTIENT,
-    RICE_RESET_COUNT,
+    RICE_MAX_K,
+    ZERO_BLOCK,
     apply_residual,
     code_plane,
     color_transform_fwd,
@@ -95,9 +97,12 @@ def test_color_transform_inverse_identity_wrap_heavy():
 # ---------------------------------------------------------------------------
 # plane coder
 #
-# Bit-at-a-time reference of the plane format: raster-order MED, one Rice
-# parameter search and one bit per step.  The codec must match it byte for
-# byte and pixel for pixel.
+# Bit-at-a-time reference of the plane format: raster-order MED, a full
+# search over k for every block, and one bit per step.  The codec must match
+# it byte for byte and pixel for pixel.
+
+B = RICE_BLOCK
+E = RICE_ESCAPE_QUOTIENT
 
 
 class _RefBitWriter:
@@ -141,55 +146,86 @@ class _RefBitReader:
             value = (value << 1) | self.read1()
         return value
 
+    def finish(self) -> None:
+        """The stream must end in the byte of its last bit, padded with 0."""
+        if len(self._data) != (self._pos + 7) >> 3:
+            raise CorruptStreamError("trailing bytes after the stream")
+        while self._pos & 7:
+            if self.read1():
+                raise CorruptStreamError("nonzero pad bit")
 
-def _ref_code_plane(plane: np.ndarray) -> bytes:
+
+def _ref_symbols(plane: np.ndarray) -> list[int]:
     x = np.asarray(plane, dtype=np.int64)
     err = (x - med_predict(x)) & MASK
-    folded = np.where(err < 32768, 2 * err, 2 * (65536 - err) - 1).ravel().tolist()
-    writer = _RefBitWriter()
-    a_sum, n = 4, 1
-    for u in folded:
-        k = 0
-        while (n << k) < a_sum:
-            k += 1
-        q = u >> k
-        if q >= RICE_ESCAPE_QUOTIENT:
-            writer.write(0, RICE_ESCAPE_QUOTIENT)
-            writer.write(u, 16)
-        else:
-            writer.write(1, q + 1)  # q zeros then a terminating one
-            writer.write(u & ((1 << k) - 1), k)
-        a_sum += u
-        n += 1
-        if n == RICE_RESET_COUNT:
-            a_sum >>= 1
-            n >>= 1
-    return writer.getvalue()
+    return np.where(err < 32768, 2 * err, 2 * (65536 - err) - 1).ravel().tolist()
+
+
+def _ref_length(u: int, k: int) -> int:
+    q = u >> k
+    return min(q, E) + 1 + (16 if q >= E else k)
+
+
+def _ref_code_plane(plane: np.ndarray) -> bytes:
+    symbols = _ref_symbols(plane)
+    unary, remainder = _RefBitWriter(), _RefBitWriter()
+    nibbles = []
+    for start in range(0, len(symbols), B):
+        block = symbols[start : start + B]
+        if not any(block):
+            nibbles.append(ZERO_BLOCK)
+            continue
+        k = min(range(RICE_MAX_K + 1), key=lambda k: (sum(_ref_length(u, k) for u in block), k))
+        nibbles.append(k)
+        for u in block:
+            q = u >> k
+            if q >= E:
+                unary.write(1, E + 1)  # E zeros then the stop bit
+                remainder.write(u, 16)
+            else:
+                unary.write(1, q + 1)
+                remainder.write(u & ((1 << k) - 1), k)
+    nibbles += [0] * (len(nibbles) % 2)
+    table = bytes((hi << 4) | lo for hi, lo in zip(nibbles[0::2], nibbles[1::2]))
+    unary_bytes = unary.getvalue()
+    return len(unary_bytes).to_bytes(4, "little") + table + unary_bytes + remainder.getvalue()
 
 
 def _ref_decode_plane(data: bytes, width: int, height: int) -> np.ndarray:
-    reader = _RefBitReader(data)
-    a_sum, n = 4, 1
+    count = width * height
+    blocks = -(-count // B)
+    table_end = 4 + (blocks + 1) // 2
+    if len(data) < table_end:
+        raise CorruptStreamError("payload cannot hold the k table")
+    unary_len = int.from_bytes(data[:4], "little")
+    nibbles = [n for byte in data[4:table_end] for n in (byte >> 4, byte & 0xF)]
+    if any(nibbles[blocks:]):
+        raise CorruptStreamError("nonzero pad nibble")
+    if len(data) < table_end + unary_len:
+        raise CorruptStreamError("truncated unary stream")
+    unary = _RefBitReader(data[table_end : table_end + unary_len])
+    remainder = _RefBitReader(data[table_end + unary_len :])
     errors = []
-    for _ in range(width * height):
-        k = 0
-        while (n << k) < a_sum:
-            k += 1
-        q = 0
-        while q < RICE_ESCAPE_QUOTIENT and reader.read1() == 0:
-            q += 1
-        if q == RICE_ESCAPE_QUOTIENT:
-            u = reader.read(16)
-        else:
-            u = (q << k) | reader.read(k)
-            if u > MASK:
-                raise CorruptStreamError(f"decoded symbol {u} exceeds 16-bit range")
-        errors.append((u >> 1) if (u & 1) == 0 else (65536 - ((u + 1) >> 1)))
-        a_sum += u
-        n += 1
-        if n == RICE_RESET_COUNT:
-            a_sum >>= 1
-            n >>= 1
+    for index, k in enumerate(nibbles[:blocks]):
+        for _ in range(min(B, count - index * B)):
+            u = 0
+            if k != ZERO_BLOCK:
+                q = 0
+                while unary.read1() == 0:
+                    q += 1
+                    if q > E:
+                        raise CorruptStreamError(f"run of more than {E} zeros")
+                if q == E:
+                    u = remainder.read(16)
+                    if u >> k < E:
+                        raise CorruptStreamError("escaped symbol below the escape")
+                else:
+                    u = (q << k) | remainder.read(k)
+                    if u > MASK:
+                        raise CorruptStreamError(f"decoded symbol {u} exceeds 16-bit range")
+            errors.append((u >> 1) if (u & 1) == 0 else (65536 - ((u + 1) >> 1)))
+    unary.finish()
+    remainder.finish()
     out = [[0] * width for _ in range(height)]
     idx = 0
     for yrow in range(height):
@@ -204,29 +240,44 @@ def _ref_decode_plane(data: bytes, width: int, height: int) -> np.ndarray:
     return np.array(out, dtype=np.uint16)
 
 
+def _row_of_symbols(symbols) -> np.ndarray:
+    """A 1xN plane whose folded MED errors are ``symbols``: on the first row
+    MED predicts the left neighbour."""
+    u = np.asarray(symbols, dtype=np.int64)
+    errors = np.where(u & 1, 65536 - ((u + 1) >> 1), u >> 1)
+    return (np.cumsum(errors) & MASK).astype(np.uint16)[None, :]
+
+
 def _reference_planes() -> dict[str, np.ndarray]:
     rng = np.random.default_rng(77)
     checker = (np.indices((16, 16)).sum(axis=0) % 2).astype(np.uint16)
     spikes = np.zeros((24, 24), dtype=np.uint16)
     spikes[5, 7], spikes[17, 3], spikes[23, 23] = 3, 40000, 1
     sparse = rng.choice(np.arange(0, 65536, 256, dtype=np.uint16), size=(24, 24))
+    mixed = np.zeros((16, 40), dtype=np.uint16)
+    mixed[4:6] = rng.integers(0, 300, size=(2, 40))
+    mixed[12, 17] = 9
     return {
         "1x1": np.array([[40000]], dtype=np.uint16),
         "1xN": rng.integers(0, 65536, size=(1, 37)).astype(np.uint16),
         "Nx1": rng.integers(0, 65536, size=(29, 1)).astype(np.uint16),
-        # 256 zero symbols halve A three times, 4 -> 2 -> 1 -> 0.
-        "zero": np.zeros((16, 16), dtype=np.uint16),
+        "zero": np.zeros((16, 16), dtype=np.uint16),  # every block ZERO_BLOCK
         "zero-with-spikes": spikes,
         "all-ffff": np.full((16, 16), 0xFFFF, dtype=np.uint16),
         "checker-0-ffff": checker * 0xFFFF,
-        # Errors of 32768 fold to 65535 and drive k to its largest, 16.
-        "checker-0-8000": checker * 0x8000,
+        "checker-0-8000": checker * 0x8000,  # errors of 32768 fold to 65535
         "random": rng.integers(0, 65536, size=(21, 34)).astype(np.uint16),
         "random-tall": rng.integers(0, 65536, size=(40, 9)).astype(np.uint16),
         "small-errors": (1000 + np.cumsum(rng.integers(-3, 4, size=(20, 20)), axis=1)).astype(np.uint16),
         "hpack-sparse": pack(sparse, build_table(sparse)),
         "refinement-lsb": rng.integers(0, 16, size=(19, 26)).astype(np.uint16),
         "refinement-lsb-smooth": (np.indices((30, 30)).sum(axis=0) // 7 % 16).astype(np.uint16),
+        "mixed-zero-blocks": mixed,
+        "short-last-block": rng.integers(0, 50, size=(2 * B + 7, 1)).astype(np.uint16),
+        # One E among zeros: k = 0 and q = E, the least escaped quotient; E - 1
+        # is the largest q that is not escaped.
+        "escape-at-E": _row_of_symbols([0] * 9 + [E] + [0] * (B - 10) + [E - 1] + [0] * (B - 1)),
+        "k-14": _row_of_symbols((3 << 14) + rng.integers(0, 1 << 14, size=70)),
     }
 
 
@@ -239,15 +290,32 @@ def test_plane_coder_matches_reference(name, plane):
     assert decoded.dtype == np.uint16
     assert np.array_equal(decoded, plane)
     assert np.array_equal(_ref_decode_plane(payload, width, height), plane)
-    # Bits after the last symbol are ignored.
-    assert np.array_equal(decode_plane(payload + b"\xff\x00\xff", width, height), plane)
+    # A payload has one length: trailing bytes are rejected.
+    for decoder in (decode_plane, _ref_decode_plane):
+        with pytest.raises(CorruptStreamError):
+            decoder(payload + b"\x00", width, height)
 
 
-def test_rice_reader_crosses_window_chunks(monkeypatch):
-    monkeypatch.setattr(rescodec, "_WINDOW_CHUNK", 3)
-    for plane in _reference_planes().values():
-        height, width = plane.shape
-        assert np.array_equal(decode_plane(code_plane(plane), width, height), plane)
+def test_reference_planes_reach_the_format_corners():
+    def k_table(name):
+        plane = _reference_planes()[name]
+        payload = code_plane(plane)
+        blocks = -(-plane.size // B)
+        return [n for byte in payload[4 : 4 + (blocks + 1) // 2] for n in (byte >> 4, byte & 0xF)][:blocks]
+
+    assert k_table("zero") == [ZERO_BLOCK] * -(-256 // B)
+    assert ZERO_BLOCK in k_table("mixed-zero-blocks") and min(k_table("mixed-zero-blocks")) < ZERO_BLOCK
+    assert _reference_planes()["short-last-block"].size % B == 7
+    assert k_table("escape-at-E") == [0, 0]
+    assert set(k_table("k-14")) == {RICE_MAX_K}
+
+
+def test_code_plane_all_zero_plane_is_header_and_k_table():
+    # Blocks of zero symbols are ZERO_BLOCK and put no bits in either stream.
+    payload = code_plane(np.zeros((8, 8), dtype=np.uint16))
+    assert payload == _payload([ZERO_BLOCK] * -(-64 // B), "", "")
+    assert len(payload) == 4 + (-(-64 // B) + 1) // 2
+    assert np.array_equal(decode_plane(payload, 8, 8), np.zeros((8, 8)))
 
 
 @pytest.mark.parametrize("name", ["1x1", "small-errors", "checker-0-8000"])
@@ -262,29 +330,78 @@ def test_decode_plane_truncations_raise_only_corrupt_stream(name):
             _ref_decode_plane(payload[:cut], width, height)
 
 
+def _payload(k_nibbles: list[int], unary_bits: str, remainder_bits: str) -> bytes:
+    """A plane payload from its k table and the bits of its two streams,
+    each zero-padded to a byte."""
+    def pad(bits):
+        bits += "0" * (-len(bits) % 8)
+        return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+
+    nibbles = k_nibbles + [0] * (len(k_nibbles) % 2)
+    table = bytes((hi << 4) | lo for hi, lo in zip(nibbles[0::2], nibbles[1::2]))
+    unary = pad(unary_bits)
+    return len(unary).to_bytes(4, "little") + table + unary + pad(remainder_bits)
+
+
+def test_payload_builder_matches_codec():
+    # Under k = 0, u = 8 is escaped: E zeros, the stop bit, then 16 bits of u.
+    plane = _row_of_symbols([8] + [0] * (B - 1))
+    assert code_plane(plane) == _payload([0], "0" * E + "1" * B, f"{8:016b}")
+
+
+@pytest.mark.parametrize(
+    "name,payload,width,match",
+    [
+        ("zero-run-above-E", _payload([0], "0" * (E + 1) + "1", ""), 1, f"more than {E} zeros"),
+        ("escape-below-E", _payload([0], "0" * E + "1", f"{E - 1:016b}"), 1, "below the escape"),
+        ("pad-nibble", _payload([0, 1], "1", ""), 1, "pad nibble"),
+        ("unary-pad-bit", _payload([0], "11", ""), 1, "pad bits after the unary"),
+        ("unary-extra-byte", _payload([0], "1" + "0" * 8, ""), 1, "last stop bit is sooner"),
+        ("missing-stop-bits", _payload([0], "1" + "0" * 7, ""), 2, "stop bits for 2 symbols"),
+        ("remainder-pad-bit", _payload([1], "1", "01"), 1, "pad bits after the remainder"),
+        ("remainder-extra-byte", _payload([1], "1", "0" * 9), 1, "fields imply"),
+        ("remainder-short", _payload([4], "1", ""), 1, "fields imply"),
+    ],
+)
+def test_decode_plane_rejects_malformed_payloads(name, payload, width, match):
+    with pytest.raises(CorruptStreamError, match=match):
+        decode_plane(payload, width, 1)
+    with pytest.raises(CorruptStreamError):
+        _ref_decode_plane(payload, width, 1)
+
+
 def test_decode_plane_rejects_symbol_above_16_bits():
-    # An escaped 65535 lifts k to 16; then one zero, the stop bit and 16 zero
-    # bits give u = 1 << 16, the smallest symbol no plane can hold.
-    bits = "0" * 24 + "1" * 16 + "01" + "0" * 16 + "0" * 6
-    payload = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    # q = 4 under k = 14 gives u = 1 << 16, the smallest symbol no plane holds.
+    payload = _payload([14], "00001", "0" * 14)
     for decoder in (decode_plane, _ref_decode_plane):
         with pytest.raises(CorruptStreamError, match="exceeds 16-bit range"):
-            decoder(payload, 2, 1)
+            decoder(payload, 1, 1)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_decode_plane_rejects_size_the_payload_cannot_hold_before_allocating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(CorruptStreamError, match="cannot hold"):
+    def short_table():
+        with pytest.raises(CorruptStreamError, match="cannot hold the k table"):
             decode_plane(b"\xff", 4096, 4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    # The bound is one bit per symbol: eight symbols in one byte get as far
-    # as the Rice reader.
-    with pytest.raises(CorruptStreamError, match="exhausted"):
-        decode_plane(b"\xff", 8, 1)
+
+    assert _peak_bytes(short_table) < 1 << 20
+    # A complete k table of coded blocks needs a stop bit per symbol: an
+    # empty unary stream cannot hold 4096 x 4096 of them.
+    payload = bytes(4 + (-(-4096 * 4096 // B) + 1) // 2)
+
+    def short_unary():
+        with pytest.raises(CorruptStreamError, match="unary stream cannot hold"):
+            decode_plane(payload, 4096, 4096)
+
+    assert _peak_bytes(short_unary) < 1 << 20
 
 
 def test_med_predictor_branches():
@@ -296,24 +413,6 @@ def test_med_predictor_branches():
     assert med_predict(plane2)[1, 1] == 1  # c >= max(a, b) -> min(a, b)
     plane3 = np.array([[2, 3], [1, 0]], dtype=np.uint16)
     assert med_predict(plane3)[1, 1] == 1 + 3 - 2  # otherwise a + b - c
-
-
-def test_code_plane_all_zero_length_matches_adaptation_oracle():
-    # Simulate the pinned adaptation rule independently to count bits.
-    bits = 0
-    a_sum, n = 4, 1
-    for _ in range(64):
-        k = 0
-        while (n << k) < a_sum:
-            k += 1
-        bits += 1 + k  # zero quotient: one stop bit plus k remainder bits
-        n += 1
-        if n == 64:
-            a_sum >>= 1
-            n >>= 1
-    payload = code_plane(np.zeros((8, 8), dtype=np.uint16))
-    assert len(payload) == (bits + 7) // 8
-    assert np.array_equal(decode_plane(payload, 8, 8), np.zeros((8, 8)))
 
 
 def test_code_plane_round_trip_random(rng):
