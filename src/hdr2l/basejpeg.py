@@ -514,8 +514,13 @@ def _extend(bits: int, size: int) -> int:
     return bits
 
 
-def decode_base(stream: bytes) -> LdrImage:
-    """Decode a stream produced by :func:`encode_base`."""
+def _read_header(stream: bytes) -> tuple[int, int, list[tuple[dict, dict, np.ndarray]], int]:
+    """Parse the marker segments before the scan.
+
+    Returns the frame width and height, each component's DC Huffman, AC
+    Huffman and natural-order quantization tables in scan order, and the
+    offset of the scan data.
+    """
     if len(stream) < 4 or stream[:2] != b"\xFF\xD8":
         raise ParseError("missing SOI marker", offset=0)
     pos = 2
@@ -600,7 +605,18 @@ def decode_base(stream: bytes) -> LdrImage:
         ]
     except KeyError as exc:
         raise ParseError(f"scan uses undefined table {exc.args[0]}", offset=scan_start) from None
+    return width, height, comp_tables, scan_start
 
+
+def component_quant_tables(stream: bytes) -> tuple[np.ndarray, ...]:
+    """The natural-order quantization table of each component (Y, Cb, Cr)
+    of a base-layer stream, from the header parse of :func:`decode_base`."""
+    return tuple(qtab for _, _, qtab in _read_header(stream)[2])
+
+
+def decode_base(stream: bytes) -> LdrImage:
+    """Decode a stream produced by :func:`encode_base`."""
+    width, height, comp_tables, scan_start = _read_header(stream)
     bh = (height + 7) // 8
     bw = (width + 7) // 8
     # Each block codes at least one DC and one AC symbol per component, of at

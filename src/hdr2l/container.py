@@ -207,6 +207,11 @@ def _parse(data: bytes) -> _Parsed:
 def decode(data: bytes) -> HdrImage:
     """Bit-exact inverse of :func:`encode`."""
     parsed = _parse(data)
+    q = parsed.params.q
+    expected = basejpeg.quality_to_tables(q)
+    tables = _stage("decode-base", basejpeg.component_quant_tables, parsed.base)
+    if not all(np.array_equal(t, expected.natural(chroma=c > 0)) for c, t in enumerate(tables)):
+        raise FormatError(f"base layer quantization tables disagree with quality {q}")
     base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
     if (base_dec.width, base_dec.height) != (parsed.width, parsed.height):
         raise FormatError(

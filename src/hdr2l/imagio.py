@@ -65,17 +65,15 @@ def half_decode(code: int) -> float:
 def half_encode_array(values: np.ndarray) -> np.ndarray:
     """Vectorized half_encode. Same domain rules, returns uint16."""
     a = np.asarray(values, dtype=np.float64)
-    if np.isnan(a).any():
-        raise DomainError("half_encode_array: NaN in input")
-    if np.isinf(a).any():
-        raise DomainError("half_encode_array: infinity in input")
-    if (a < 0.0).any():
+    # min and max propagate NaN, so one test covers NaN, infinity and sign.
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
+        if np.isnan(a).any():
+            raise DomainError("half_encode_array: NaN in input")
+        if np.isinf(a).any():
+            raise DomainError("half_encode_array: infinity in input")
         raise DomainError("half_encode_array: negative value in input")
-    with np.errstate(over="ignore"):
-        h = a.astype(np.float16)
-    codes = h.view(np.uint16)
-    # Round-to-nearest may overflow to +inf just above HALF_MAX; clamp.
-    return np.where(np.isinf(h), np.uint16(HALF_MAX_CODE), codes).astype(np.uint16)
+    # Values from 65520 up would round to +inf; clamped, they give HALF_MAX_CODE.
+    return np.minimum(a, HALF_MAX).astype(np.float16).view(np.uint16)
 
 
 def half_decode_array(codes: np.ndarray) -> np.ndarray:

@@ -56,8 +56,7 @@ def compute_residual(hdr: HdrImage, prediction: HdrImage) -> np.ndarray:
         raise ParameterError(
             f"dimension mismatch: {hdr.samples.shape} vs {prediction.samples.shape}"
         )
-    diff = hdr.samples.astype(np.int32) - prediction.samples.astype(np.int32)
-    return (diff & MASK).astype(np.uint16)
+    return hdr.samples - prediction.samples  # uint16 arithmetic wraps mod 2^16
 
 
 def apply_residual(prediction: HdrImage, residual: np.ndarray) -> HdrImage:
@@ -67,8 +66,7 @@ def apply_residual(prediction: HdrImage, residual: np.ndarray) -> HdrImage:
         raise ParameterError(
             f"dimension mismatch: {res.shape} vs {prediction.samples.shape}"
         )
-    total = prediction.samples.astype(np.int32) + res.astype(np.int32)
-    return HdrImage((total & MASK).astype(np.uint16))
+    return HdrImage(prediction.samples + res)
 
 
 def color_transform_fwd(planes: np.ndarray) -> np.ndarray:
@@ -79,24 +77,20 @@ def color_transform_fwd(planes: np.ndarray) -> np.ndarray:
 
     On wrap-free inputs Y equals floor((R + 2G + B) / 4); computing the floor
     term from the stored chroma values is what makes the inverse exact for
-    wrap-heavy inputs as well.
+    wrap-heavy inputs as well.  Every step is uint16 arithmetic, which wraps
+    mod 2^16 by itself.
     """
-    p = np.asarray(planes, dtype=np.int64)
-    r, g, b = p[0], p[1], p[2]
-    cr = (r - g) & MASK
-    cb = (b - g) & MASK
-    y = (g + (((cb + cr) & MASK) >> 2)) & MASK
-    return np.stack([y, cb, cr]).astype(np.uint16)
+    r, g, b = np.asarray(planes, dtype=np.uint16)
+    cr = r - g
+    cb = b - g
+    return np.stack([g + ((cb + cr) >> 2), cb, cr])
 
 
 def color_transform_inv(planes: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`color_transform_fwd`."""
-    p = np.asarray(planes, dtype=np.int64)
-    y, cb, cr = p[0], p[1], p[2]
-    g = (y - (((cb + cr) & MASK) >> 2)) & MASK
-    r = (cr + g) & MASK
-    b = (cb + g) & MASK
-    return np.stack([r, g, b]).astype(np.uint16)
+    y, cb, cr = np.asarray(planes, dtype=np.uint16)
+    g = y - ((cb + cr) >> 2)
+    return np.stack([cr + g, g, cb + g])
 
 
 # ---------------------------------------------------------------------------

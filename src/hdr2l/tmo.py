@@ -9,7 +9,10 @@ encoder and decoder compute identical predictions.
 
 The inverse prediction map only has to be deterministic, not accurate: the
 residual layer restores the original bit-exactly regardless.  Prediction
-quality affects bitrate only.
+quality affects bitrate only.  Everything in it that depends on one sample
+code alone (the gamma-linearized level and the inverse display curve at that
+level) is computed once per code into tables of 2^b entries, b the base
+depth, and gathered per pixel; the values are those of the per-pixel formula.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ LOCAL_SHARPEN = 2.0**8
 DEFAULT_KEY = 0.18
 
 # Inverse map constants: the photographic inverse saturates just below 1, the
-# logarithmic inverse bisects its forward curve to float64 resolution.
+# logarithmic inverse bisects its forward curve to float64 resolution.  The
+# bisection runs once per display level of the code table (at most 2^b levels
+# for a b-bit base), not once per pixel.
 INVERSE_DISPLAY_CAP = 1.0 - 2.0**-10
 DRAGO_INVERSE_ITERATIONS = 64
 
@@ -251,27 +256,45 @@ def _drago_inverse(target: np.ndarray, params: TmoParams) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _top_codes(samples: np.ndarray, levels: np.ndarray, linearized: np.ndarray) -> np.ndarray:
+    """Per pixel, a code whose level is the channel maximum of ``linearized``
+    (= ``levels[samples]``): the largest code when the table does not
+    decrease, else the code at the arg-max, since np.power need not be
+    monotone in its base."""
+    if (levels[1:] >= levels[:-1]).all():
+        return samples.max(axis=0)
+    return np.take_along_axis(samples, linearized.argmax(axis=0)[None], axis=0)[0]
+
+
 def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     """Deterministic approximate inverse of the tone mapping.
 
     Channels are gamma-linearized, the per-pixel display luminance proxy is
-    their maximum, the global curve is inverted (the local operator reuses the
-    global photographic inverse), and channel ratios are rescaled by the
-    recovered scene luminance.
+    their maximum, the global curve is inverted at the proxy, and channel
+    ratios are rescaled by the recovered scene luminance.
+
+    The linearized level and the inverse curve depend on one sample code
+    each, so both are tabulated over every code of the base depth; per pixel
+    only the table gathers, the channel ratio and the half encode remain.
+    The pixel's top code is one whose level is the channel maximum, so every
+    value equals the per-pixel evaluation of the same formula.
     """
     if params.log_avg <= 0:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
-    linearized = np.power(base.samples.astype(np.float64) / maxval, params.gamma)
-    proxy = linearized.max(axis=0)
+    levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, params.gamma)
+    linearized = levels[base.samples]
+    top = _top_codes(base.samples, levels, linearized)
     if params.kind == TmoKind.DRAGO:
         if params.l_max <= 0:
             raise ParameterError("Drago inverse requires bound l_max")
-        lum_est = _drago_inverse(proxy, params)
-    else:
-        capped = np.minimum(proxy, INVERSE_DISPLAY_CAP)
+        lum_est = _drago_inverse(levels, params)[top]
+    else:  # the local operator reuses the photographic inverse
+        capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
         scaled = capped / (1.0 - capped)
-        lum_est = scaled * params.log_avg / _effective_key(params)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(proxy > 0.0, linearized / np.where(proxy > 0.0, proxy, 1.0), 0.0)
-    return HdrImage(half_encode_array(ratio * lum_est))
+        lum_est = (scaled * params.log_avg / _effective_key(params))[top]
+    # Channel ratios; a zero proxy has all three channels at level 0, so they
+    # are divided by 1.
+    scene = linearized / np.where(levels > 0.0, levels, 1.0)[top]
+    scene *= lum_est
+    return HdrImage(half_encode_array(scene))

@@ -73,6 +73,13 @@ def test_frame_size_must_match_container_size():
             decode(bad)
 
 
+def test_quality_byte_must_match_base_quant_tables():
+    stream = encode(sparse_hdr_image(8, 8), _params(q=100))
+    for q in (7, 99):
+        with pytest.raises(FormatError, match=f"quantization tables disagree with quality {q}"):
+            decode(_edited(stream, 6, bytes([q])))
+
+
 def test_mode_byte_must_match_residual_packing():
     for mode in CoderMode:
         stream = encode(sparse_hdr_image(8, 8), _params(mode=mode))

@@ -68,6 +68,30 @@ def test_half_round_trip_all_valid_codes_vectorized():
     assert np.array_equal(half_encode_array(values), codes)
 
 
+def test_half_encode_array_boundaries_match_scalar():
+    # Up to 65520 (exclusive) binary16 rounding lands on HALF_MAX; from there on
+    # it would round to +inf, and the clamp gives HALF_MAX too.  Below, the
+    # smallest subnormal 2^-24, the tie 2^-25 that rounds to even 0, 3 * 2^-25
+    # that rounds to even 2^-23, and the smallest float64 subnormal.
+    values = [65504.0, 65519.99, 65520.0, 65536.0, 1e300, 2.0**-24, 2.0**-25,
+              2.0**-25 * (1 + 2.0**-52), 3 * 2.0**-25, 5e-324, 0.0]
+    expected = [0x7BFF] * 5 + [0x0001, 0x0000, 0x0001, 0x0002, 0x0000, 0x0000]
+    codes = half_encode_array(np.array(values))
+    assert codes.dtype == np.uint16
+    assert codes.tolist() == expected == [half_encode(v) for v in values]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1.0, float("nan"), -1.0, float("inf")], "NaN in input"),
+    ([1.0, -float("inf"), -1.0], "infinity in input"),
+    ([float("inf")], "infinity in input"),
+    ([0.0, -1e-300], "negative value in input"),
+])
+def test_half_encode_array_rejects_bad_domain(values, message):
+    with pytest.raises(DomainError, match=f"^half_encode_array: {message}$"):
+        half_encode_array(np.array(values))
+
+
 def test_half_round_trip_spot_scalars():
     for code in (0, 1, 2, 0x03FF, 0x0400, 0x3C00, 0x7BFF, 12345):
         assert half_encode(half_decode(code)) == code

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hdr2l.errors import ParameterError, ParseError
-from hdr2l.imagio import HdrImage, half_decode_array, half_encode, half_encode_array, luminance
+from hdr2l import tmo
+from hdr2l.imagio import HdrImage, LdrImage, half_decode_array, half_encode, half_encode_array, luminance
 from hdr2l.tmo import (
+    INVERSE_DISPLAY_CAP,
     LOG_AVERAGE_DELTA,
     TMO_PARAMS_SIZE,
     TmoKind,
@@ -258,3 +260,63 @@ def test_predict_hdr_drago_inverts_its_own_curve():
     mask = orig > 1e-3
     rel = np.abs(approx[mask] - orig[mask]) / orig[mask]
     assert float(np.median(rel)) < 0.05
+
+
+# Reference: the per-pixel evaluation that predict_hdr's code tables must
+# reproduce bit for bit (the bisection runs on every pixel's proxy).  Returns
+# the float64 values that are half-encoded into the prediction.
+def _predict_hdr_per_pixel(base: LdrImage, params: TmoParams) -> np.ndarray:
+    maxval = (1 << base.bit_depth) - 1
+    linearized = np.power(base.samples.astype(np.float64) / maxval, params.gamma)
+    proxy = linearized.max(axis=0)
+    if params.kind == TmoKind.DRAGO:
+        lum_est = tmo._drago_inverse(proxy, params)
+    else:
+        capped = np.minimum(proxy, INVERSE_DISPLAY_CAP)
+        scaled = capped / (1.0 - capped)
+        lum_est = scaled * params.log_avg / tmo._effective_key(params)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(proxy > 0.0, linearized / np.where(proxy > 0.0, proxy, 1.0), 0.0)
+    return ratio * lum_est
+
+
+def _prediction_bases(depth: int, rng) -> list[LdrImage]:
+    """One row holding every code in each channel, and random triples with
+    two- and three-way channel ties."""
+    codes = np.arange(1 << depth, dtype=np.uint16)
+    every = np.stack([codes, codes[::-1], rng.permutation(codes)])[:, None, :]
+    triples = rng.integers(0, 1 << depth, size=(3, 24, 24)).astype(np.uint16)
+    triples[1, ::2] = triples[0, ::2]
+    triples[2, ::3] = triples[0, ::3]
+    return [LdrImage(every, bit_depth=depth), LdrImage(triples, bit_depth=depth)]
+
+
+@pytest.mark.parametrize("depth", [8, 12])
+@pytest.mark.parametrize("kind", list(TmoKind))
+def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng, monkeypatch):
+    encoded = []
+
+    def recording_encode(values):
+        encoded.append(values)
+        return half_encode_array(values)
+
+    monkeypatch.setattr(tmo, "half_encode_array", recording_encode)
+    bases = _prediction_bases(depth, rng)
+    for gamma in (0.37, 1.0, 2.2, 7.5):
+        for l_max in (LOG_AVERAGE_DELTA, 65504.0):
+            params = TmoParams(kind=kind, log_avg=0.37, l_max=l_max, gamma=gamma)
+            for base in bases:
+                got = predict_hdr(base, params)
+                want = _predict_hdr_per_pixel(base, params)
+                assert np.array_equal(encoded[-1].view(np.uint64), want.view(np.uint64)), (gamma, l_max)
+                assert np.array_equal(got.samples, half_encode_array(want)), (gamma, l_max)
+
+
+def test_top_codes_follow_a_non_monotone_level_table(rng):
+    levels = rng.permutation(256) / 255.0
+    samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
+    samples[1, ::2] = samples[0, ::2]
+    linearized = levels[samples]
+    top = tmo._top_codes(samples, levels, linearized)
+    assert np.array_equal(levels[top], linearized.max(axis=0))
+    assert not np.array_equal(top, samples.max(axis=0))
