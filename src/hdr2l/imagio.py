@@ -72,8 +72,10 @@ def half_encode_array(values: np.ndarray) -> np.ndarray:
         if np.isinf(a).any():
             raise DomainError("half_encode_array: infinity in input")
         raise DomainError("half_encode_array: negative value in input")
-    # Values from 65520 up would round to +inf; clamped, they give HALF_MAX_CODE.
-    return np.minimum(a, HALF_MAX).astype(np.float16).view(np.uint16)
+    with np.errstate(over="ignore"):
+        h = a.astype(np.float16)
+    # Round-to-nearest overflows to +inf from 65520 up; those take HALF_MAX_CODE.
+    return np.where(np.isinf(h), np.uint16(HALF_MAX_CODE), h.view(np.uint16))
 
 
 def half_decode_array(codes: np.ndarray) -> np.ndarray:

@@ -256,14 +256,15 @@ def _drago_inverse(target: np.ndarray, params: TmoParams) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _top_codes(samples: np.ndarray, levels: np.ndarray, linearized: np.ndarray) -> np.ndarray:
-    """Per pixel, a code whose level is the channel maximum of ``linearized``
-    (= ``levels[samples]``): the largest code when the table does not
-    decrease, else the code at the arg-max, since np.power need not be
-    monotone in its base."""
-    if (levels[1:] >= levels[:-1]).all():
-        return samples.max(axis=0)
-    return np.take_along_axis(samples, linearized.argmax(axis=0)[None], axis=0)[0]
+def _top_codes(samples: np.ndarray, linearized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel, the channel maximum of ``linearized`` and a code whose level
+    it is.  A later channel takes over only when its level is larger, so any
+    level table works (np.power need not be monotone in its base)."""
+    top, proxy = samples[0], linearized[0]
+    for code, level in zip(samples[1:], linearized[1:]):
+        top = np.where(level > proxy, code, top)
+        proxy = np.maximum(proxy, level)
+    return top, proxy
 
 
 def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
@@ -275,16 +276,17 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
 
     The linearized level and the inverse curve depend on one sample code
     each, so both are tabulated over every code of the base depth; per pixel
-    only the table gathers, the channel ratio and the half encode remain.
-    The pixel's top code is one whose level is the channel maximum, so every
-    value equals the per-pixel evaluation of the same formula.
+    only the table gathers, the channel maximum, the channel ratio and the
+    half encode remain.  The pixel's top code is one whose level is the
+    channel maximum, so every value equals the per-pixel evaluation of the
+    same formula.
     """
     if params.log_avg <= 0:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
     levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, params.gamma)
     linearized = levels[base.samples]
-    top = _top_codes(base.samples, levels, linearized)
+    top, proxy = _top_codes(base.samples, linearized)
     if params.kind == TmoKind.DRAGO:
         if params.l_max <= 0:
             raise ParameterError("Drago inverse requires bound l_max")
@@ -295,6 +297,6 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
         lum_est = (scaled * params.log_avg / _effective_key(params))[top]
     # Channel ratios; a zero proxy has all three channels at level 0, so they
     # are divided by 1.
-    scene = linearized / np.where(levels > 0.0, levels, 1.0)[top]
+    scene = linearized / np.where(proxy > 0.0, proxy, 1.0)
     scene *= lum_est
     return HdrImage(half_encode_array(scene))
