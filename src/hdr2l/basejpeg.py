@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError
 from .imagio import LdrImage
-from .rescodec import code_plane, decode_plane
+from .rescodec import _pack_fields, code_plane, decode_plane
 
 # Zig-zag scan: natural (row-major) index of each scan position.
 ZIGZAG = np.array([
@@ -126,11 +126,6 @@ _DCT = _dct_matrix()
 def forward_dct_blocks(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal type-II DCT of a stack of 8x8 blocks, float64."""
     return np.einsum("ij,bjk,lk->bil", _DCT, blocks, _DCT, optimize=True)
-
-
-def inverse_dct_blocks(coeffs: np.ndarray) -> np.ndarray:
-    """Exact transpose pair of :func:`forward_dct_blocks`."""
-    return np.einsum("ji,bjk,kl->bil", _DCT, coeffs, _DCT, optimize=True)
 
 
 # Scaled-integer inverse DCT, the classic accurate baseline-decoder algorithm
@@ -315,86 +310,87 @@ def _canonical_codes(bits, values, ac: bool, offset: int = 0) -> list[tuple[int,
     return codes
 
 
-def _encode_map(bits, values, ac: bool) -> dict[int, tuple[int, int]]:
-    return {symbol: (code, length) for symbol, code, length in _canonical_codes(bits, values, ac)}
+def _code_table(bits, values, ac: bool) -> np.ndarray:
+    """(256, 2) array of the (code, length) of each symbol of a table."""
+    table = np.zeros((256, 2), dtype=np.uint16)
+    for symbol, code, length in _canonical_codes(bits, values, ac):
+        table[symbol] = code, length
+    return table
 
 
-_DC_ENC = (_encode_map(DC_LUMA_BITS, DC_LUMA_VALUES, False),
-           _encode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES, False))
-_AC_ENC = (_encode_map(AC_LUMA_BITS, AC_LUMA_VALUES, True),
-           _encode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES, True))
+# Indexed [table id (0 luma, 1 chroma), symbol].
+_DC_CODES = np.stack([_code_table(DC_LUMA_BITS, DC_LUMA_VALUES, False),
+                      _code_table(DC_CHROMA_BITS, DC_CHROMA_VALUES, False)])
+_AC_CODES = np.stack([_code_table(AC_LUMA_BITS, AC_LUMA_VALUES, True),
+                      _code_table(AC_CHROMA_BITS, AC_CHROMA_VALUES, True)])
+_EOB = 0x00
+_ZRL = 0xF0
 
 
-class _JpegBitWriter:
-    """MSB-first bit writer with 0xFF byte stuffing and one-fill padding."""
-
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits == 0:
-            return
-        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-        while self._nbits >= 8:
-            self._nbits -= 8
-            byte = (self._acc >> self._nbits) & 0xFF
-            self._out.append(byte)
-            if byte == 0xFF:
-                self._out.append(0x00)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        if self._nbits:
-            pad = 8 - self._nbits
-            byte = ((self._acc << pad) | ((1 << pad) - 1)) & 0xFF
-            self._out.append(byte)
-            if byte == 0xFF:
-                self._out.append(0x00)
-            self._acc = 0
-            self._nbits = 0
-        return bytes(self._out)
+def _magnitude(levels: np.ndarray) -> np.ndarray:
+    """(bits, size) rows of levels: the bit length of each level, and its low
+    bits, in ones'-complement form for a negative level."""
+    size = np.frexp(levels)[1]
+    return np.stack([(levels - (levels < 0)) & ((1 << size) - 1), size], axis=1)
 
 
-def _magnitude_bits(value: int) -> tuple[int, int]:
-    """(size, bits) of a DC/AC level: ones'-complement form for negatives."""
-    if value == 0:
-        return 0, 0
-    size = abs(value).bit_length()
-    bits = value if value > 0 else value + (1 << size) - 1
-    return size, bits
+def _scan_fields(levels: list[np.ndarray]) -> np.ndarray:
+    """(value, width) rows of the bit fields of an interleaved baseline scan.
+
+    ``levels`` holds one (blocks, 64) int16 array of zig-zag ordered levels
+    per component.  The scan codes one unit per block and component, in
+    block order and then component order.  A unit codes the size and bits of
+    its DC difference from the previous DC of its component; then, for each
+    nonzero AC level, one ZRL per 16 zeros before it and its (run, size)
+    symbol and bits; and an EOB unless its last level is nonzero (ITU-T T.81
+    F.1.2).  A last field one-fills the final byte (F.1.2.3).  Every field is
+    written straight to its offset, and the arrays with one entry per nonzero
+    level use the narrowest dtype that holds them.
+    """
+    units = np.stack(levels, axis=1)
+    units[:, :, 0] = np.diff(units[:, :, 0], axis=0, prepend=0)
+    units = units.reshape(-1, 64)
+    n = units.shape[0]
+    table = np.minimum(np.arange(n) % 3, 1).astype(np.uint8)
+    unit, k = np.nonzero(units[:, 1:])
+    unit, k = unit.astype(np.int32), k.astype(np.uint8) + 1
+    ac_levels = units[unit, k]
+    prev = np.roll(k, 1)
+    prev[np.diff(unit, prepend=-1) != 0] = 0
+    run = k - prev - 1
+    zrls = run >> 4  # a run is at most 62 zeros: up to three ZRLs
+    eob = np.ones(n, dtype=bool)
+    eob[unit[k == 63]] = False
+    ac_fields = zrls + 2
+    unit_ac = np.bincount(unit, ac_fields, n).astype(np.int64)
+    # A field's offset counts the DC pairs, EOBs and AC fields before it; a
+    # level's symbol is the last but one of its AC fields.
+    eob_before = np.cumsum(eob) - eob
+    dc_at = 2 * np.arange(n) + eob_before + np.cumsum(unit_ac) - unit_ac
+    ac_at = np.cumsum(ac_fields, dtype=np.int64) + 2 * unit + eob_before[unit]
+    fields = np.zeros((dc_at[-1] + 2 + unit_ac[-1] + eob[-1] + 1, 2), dtype=np.uint16)
+    dc = _magnitude(units[:, 0])
+    fields[dc_at] = _DC_CODES[table, dc[:, 1]]
+    fields[dc_at + 1] = dc
+    fields[(dc_at + 2 + unit_ac)[eob]] = _AC_CODES[table[eob], _EOB]
+    level_table = table[unit]
+    for i in range(1, 4):
+        zrl = zrls >= i
+        fields[ac_at[zrl] - i] = _AC_CODES[level_table[zrl], _ZRL]
+    ac = _magnitude(ac_levels)
+    fields[ac_at] = _AC_CODES[level_table, ((run & 15) << 4) | ac[:, 1]]
+    fields[ac_at + 1] = ac
+    pad = -int(fields[:, 1].sum()) % 8
+    fields[-1] = (1 << pad) - 1, pad
+    return fields
 
 
-def _encode_block(coeffs, pred_dc: int, table_id: int, writer: _JpegBitWriter) -> int:
-    dc_table = _DC_ENC[table_id]
-    ac_table = _AC_ENC[table_id]
-    dc = coeffs[0]
-    size, bits = _magnitude_bits(dc - pred_dc)
-    code, length = dc_table[size]
-    writer.write(code, length)
-    if size:
-        writer.write(bits, size)
-    run = 0
-    for k in range(1, 64):
-        v = coeffs[k]
-        if v == 0:
-            run += 1
-            continue
-        while run > 15:
-            code, length = ac_table[0xF0]
-            writer.write(code, length)
-            run -= 16
-        size, bits = _magnitude_bits(v)
-        code, length = ac_table[(run << 4) | size]
-        writer.write(code, length)
-        writer.write(bits, size)
-        run = 0
-    if run:
-        code, length = ac_table[0x00]
-        writer.write(code, length)
-    return dc
+def _entropy_code(levels: list[np.ndarray]) -> bytes:
+    """Entropy-coded data of the scan of :func:`_scan_fields`: its fields
+    packed MSB-first, each 0xFF byte followed by a stuffed 0x00 (B.1.1.5)."""
+    # Built in its own call, so that its temporaries are freed before packing.
+    fields = _scan_fields(levels)
+    return _pack_fields(fields[:, 0], fields[:, 1]).replace(b"\xFF", b"\xFF\x00")
 
 
 def encode_base(image: LdrImage, q: int) -> bytes:
@@ -407,20 +403,13 @@ def encode_base(image: LdrImage, q: int) -> bytes:
     ycc = rgb_to_ycbcr(image.samples)
 
     quantized = []
-    bh = bw = 0
     for comp in range(3):
-        blocks, bh, bw = _to_blocks(ycc[comp].astype(np.float64) - 128.0)
+        blocks, _, _ = _to_blocks(ycc[comp].astype(np.float64) - 128.0)
         coeffs = forward_dct_blocks(blocks)
         qtab = tables.natural(chroma=comp > 0)
-        quantized.append(np.rint(coeffs / qtab).astype(np.int64).reshape(-1, 64)[:, ZIGZAG])
-
-    writer = _JpegBitWriter()
-    pred = [0, 0, 0]
-    for block_index in range(bh * bw):
-        for comp in range(3):
-            coeffs = quantized[comp][block_index].tolist()
-            pred[comp] = _encode_block(coeffs, pred[comp], min(comp, 1), writer)
-    entropy = writer.getvalue()
+        # |level| <= 1024 and a DC difference lies within +-2047: int16 holds both.
+        quantized.append(np.rint(coeffs / qtab).astype(np.int16).reshape(-1, 64)[:, ZIGZAG])
+    entropy = _entropy_code(quantized)
 
     out = bytearray()
     out += b"\xFF\xD8"  # SOI
@@ -494,6 +483,12 @@ class _JpegBitReader:
 
     def end_position(self) -> int:
         return self._pos
+
+    def check_padding(self) -> None:
+        """Require the unread bits of the current byte to be one-filled."""
+        mask = (1 << self._nbits) - 1
+        if self._acc & mask != mask:
+            raise ParseError("scan pad bits are not all ones", offset=self._pos - 1)
 
 
 def _read_huffman(reader: _JpegBitReader, table: dict[tuple[int, int], int]) -> int:
@@ -650,10 +645,12 @@ def decode_base(stream: bytes) -> LdrImage:
                 block[k] = _extend(reader.read(size), size)
                 k += 1
 
+    reader.check_padding()
     tail = reader.end_position()
     if stream[tail : tail + 2] != b"\xFF\xD9":
-        # Allow padding bits in the final byte; the writer one-fills them.
         raise ParseError("missing EOI marker after scan", offset=tail)
+    if len(stream) > tail + 2:
+        raise ParseError(f"{len(stream) - tail - 2} bytes after the EOI marker", offset=tail + 2)
 
     planes = []
     for comp, (_, _, qtab) in enumerate(comp_tables):

@@ -3,15 +3,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hdr2l import basejpeg
 from hdr2l.basejpeg import (
+    AC_CHROMA_BITS,
+    AC_CHROMA_VALUES,
+    AC_LUMA_BITS,
+    AC_LUMA_VALUES,
     BASE_CHROMA_QUANT,
     BASE_LUMA_QUANT,
+    DC_CHROMA_BITS,
+    DC_CHROMA_VALUES,
+    DC_LUMA_BITS,
+    DC_LUMA_VALUES,
     RefinementPlane,
     ZIGZAG,
     decode_base,
     encode_base,
     forward_dct_blocks,
-    inverse_dct_blocks,
     merge_refinement,
     quality_to_tables,
     rgb_to_ycbcr,
@@ -47,9 +55,14 @@ def test_forward_dct_matches_matrix_oracle(rng):
     assert float(np.abs(ours - direct).max()) < 1e-9
 
 
+def _inverse_dct_blocks(coeffs: np.ndarray) -> np.ndarray:
+    """Exact transpose pair of :func:`forward_dct_blocks`."""
+    return np.einsum("ji,bjk,kl->bil", basejpeg._DCT, coeffs, basejpeg._DCT, optimize=True)
+
+
 def test_dct_pair_is_isometry(rng):
     blocks = rng.uniform(-128.0, 127.0, size=(50, 8, 8))
-    back = inverse_dct_blocks(forward_dct_blocks(blocks))
+    back = _inverse_dct_blocks(forward_dct_blocks(blocks))
     assert float(np.abs(back - blocks).max()) < 1e-9
     # Parseval: coefficient energy equals sample energy.
     coeffs = forward_dct_blocks(blocks)
@@ -112,14 +125,18 @@ def _gradient_ldr(width: int, height: int) -> LdrImage:
     return LdrImage(np.stack([r, g, b]).astype(np.uint16), bit_depth=8)
 
 
+def _scan_data(stream: bytes) -> bytes:
+    """The entropy-coded data between the scan header and EOI."""
+    sos = stream.index(b"\xFF\xDA")
+    return stream[sos + 2 + int.from_bytes(stream[sos + 2 : sos + 4], "big") : -2]
+
+
 def test_encode_markers_and_stuffing():
     stream = encode_base(_gradient_ldr(24, 16), 80)
     assert stream[:2] == b"\xFF\xD8"
     assert stream[-2:] == b"\xFF\xD9"
     # within the entropy-coded data every 0xFF is followed by 0x00
-    sos = stream.index(b"\xFF\xDA")
-    scan_start = sos + 2 + int.from_bytes(stream[sos + 2 : sos + 4], "big")
-    body = stream[scan_start:-2]
+    body = _scan_data(stream)
     i = 0
     while i < len(body):
         if body[i] == 0xFF:
@@ -171,6 +188,20 @@ def test_decode_rejects_corruption():
     with pytest.raises(ParseError) as err:
         decode_base(stream[:-10])  # chop EOI and tail
     assert err.value.offset is not None
+    with pytest.raises(ParseError, match="after the EOI marker") as err:
+        decode_base(stream + b"\x00")
+    assert err.value.offset == len(stream)
+
+
+@pytest.mark.parametrize("width, height", [(24, 16), (17, 9), (16, 16), (8, 8)])
+def test_decode_rejects_scan_pad_bits_not_all_ones(width, height):
+    stream = encode_base(_gradient_ldr(width, height), 80)
+    last = len(stream) - 3  # the last data byte, before EOI
+    assert stream[last] not in (0x00, 0xFF)
+    bad = stream[:last] + bytes([stream[last] & 0xFE]) + stream[-2:]
+    with pytest.raises(ParseError, match="pad bits") as err:
+        decode_base(bad)
+    assert err.value.offset == last
 
 
 def _edit(stream: bytes, marker: int, offset: int, value: bytes) -> bytes:
@@ -219,6 +250,154 @@ def test_non_multiple_of_8_dimensions_round_trip():
     assert (decoded.width, decoded.height) == (13, 21)
     err = np.abs(decoded.samples.astype(np.int64) - img.samples.astype(np.int64))
     assert int(err.max()) <= 12  # mild quantization error, no structural damage
+
+
+# ---------------------------------------------------------------------------
+# scan writer against a per-block reference writer
+
+
+def _code_map(bits, values, ac: bool) -> dict[int, tuple[int, int]]:
+    return {symbol: (code, length) for symbol, code, length in basejpeg._canonical_codes(bits, values, ac)}
+
+
+_DC_ENC = (_code_map(DC_LUMA_BITS, DC_LUMA_VALUES, False),
+           _code_map(DC_CHROMA_BITS, DC_CHROMA_VALUES, False))
+_AC_ENC = (_code_map(AC_LUMA_BITS, AC_LUMA_VALUES, True),
+           _code_map(AC_CHROMA_BITS, AC_CHROMA_VALUES, True))
+
+
+class _JpegBitWriter:
+    """MSB-first bit writer with 0xFF byte stuffing and one-fill padding."""
+
+    def __init__(self):
+        self._out = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        if nbits == 0:
+            return
+        self._acc = (self._acc << nbits) | (value & ((1 << nbits) - 1))
+        self._nbits += nbits
+        while self._nbits >= 8:
+            self._nbits -= 8
+            byte = (self._acc >> self._nbits) & 0xFF
+            self._out.append(byte)
+            if byte == 0xFF:
+                self._out.append(0x00)
+        self._acc &= (1 << self._nbits) - 1
+
+    def getvalue(self) -> bytes:
+        if self._nbits:
+            pad = 8 - self._nbits
+            byte = ((self._acc << pad) | ((1 << pad) - 1)) & 0xFF
+            self._out.append(byte)
+            if byte == 0xFF:
+                self._out.append(0x00)
+            self._acc = 0
+            self._nbits = 0
+        return bytes(self._out)
+
+
+def _magnitude_bits(value: int) -> tuple[int, int]:
+    """(size, bits) of a DC/AC level: ones'-complement form for negatives."""
+    if value == 0:
+        return 0, 0
+    size = abs(value).bit_length()
+    bits = value if value > 0 else value + (1 << size) - 1
+    return size, bits
+
+
+def _encode_block(coeffs, pred_dc: int, table_id: int, writer: _JpegBitWriter) -> int:
+    dc_table = _DC_ENC[table_id]
+    ac_table = _AC_ENC[table_id]
+    dc = coeffs[0]
+    size, bits = _magnitude_bits(dc - pred_dc)
+    code, length = dc_table[size]
+    writer.write(code, length)
+    if size:
+        writer.write(bits, size)
+    run = 0
+    for k in range(1, 64):
+        v = coeffs[k]
+        if v == 0:
+            run += 1
+            continue
+        while run > 15:
+            code, length = ac_table[0xF0]
+            writer.write(code, length)
+            run -= 16
+        size, bits = _magnitude_bits(v)
+        code, length = ac_table[(run << 4) | size]
+        writer.write(code, length)
+        writer.write(bits, size)
+        run = 0
+    if run:
+        code, length = ac_table[0x00]
+        writer.write(code, length)
+    return dc
+
+
+def _reference_scan(levels: list[np.ndarray]) -> bytes:
+    writer = _JpegBitWriter()
+    pred = [0, 0, 0]
+    for block_index in range(levels[0].shape[0]):
+        for comp in range(3):
+            coeffs = levels[comp][block_index].tolist()
+            pred[comp] = _encode_block(coeffs, pred[comp], min(comp, 1), writer)
+    return writer.getvalue()
+
+
+def _crafted_levels(blocks: list[dict[int, int]]) -> list[np.ndarray]:
+    """Per-component levels where component c codes ``blocks`` rotated by c,
+    so every block meets both the luma and the chroma tables."""
+    table = np.zeros((len(blocks), 64), dtype=np.int16)
+    for row, block in zip(table, blocks):
+        for index, level in block.items():
+            row[index] = level
+    return [np.roll(table, c, axis=0) for c in range(3)]
+
+
+CRAFTED_SCANS = {
+    # runs of 0, 16 and 32 zeros: one and two ZRLs
+    "zrl chains": [{0: 5, 1: 3, 18: -2, 51: 1}, {0: 5, 1: -1, 18: 2, 51: -1, 52: 1}],
+    # 47 zeros: two ZRLs, then a run of 15
+    "47 zeros": [{48: 7}, {0: -3, 48: -7}],
+    # 62 zeros before index 63: three ZRLs, then no EOB
+    "lone level at 63": [{63: 1}, {0: 2, 63: -1}, {63: 100}],
+    "dc only": [{0: 37}, {0: 37}, {0: -40}, {}, {0: 1024}],
+    # DC differences of size 11 (-1024 -> 1016 -> -1024), AC levels of size 10
+    "extreme sizes": [{0: -1024, 1: 1023, 62: -1023}, {0: 1016, 2: -512, 63: 513}, {0: -1024, 5: 1000}],
+    "unit levels": [{1: 1, 2: -1, 3: 1, 17: -1, 63: 1}, {0: -1, 1: -1, 62: 1}],
+    "all zero": [{}, {}],
+    # the last data byte is 0xFF, followed by a stuffed 0x00
+    "0xFF last": [{0: -64, 63: 3}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_SCANS))
+def test_scan_matches_reference_writer_on_crafted_blocks(name):
+    levels = _crafted_levels(CRAFTED_SCANS[name])
+    assert basejpeg._entropy_code(levels) == _reference_scan(levels)
+
+
+def test_crafted_scans_cover_stuffing():
+    assert _reference_scan(_crafted_levels(CRAFTED_SCANS["0xFF last"])).endswith(b"\xFF\x00")
+    assert b"\xFF\x00" in _reference_scan(_crafted_levels(CRAFTED_SCANS["extreme sizes"]))[:-2]
+
+
+@pytest.mark.parametrize("q", [1, 50, 80, 100])
+def test_scan_matches_reference_writer_on_images(q, rng, monkeypatch):
+    seen = []
+    entropy_code = basejpeg._entropy_code
+    monkeypatch.setattr(basejpeg, "_entropy_code", lambda levels: seen.append(levels) or entropy_code(levels))
+    sides = (1, 8, 9, 17, 33)
+    for width in sides:
+        for height in sides:
+            noise = rng.integers(0, 256, size=(3, height, width)).astype(np.uint16)
+            for image in (_gradient_ldr(width, height), LdrImage(noise, bit_depth=8)):
+                stream = encode_base(image, q)
+                assert _scan_data(stream) == _reference_scan(seen.pop()), (width, height)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hdr2l.container import (
     extract_ldr,
     measure,
 )
-from hdr2l.errors import CorruptStreamError, FormatError, IntegrityError, ParameterError
+from hdr2l.errors import CorruptStreamError, FormatError, IntegrityError, ParameterError, ParseError
 from hdr2l.imagio import HdrImage, luminance
 from conftest import sparse_hdr_image, smooth_hdr_image
 
@@ -78,6 +78,17 @@ def test_quality_byte_must_match_base_quant_tables():
     for q in (7, 99):
         with pytest.raises(FormatError, match=f"quantization tables disagree with quality {q}"):
             decode(_edited(stream, 6, bytes([q])))
+
+
+def test_bytes_after_the_base_layer_eoi_rejected():
+    stream = encode(smooth_hdr_image(24, 24), _params())
+    jpeg = extract_ldr(stream)
+    at = stream.index(jpeg)
+    out = bytearray(stream[: at - 4])
+    out += (len(jpeg) + 8).to_bytes(4, "little") + jpeg + bytes(8) + stream[at + len(jpeg) : -4]
+    out += zlib.crc32(out).to_bytes(4, "little")
+    with pytest.raises(ParseError, match="8 bytes after the EOI marker"):
+        decode(bytes(out))
 
 
 def test_mode_byte_must_match_residual_packing():
