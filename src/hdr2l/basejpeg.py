@@ -3,8 +3,11 @@
 The encoder emits a plain JFIF stream that third-party baseline decoders can
 read: BT.601 full-range YCbCr, 4:4:4 sampling, orthonormal 8x8 DCT, quality
 scaled quantization tables, the standard Huffman tables, and edge-replicated
-padding.  The decoder only has to parse streams produced here, but it parses
-them defensively and reports byte offsets on corruption.
+padding.  Every stream starts with the same header apart from its two
+quantization tables and its frame size, so the decoder parses no markers: it
+accepts exactly the header :func:`encode_base` writes for the tables and size
+the stream holds, decodes the scan with the standard Huffman tables, and
+reports the byte offset of any corruption.
 
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R
@@ -15,6 +18,7 @@ merging uses the decoded base so the pair behaves exactly like the plain
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -287,42 +291,33 @@ def _from_blocks(blocks: np.ndarray, bh: int, bw: int, h: int, w: int) -> np.nda
 # Huffman coding
 
 
-def _canonical_codes(bits, values, ac: bool, offset: int = 0) -> list[tuple[int, int, int]]:
-    """(symbol, code, length) of each entry of a canonical Huffman table.  Rejects
-    counts that disagree with the symbols or overflow the code space, and symbols
-    beyond baseline (DC size > 11, AC size > 10), so the scan needs no range check."""
-    if len(bits) != 16 or sum(bits) != len(values):
-        raise ParseError("Huffman code counts disagree with the symbol list", offset=offset)
-    max_size = 10 if ac else 11
+def _canonical_codes(bits, values) -> list[tuple[int, int, int]]:
+    """(symbol, code, length) of each entry of a canonical Huffman table, given
+    its count of codes of each length 1..16 and its symbols (T.81 C.2)."""
     codes = []
     code = 0
     symbols = iter(values)
     for length, count in enumerate(bits, 1):
         for _ in range(count):
-            symbol = next(symbols)
-            if (symbol & 0x0F if ac else symbol) > max_size:
-                raise ParseError(f"Huffman symbol 0x{symbol:02X} out of range", offset=offset)
-            codes.append((symbol, code, length))
+            codes.append((next(symbols), code, length))
             code += 1
-        if code > 1 << length:
-            raise ParseError("Huffman code counts overflow the code space", offset=offset)
         code <<= 1
     return codes
 
 
-def _code_table(bits, values, ac: bool) -> np.ndarray:
+def _code_table(bits, values) -> np.ndarray:
     """(256, 2) array of the (code, length) of each symbol of a table."""
     table = np.zeros((256, 2), dtype=np.uint16)
-    for symbol, code, length in _canonical_codes(bits, values, ac):
+    for symbol, code, length in _canonical_codes(bits, values):
         table[symbol] = code, length
     return table
 
 
 # Indexed [table id (0 luma, 1 chroma), symbol].
-_DC_CODES = np.stack([_code_table(DC_LUMA_BITS, DC_LUMA_VALUES, False),
-                      _code_table(DC_CHROMA_BITS, DC_CHROMA_VALUES, False)])
-_AC_CODES = np.stack([_code_table(AC_LUMA_BITS, AC_LUMA_VALUES, True),
-                      _code_table(AC_CHROMA_BITS, AC_CHROMA_VALUES, True)])
+_DC_CODES = np.stack([_code_table(DC_LUMA_BITS, DC_LUMA_VALUES),
+                      _code_table(DC_CHROMA_BITS, DC_CHROMA_VALUES)])
+_AC_CODES = np.stack([_code_table(AC_LUMA_BITS, AC_LUMA_VALUES),
+                      _code_table(AC_CHROMA_BITS, AC_CHROMA_VALUES)])
 _EOB = 0x00
 _ZRL = 0xF0
 
@@ -409,37 +404,69 @@ def encode_base(image: LdrImage, q: int) -> bytes:
         qtab = tables.natural(chroma=comp > 0)
         # |level| <= 1024 and a DC difference lies within +-2047: int16 holds both.
         quantized.append(np.rint(coeffs / qtab).astype(np.int16).reshape(-1, 64)[:, ZIGZAG])
-    entropy = _entropy_code(quantized)
+    return _header(tables, image.width, image.height) + _entropy_code(quantized) + _EOI
 
-    out = bytearray()
-    out += b"\xFF\xD8"  # SOI
-    out += _segment(0xE0, b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + b"\x00\x00")
-    out += _segment(0xDB, bytes([0x00]) + bytes(tables.luma) + bytes([0x01]) + bytes(tables.chroma))
-    sof = struct.pack(">BHHB", 8, image.height, image.width, 3)
-    for comp_id, qid in ((1, 0), (2, 1), (3, 1)):
-        sof += bytes([comp_id, 0x11, qid])
-    out += _segment(0xC0, sof)
-    dht = b""
+
+def _segment(marker: int, payload: bytes) -> bytes:
+    return bytes([0xFF, marker]) + struct.pack(">H", len(payload) + 2) + payload
+
+
+# The header segments that do not depend on the image: SOI and JFIF APP0 before
+# the tables and the frame; the four standard Huffman tables and the scan
+# header (Y on tables 0, Cb and Cr on tables 1) after them.
+_JFIF = b"\xFF\xD8" + _segment(0xE0, b"JFIF\x00" + bytes([1, 1, 0]) + struct.pack(">HH", 1, 1) + b"\x00\x00")
+_HUFFMAN_AND_SCAN = _segment(0xC4, b"".join(
+    bytes([(table_class << 4) | dest]) + bytes(bits) + bytes(values)
     for table_class, dest, bits, values in (
         (0, 0, DC_LUMA_BITS, DC_LUMA_VALUES),
         (1, 0, AC_LUMA_BITS, AC_LUMA_VALUES),
         (0, 1, DC_CHROMA_BITS, DC_CHROMA_VALUES),
         (1, 1, AC_CHROMA_BITS, AC_CHROMA_VALUES),
-    ):
-        dht += bytes([(table_class << 4) | dest]) + bytes(bits) + bytes(values)
-    out += _segment(0xC4, dht)
-    sos = bytes([3])
-    for comp_id, tid in ((1, 0x00), (2, 0x11), (3, 0x11)):
-        sos += bytes([comp_id, tid])
-    sos += bytes([0, 63, 0])
-    out += _segment(0xDA, sos)
-    out += entropy
-    out += b"\xFF\xD9"  # EOI
-    return bytes(out)
+    )
+)) + _segment(0xDA, bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0]))
+_EOI = b"\xFF\xD9"
 
 
-def _segment(marker: int, payload: bytes) -> bytes:
-    return bytes([0xFF, marker]) + struct.pack(">H", len(payload) + 2) + payload
+def _header(tables: QuantTables, width: int, height: int) -> bytes:
+    """Everything before the scan data of a stream of :func:`encode_base`:
+    SOI, JFIF, one DQT segment with both tables, an 8-bit 4:4:4 three-component
+    SOF (Y on table 0, Cb and Cr on table 1), the standard DHT tables and SOS.
+    Its length does not depend on the tables or the size."""
+    return b"".join((
+        _JFIF,
+        _segment(0xDB, b"\x00" + bytes(tables.luma) + b"\x01" + bytes(tables.chroma)),
+        _segment(0xC0, struct.pack(">BHHB", 8, height, width, 3) + bytes([1, 0x11, 0, 2, 0x11, 1, 3, 0x11, 1])),
+        _HUFFMAN_AND_SCAN,
+    ))
+
+
+_HEADER_SIZE = len(_header(quality_to_tables(50), 1, 1))
+_LUMA_AT = len(_JFIF) + 5  # after the DQT marker, length and table id
+_CHROMA_AT = _LUMA_AT + 65
+_SIZE_AT = _CHROMA_AT + 64 + 5  # after the SOF marker, length and precision: height, width
+_UNSTUFFED = re.compile(rb"\xFF(?!\x00)")
+
+
+def _require_header(stream: bytes, header: bytes, what: str) -> None:
+    """Raise :class:`ParseError` at the first byte where ``stream`` does not
+    start with ``header``."""
+    if not stream.startswith(header):
+        at = next((i for i, (a, b) in enumerate(zip(stream, header)) if a != b), len(stream))
+        raise ParseError(f"header is not the one encode_base writes for {what}", offset=at)
+
+
+def check_base(stream: bytes, q: int, width: int, height: int) -> None:
+    """Require ``stream`` to be laid out as :func:`encode_base` writes it at
+    quality ``q`` for a ``width`` x ``height`` image: exactly its header, then
+    scan data in which every 0xFF byte is stuffed, then one EOI marker that
+    ends the stream.  The scan is not decoded."""
+    _require_header(stream, _header(quality_to_tables(q), width, height), f"q={q} at {width}x{height}")
+    marker = _UNSTUFFED.search(stream, _HEADER_SIZE)
+    at = len(stream) if marker is None else marker.start()
+    if stream[at : at + 2] != _EOI:
+        raise ParseError("missing EOI marker after scan", offset=at)
+    if at + 2 != len(stream):
+        raise ParseError(f"{len(stream) - at - 2} bytes after the EOI marker", offset=at + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -509,120 +536,36 @@ def _extend(bits: int, size: int) -> int:
     return bits
 
 
-def _read_header(stream: bytes) -> tuple[int, int, list[tuple[dict, dict, np.ndarray]], int]:
-    """Parse the marker segments before the scan.
-
-    Returns the frame width and height, each component's DC Huffman, AC
-    Huffman and natural-order quantization tables in scan order, and the
-    offset of the scan data.
-    """
-    if len(stream) < 4 or stream[:2] != b"\xFF\xD8":
-        raise ParseError("missing SOI marker", offset=0)
-    pos = 2
-    qtables: dict[int, np.ndarray] = {}
-    htables: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    width = height = 0
-    comp_q: list[int] = []
-    scan_tables: list[tuple[int, int]] = []
-
-    while True:
-        if pos + 4 > len(stream):
-            raise ParseError("truncated marker segment", offset=pos)
-        if stream[pos] != 0xFF:
-            raise ParseError(f"expected marker, got 0x{stream[pos]:02X}", offset=pos)
-        marker = stream[pos + 1]
-        length = struct.unpack_from(">H", stream, pos + 2)[0]
-        payload = stream[pos + 4 : pos + 2 + length]
-        if len(payload) != length - 2:
-            raise ParseError("truncated segment payload", offset=pos)
-        body_pos = pos + 4
-        pos += 2 + length
-
-        if marker == 0xE0:
-            continue
-        if marker == 0xDB:
-            off = 0
-            while off < len(payload):
-                pq_tq = payload[off]
-                if pq_tq >> 4 != 0:
-                    raise ParseError("only 8-bit quantization tables supported", offset=body_pos + off)
-                if len(payload) - off < 65:
-                    raise ParseError("truncated quantization table", offset=body_pos + off)
-                entries = np.frombuffer(payload, dtype=np.uint8, count=64, offset=off + 1)
-                natural = np.empty(64, dtype=np.int64)
-                natural[ZIGZAG] = entries
-                qtables[pq_tq & 0x0F] = natural.reshape(8, 8)
-                off += 65
-            continue
-        if marker == 0xC0:
-            if len(payload) < 15:
-                raise ParseError("truncated frame header", offset=body_pos)
-            precision, height, width, ncomp = struct.unpack_from(">BHHB", payload, 0)
-            if precision != 8 or ncomp != 3:
-                raise ParseError("only 8-bit 3-component frames supported", offset=body_pos)
-            for ci in range(3):
-                comp_id, sampling, qid = payload[6 + 3 * ci : 9 + 3 * ci]
-                if sampling != 0x11:
-                    raise ParseError("only 4:4:4 sampling supported", offset=body_pos)
-                comp_q.append(qid)
-            continue
-        if marker == 0xC4:
-            off = 0
-            while off < len(payload):
-                tc_th = payload[off]
-                bits = payload[off + 1 : off + 17]
-                values = payload[off + 17 : off + 17 + sum(bits)]
-                codes = _canonical_codes(bits, values, tc_th >> 4 == 1, body_pos + off)
-                htables[(tc_th >> 4, tc_th & 0x0F)] = {
-                    (length, code): symbol for symbol, code, length in codes
-                }
-                off += 17 + len(values)
-            continue
-        if marker == 0xDA:
-            if len(payload) < 10:
-                raise ParseError("truncated scan header", offset=body_pos)
-            ncomp = payload[0]
-            if ncomp != 3:
-                raise ParseError("only 3-component scans supported", offset=body_pos)
-            for ci in range(3):
-                tid = payload[2 + 2 * ci]
-                scan_tables.append((tid >> 4, tid & 0x0F))
-            scan_start = pos
-            break
-        raise ParseError(f"unsupported marker 0xFF{marker:02X}", offset=pos - length - 2)
-
-    if not width or not height:
-        raise ParseError("scan started before the frame header", offset=scan_start)
-    try:
-        comp_tables = [
-            (htables[(0, dc_id)], htables[(1, ac_id)], qtables[qid])
-            for (dc_id, ac_id), qid in zip(scan_tables, comp_q)
-        ]
-    except KeyError as exc:
-        raise ParseError(f"scan uses undefined table {exc.args[0]}", offset=scan_start) from None
-    return width, height, comp_tables, scan_start
+def _decode_map(bits, values) -> dict[tuple[int, int], int]:
+    return {(length, code): symbol for symbol, code, length in _canonical_codes(bits, values)}
 
 
-def component_quant_tables(stream: bytes) -> tuple[np.ndarray, ...]:
-    """The natural-order quantization table of each component (Y, Cb, Cr)
-    of a base-layer stream, from the header parse of :func:`decode_base`."""
-    return tuple(qtab for _, _, qtab in _read_header(stream)[2])
+_LUMA_MAPS = (_decode_map(DC_LUMA_BITS, DC_LUMA_VALUES), _decode_map(AC_LUMA_BITS, AC_LUMA_VALUES))
+_CHROMA_MAPS = (_decode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES), _decode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES))
 
 
 def decode_base(stream: bytes) -> LdrImage:
-    """Decode a stream produced by :func:`encode_base`."""
-    width, height, comp_tables, scan_start = _read_header(stream)
+    """Decode a stream produced by :func:`encode_base`.  Its header must be
+    the one :func:`encode_base` writes for the quantization tables and the
+    frame size the stream holds."""
+    if len(stream) < _HEADER_SIZE:
+        raise ParseError("truncated header", offset=len(stream))
+    tables = QuantTables(tuple(stream[_LUMA_AT : _LUMA_AT + 64]), tuple(stream[_CHROMA_AT : _CHROMA_AT + 64]))
+    height, width = struct.unpack_from(">HH", stream, _SIZE_AT)
+    _require_header(stream, _header(tables, width, height), f"its tables at {width}x{height}")
+    if not width or not height:
+        raise ParseError(f"empty {width}x{height} frame", offset=_SIZE_AT)
     bh = (height + 7) // 8
     bw = (width + 7) // 8
     # Each block codes at least one DC and one AC symbol per component, of at
     # least one bit each: reject a frame the scan cannot fill before allocating.
-    if 3 * bh * bw * 2 > 8 * (len(stream) - scan_start):
-        raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=scan_start)
-    reader = _JpegBitReader(stream, scan_start)
+    if 3 * bh * bw * 2 > 8 * (len(stream) - _HEADER_SIZE):
+        raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=_HEADER_SIZE)
+    reader = _JpegBitReader(stream, _HEADER_SIZE)
     coeff_planes = [np.zeros((bh * bw, 64), dtype=np.int64) for _ in range(3)]
     pred = [0, 0, 0]
     for block_index in range(bh * bw):
-        for comp, (dc_tbl, ac_tbl, _) in enumerate(comp_tables):
+        for comp, (dc_tbl, ac_tbl) in enumerate((_LUMA_MAPS, _CHROMA_MAPS, _CHROMA_MAPS)):
             block = coeff_planes[comp][block_index]
             size = _read_huffman(reader, dc_tbl)
             pred[comp] += _extend(reader.read(size), size)
@@ -632,14 +575,11 @@ def decode_base(stream: bytes) -> LdrImage:
                 symbol = _read_huffman(reader, ac_tbl)
                 if symbol == 0x00:
                     break
-                run = symbol >> 4
                 size = symbol & 0x0F
-                if size == 0:
-                    if run != 15:
-                        raise ParseError("bad AC run/size symbol", offset=reader.end_position())
+                if size == 0:  # ZRL: the tables hold no other size-0 symbol but EOB
                     k += 16
                     continue
-                k += run
+                k += symbol >> 4
                 if k > 63:
                     raise ParseError("AC coefficient index overflow", offset=reader.end_position())
                 block[k] = _extend(reader.read(size), size)
@@ -647,16 +587,16 @@ def decode_base(stream: bytes) -> LdrImage:
 
     reader.check_padding()
     tail = reader.end_position()
-    if stream[tail : tail + 2] != b"\xFF\xD9":
+    if stream[tail : tail + 2] != _EOI:
         raise ParseError("missing EOI marker after scan", offset=tail)
     if len(stream) > tail + 2:
         raise ParseError(f"{len(stream) - tail - 2} bytes after the EOI marker", offset=tail + 2)
 
     planes = []
-    for comp, (_, _, qtab) in enumerate(comp_tables):
+    for comp in range(3):
         dezz = np.zeros((bh * bw, 64), dtype=np.int64)
         dezz[:, ZIGZAG] = coeff_planes[comp]
-        spatial = idct_islow_blocks(dezz.reshape(-1, 8, 8), qtab)
+        spatial = idct_islow_blocks(dezz.reshape(-1, 8, 8), tables.natural(chroma=comp > 0))
         planes.append(_from_blocks(spatial, bh, bw, height, width))
     rgb = ycbcr_to_rgb(np.stack(planes))
     return LdrImage(rgb, bit_depth=8)

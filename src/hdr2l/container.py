@@ -21,7 +21,11 @@ bytes     field
 ========  =====================================================
 
 The embedded JPEG is byte-identical to a standalone base-layer encode of the
-same tone-mapped image, so extracting it yields an ordinary JPEG file.  The
+same tone-mapped image, so extracting it yields an ordinary JPEG file.  Every
+reader (:func:`decode`, :func:`measure`, :func:`extract_ldr`) requires the JPEG's
+header to be the one :func:`basejpeg.encode_base` writes at quality q for the
+container's width and height, its scan to stuff every 0xFF, and one EOI
+marker to end it; a width or height above 65535 is rejected before that.  The
 trailing CRC covers the bytes; the pixel CRC, taken over the samples as
 (3, h, w) little-endian u16 in C order, covers the reconstruction, which
 rests on floating-point tone-map inversion that another machine may compute
@@ -172,6 +176,8 @@ def _parse(data: bytes) -> _Parsed:
         raise FormatError(f"reserved header byte is {reserved}, not 0")
     if not width or not height:
         raise FormatError(f"empty image {width}x{height}")
+    if max(width, height) > 0xFFFF:
+        raise FormatError(f"image {width}x{height} is larger than a JPEG frame (65535 x 65535)")
 
     pos = _HEADER.size
     tmo_params = tmo.parse_tmo_params(data[pos : pos + tmo.TMO_PARAMS_SIZE])
@@ -194,6 +200,7 @@ def _parse(data: bytes) -> _Parsed:
         return block
 
     base = take_block("base layer")
+    _stage("base-header", basejpeg.check_base, base, params.q, width, height)
     payloads = tuple(take_block("refinement") for _ in range(3)) if refine_bits else ()
     residual = take_block("residual")
     if pos != len(data) - 4:
@@ -207,17 +214,7 @@ def _parse(data: bytes) -> _Parsed:
 def decode(data: bytes) -> HdrImage:
     """Bit-exact inverse of :func:`encode`."""
     parsed = _parse(data)
-    q = parsed.params.q
-    expected = basejpeg.quality_to_tables(q)
-    tables = _stage("decode-base", basejpeg.component_quant_tables, parsed.base)
-    if not all(np.array_equal(t, expected.natural(chroma=c > 0)) for c, t in enumerate(tables)):
-        raise FormatError(f"base layer quantization tables disagree with quality {q}")
     base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
-    if (base_dec.width, base_dec.height) != (parsed.width, parsed.height):
-        raise FormatError(
-            f"base layer is {base_dec.width}x{base_dec.height}, "
-            f"the container says {parsed.width}x{parsed.height}"
-        )
     plane = basejpeg.RefinementPlane(
         parsed.params.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
     )

@@ -238,6 +238,29 @@ def test_decode_rejects_frame_larger_than_scan_before_allocating():
         decode_base(huge)
 
 
+def test_header_length_does_not_depend_on_tables_or_size():
+    lengths = set()
+    for q in (1, 50, 80, 100):
+        tables = quality_to_tables(q)
+        assert encode_base(_gradient_ldr(17, 9), q).startswith(basejpeg._header(tables, 17, 9))
+        lengths |= {len(basejpeg._header(tables, w, h)) for w, h in ((1, 1), (17, 9), (65535, 65535))}
+    assert lengths == {basejpeg._HEADER_SIZE}
+
+
+def test_decode_rejects_any_other_header_byte_change_at_its_offset():
+    stream = encode_base(_gradient_ldr(16, 16), 80)
+    dqt = stream.index(b"\xFF\xDB") + 5  # first luma entry
+    sof = stream.index(b"\xFF\xC0") + 5  # height, then width
+    free = {*range(dqt, dqt + 64), *range(dqt + 65, dqt + 129), *range(sof, sof + 4)}
+    header_size = len(stream) - len(_scan_data(stream)) - 2
+    for at in sorted(set(range(header_size)) - free):
+        for flip in (0x01, 0xFF):
+            bad = stream[:at] + bytes([stream[at] ^ flip]) + stream[at + 1 :]
+            with pytest.raises(ParseError) as err:
+                decode_base(bad)
+            assert err.value.offset == at, (at, flip)
+
+
 def test_color_conversion_round_trip_is_close(rng):
     rgb = rng.integers(0, 256, size=(3, 8, 8)).astype(np.int64)
     back = ycbcr_to_rgb(rgb_to_ycbcr(rgb))
@@ -257,7 +280,7 @@ def test_non_multiple_of_8_dimensions_round_trip():
 
 
 def _code_map(bits, values, ac: bool) -> dict[int, tuple[int, int]]:
-    return {symbol: (code, length) for symbol, code, length in basejpeg._canonical_codes(bits, values, ac)}
+    return {symbol: (code, length) for symbol, code, length in basejpeg._canonical_codes(bits, values)}
 
 
 _DC_ENC = (_code_map(DC_LUMA_BITS, DC_LUMA_VALUES, False),

@@ -69,14 +69,14 @@ def test_frame_size_must_match_container_size():
     stream = encode(sparse_hdr_image(12, 10), _params())
     for width, height in ((13, 10), (12, 9), (1, 120), (60000, 60000)):
         bad = _edited(stream, 9, width.to_bytes(4, "little") + height.to_bytes(4, "little"))
-        with pytest.raises(FormatError, match=f"base layer is 12x10, the container says {width}x{height}"):
+        with pytest.raises(ParseError, match=f"encode_base writes for q=80 at {width}x{height}"):
             decode(bad)
 
 
 def test_quality_byte_must_match_base_quant_tables():
     stream = encode(sparse_hdr_image(8, 8), _params(q=100))
     for q in (7, 99):
-        with pytest.raises(FormatError, match=f"quantization tables disagree with quality {q}"):
+        with pytest.raises(ParseError, match=f"encode_base writes for q={q} at 8x8"):
             decode(_edited(stream, 6, bytes([q])))
 
 
@@ -87,8 +87,19 @@ def test_bytes_after_the_base_layer_eoi_rejected():
     out = bytearray(stream[: at - 4])
     out += (len(jpeg) + 8).to_bytes(4, "little") + jpeg + bytes(8) + stream[at + len(jpeg) : -4]
     out += zlib.crc32(out).to_bytes(4, "little")
-    with pytest.raises(ParseError, match="8 bytes after the EOI marker"):
-        decode(bytes(out))
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(ParseError, match="8 bytes after the EOI marker"):
+            reader(bytes(out))
+
+
+@pytest.mark.parametrize("size", [65536, 0xFFFFFFFF])
+def test_sizes_beyond_a_jpeg_frame_rejected(size):
+    stream = encode(sparse_hdr_image(8, 8), _params())
+    for offset in (9, 13):  # width, height
+        bad = _edited(stream, offset, size.to_bytes(4, "little"))
+        for reader in (decode, measure, extract_ldr):
+            with pytest.raises(FormatError, match="65535"):
+                reader(bad)
 
 
 def test_mode_byte_must_match_residual_packing():
