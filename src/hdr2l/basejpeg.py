@@ -9,6 +9,16 @@ accepts exactly the header :func:`encode_base` writes for the tables and size
 the stream holds, decodes the scan with the standard Huffman tables, and
 reports the byte offset of any corruption.
 
+The decoder stores the levels of a stream coefficient-major, as one int32
+(3, 64, blocks) array in natural order, so that each coefficient of every
+block of a component is one contiguous row.  The inverse DCT and the colour
+conversion then run in int32 over whole rows.  That is exact because the
+decoder rejects any dequantized coefficient |level * q| above 1151: a DCT
+coefficient of samples in [-128, 127] is at most 1024 in magnitude, and
+rounding it to a multiple of q <= 255 adds at most 127, so every stream of
+:func:`encode_base` passes (its largest is 1135).  At 1151 no intermediate of
+either inverse DCT pass reaches 2**31.
+
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R
 least significant bits travel as a losslessly coded plane per channel, and
@@ -35,7 +45,6 @@ ZIGZAG = np.array([
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
-_UNZIGZAG = np.argsort(ZIGZAG)
 
 BASE_LUMA_QUANT = np.array([
     16, 11, 10, 16, 24, 40, 51, 61,
@@ -190,20 +199,35 @@ def _islow_1d(c0, c1, c2, c3, c4, c5, c6, c7, shift: int):
     )
 
 
-def idct_islow_blocks(coeffs: np.ndarray, qtab: np.ndarray) -> np.ndarray:
+# The largest dequantized coefficient magnitude the decoder accepts: 1024 plus
+# half the largest quantizer step (see the module docstring).
+_LEVEL_LIMIT = 1024 + 255 // 2
+
+
+def idct_islow_blocks(levels: np.ndarray, quant: np.ndarray) -> np.ndarray:
     """Dequantize and inverse transform with the scaled-integer algorithm.
 
-    Input: (n, 8, 8) quantized coefficients, natural order.  Output: (n, 8, 8)
-    int64 samples already level-shifted back to [0, 255].
+    Input: (c, 64, n) int32 quantized levels, coefficient-major in natural
+    order (row 8u + v of a component holds coefficient (u, v) of its n
+    blocks), and the (c, 64) natural-order quantization tables.  Output:
+    (c, 8, 8, n) int32 samples already level-shifted back to [0, 255], indexed
+    by component, row, column and block.
+
+    Both passes run in int32 on contiguous (8, n) rows: the first transforms
+    every column of coefficients, the second every row of its output.  Raises
+    :class:`ParseError` if some |level * q| exceeds 1151, the limit up to
+    which no intermediate overflows.
     """
-    d = coeffs.astype(np.int64) * qtab.astype(np.int64)
-    ws = _islow_1d(*(d[:, r, :] for r in range(8)), _CONST_BITS - _PASS1_BITS)
-    out = np.empty_like(d)
-    for r in range(8):
-        row = _islow_1d(*(ws[r][:, c] for c in range(8)), _CONST_BITS + _PASS1_BITS + 3)
-        for c in range(8):
-            out[:, r, c] = row[c]
-    return np.clip(out + 128, 0, 255)
+    c, _, n = levels.shape
+    d = levels * quant.astype(np.int32)[:, :, None]
+    worst = max(int(d.max()), -int(d.min())) if d.size else 0
+    if worst > _LEVEL_LIMIT:
+        raise ParseError(f"dequantized coefficient of magnitude {worst} exceeds {_LEVEL_LIMIT}")
+    d = d.reshape(c, 8, 8, n)
+    ws = np.stack(_islow_1d(*(d[:, u] for u in range(8)), _CONST_BITS - _PASS1_BITS), axis=2)
+    out = np.stack(_islow_1d(*(ws[:, v] for v in range(8)), _CONST_BITS + _PASS1_BITS + 3), axis=2)
+    out += 128
+    return np.clip(out, 0, 255, out=out)
 
 
 @dataclass(frozen=True)
@@ -245,30 +269,21 @@ def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(out), 0, 255).astype(np.int64)
 
 
-def _build_ycc_tables():
-    # Fixed-point (16-bit scaled) chroma contribution tables, the classic
-    # baseline-decoder arithmetic; keeps this decoder bit-compatible with
-    # widespread JPEG implementations.
-    i = np.arange(256, dtype=np.int64) - 128
-    half = 1 << 15
-    crr = (91881 * i + half) >> 16            # 1.40200
-    cbb = (116130 * i + half) >> 16           # 1.77200
-    crg = -46802 * i                          # 0.71414
-    cbg = -22554 * i + half                   # 0.34414
-    return crr, cbb, crg, cbg
-
-
-_CRR, _CBB, _CRG, _CBG = _build_ycc_tables()
-
-
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
-    y = ycc[0].astype(np.int64)
-    cb = ycc[1].astype(np.int64)
-    cr = ycc[2].astype(np.int64)
-    r = y + _CRR[cr]
-    g = y + ((_CBG[cb] + _CRG[cr]) >> 16)
-    b = y + _CBB[cb]
-    return np.clip(np.stack([r, g, b]), 0, 255).astype(np.uint16)
+    """RGB of 8-bit YCbCr samples in the fixed-point (16-bit scaled) arithmetic
+    of the classic baseline decoder, which keeps this decoder bit-compatible
+    with widespread JPEG implementations.  Every term stays below 2**24, so it
+    runs in int32."""
+    y, cb, cr = np.asarray(ycc, dtype=np.int32)
+    cb = cb - 128
+    cr = cr - 128
+    half = 1 << 15
+    rgb = np.stack([
+        y + ((91881 * cr + half) >> 16),                # 1.40200
+        y + ((-22554 * cb - 46802 * cr + half) >> 16),  # 0.34414, 0.71414
+        y + ((116130 * cb + half) >> 16),               # 1.77200
+    ])
+    return np.clip(rgb, 0, 255, out=rgb).astype(np.uint16)
 
 
 def _to_blocks(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -280,11 +295,6 @@ def _to_blocks(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
     bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
     blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
     return blocks, bh, bw
-
-
-def _from_blocks(blocks: np.ndarray, bh: int, bw: int, h: int, w: int) -> np.ndarray:
-    full = blocks.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
-    return full[:h, :w]
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +572,22 @@ def decode_base(stream: bytes) -> LdrImage:
     if 3 * bh * bw * 2 > 8 * (len(stream) - _HEADER_SIZE):
         raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=_HEADER_SIZE)
     reader = _JpegBitReader(stream, _HEADER_SIZE)
-    coeff_planes = [np.zeros((bh * bw, 64), dtype=np.int64) for _ in range(3)]
+    n = bh * bw
+    # Laid out (component, natural coefficient index, block): a block's DC sits
+    # at dc_at[component] + block, its zig-zag coefficient k step[k] further.
+    levels = np.zeros(3 * 64 * n, dtype=np.int32)
+    dc_at = (0, 64 * n, 128 * n)
+    step = [int(z) * n for z in ZIGZAG]
     pred = [0, 0, 0]
-    for block_index in range(bh * bw):
+    for block_index in range(n):
         for comp, (dc_tbl, ac_tbl) in enumerate((_LUMA_MAPS, _CHROMA_MAPS, _CHROMA_MAPS)):
-            block = coeff_planes[comp][block_index]
+            at = dc_at[comp] + block_index
             size = _read_huffman(reader, dc_tbl)
             pred[comp] += _extend(reader.read(size), size)
-            block[0] = pred[comp]
+            # Checked before it is stored: DC differences add up without bound.
+            if abs(pred[comp]) > _LEVEL_LIMIT:
+                raise ParseError(f"DC level {pred[comp]} out of range", offset=reader.end_position())
+            levels[at] = pred[comp]
             k = 1
             while k < 64:
                 symbol = _read_huffman(reader, ac_tbl)
@@ -578,11 +596,15 @@ def decode_base(stream: bytes) -> LdrImage:
                 size = symbol & 0x0F
                 if size == 0:  # ZRL: the tables hold no other size-0 symbol but EOB
                     k += 16
+                    # A level must follow the sixteen zeros (T.81 F.1.2.2).
+                    if k > 63:
+                        raise ParseError("ZRL runs past coefficient 63", offset=reader.end_position())
                     continue
                 k += symbol >> 4
                 if k > 63:
                     raise ParseError("AC coefficient index overflow", offset=reader.end_position())
-                block[k] = _extend(reader.read(size), size)
+                # An AC size is at most 10, so |level| < 1024.
+                levels[at + step[k]] = _extend(reader.read(size), size)
                 k += 1
 
     reader.check_padding()
@@ -592,14 +614,10 @@ def decode_base(stream: bytes) -> LdrImage:
     if len(stream) > tail + 2:
         raise ParseError(f"{len(stream) - tail - 2} bytes after the EOI marker", offset=tail + 2)
 
-    planes = []
-    for comp in range(3):
-        dezz = np.zeros((bh * bw, 64), dtype=np.int64)
-        dezz[:, ZIGZAG] = coeff_planes[comp]
-        spatial = idct_islow_blocks(dezz.reshape(-1, 8, 8), tables.natural(chroma=comp > 0))
-        planes.append(_from_blocks(spatial, bh, bw, height, width))
-    rgb = ycbcr_to_rgb(np.stack(planes))
-    return LdrImage(rgb, bit_depth=8)
+    quant = np.stack([tables.natural(chroma=comp > 0).ravel() for comp in range(3)])
+    samples = idct_islow_blocks(levels.reshape(3, 64, n), quant)
+    ycc = samples.reshape(3, 8, 8, bh, bw).transpose(0, 3, 1, 4, 2).reshape(3, 8 * bh, 8 * bw)
+    return LdrImage(ycbcr_to_rgb(ycc[:, :height, :width]), bit_depth=8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
-from hdr2l import basejpeg
+from conftest import sparse_hdr_image
+from hdr2l import basejpeg, container, tmo
 from hdr2l.basejpeg import (
     AC_CHROMA_BITS,
     AC_CHROMA_VALUES,
@@ -279,14 +282,12 @@ def test_non_multiple_of_8_dimensions_round_trip():
 # scan writer against a per-block reference writer
 
 
-def _code_map(bits, values, ac: bool) -> dict[int, tuple[int, int]]:
+def _code_map(bits, values) -> dict[int, tuple[int, int]]:
     return {symbol: (code, length) for symbol, code, length in basejpeg._canonical_codes(bits, values)}
 
 
-_DC_ENC = (_code_map(DC_LUMA_BITS, DC_LUMA_VALUES, False),
-           _code_map(DC_CHROMA_BITS, DC_CHROMA_VALUES, False))
-_AC_ENC = (_code_map(AC_LUMA_BITS, AC_LUMA_VALUES, True),
-           _code_map(AC_CHROMA_BITS, AC_CHROMA_VALUES, True))
+_DC_ENC = (_code_map(DC_LUMA_BITS, DC_LUMA_VALUES), _code_map(DC_CHROMA_BITS, DC_CHROMA_VALUES))
+_AC_ENC = (_code_map(AC_LUMA_BITS, AC_LUMA_VALUES), _code_map(AC_CHROMA_BITS, AC_CHROMA_VALUES))
 
 
 class _JpegBitWriter:
@@ -421,6 +422,215 @@ def test_scan_matches_reference_writer_on_images(q, rng, monkeypatch):
             for image in (_gradient_ldr(width, height), LdrImage(noise, bit_depth=8)):
                 stream = encode_base(image, q)
                 assert _scan_data(stream) == _reference_scan(seen.pop()), (width, height)
+
+
+# ---------------------------------------------------------------------------
+# pixel reconstruction against an int64 oracle
+
+
+def _oracle_idct(coeffs: np.ndarray, qtab: np.ndarray) -> np.ndarray:
+    """The islow inverse DCT in int64 over (n, 8, 8) natural-order levels,
+    column by column: (n, 8, 8) samples level-shifted back to [0, 255]."""
+    d = coeffs.astype(np.int64) * qtab.astype(np.int64)
+    ws = basejpeg._islow_1d(*(d[:, r, :] for r in range(8)), basejpeg._CONST_BITS - basejpeg._PASS1_BITS)
+    out = np.empty_like(d)
+    for r in range(8):
+        row = basejpeg._islow_1d(*(ws[r][:, c] for c in range(8)), basejpeg._CONST_BITS + basejpeg._PASS1_BITS + 3)
+        for c in range(8):
+            out[:, r, c] = row[c]
+    return np.clip(out + 128, 0, 255)
+
+
+def _oracle_ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
+    """BT.601 YCbCr to RGB through int64 16-bit fixed-point chroma tables."""
+    i = np.arange(256, dtype=np.int64) - 128
+    half = 1 << 15
+    crr = (91881 * i + half) >> 16
+    cbb = (116130 * i + half) >> 16
+    crg = -46802 * i
+    cbg = -22554 * i + half
+    y, cb, cr = (ycc[c].astype(np.int64) for c in range(3))
+    rgb = np.stack([y + crr[cr], y + ((cbg[cb] + crg[cr]) >> 16), y + cbb[cb]])
+    return np.clip(rgb, 0, 255).astype(np.uint16)
+
+
+def _oracle_decode(levels: list[np.ndarray], tables, width: int, height: int) -> np.ndarray:
+    """Samples of a frame from the (blocks, 64) zig-zag levels of each
+    component: scatter to natural order, inverse DCT block by block, tile."""
+    bh, bw = (height + 7) // 8, (width + 7) // 8
+    planes = []
+    for comp in range(3):
+        natural = np.zeros((bh * bw, 64), dtype=np.int64)
+        natural[:, ZIGZAG] = levels[comp]
+        spatial = _oracle_idct(natural.reshape(-1, 8, 8), tables.natural(chroma=comp > 0))
+        planes.append(spatial.reshape(bh, bw, 8, 8).transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)[:height, :width])
+    return _oracle_ycbcr_to_rgb(np.stack(planes))
+
+
+def _stream(tables, width: int, height: int, levels: list[np.ndarray]) -> bytes:
+    """A base-layer stream that codes ``levels`` with the reference writer."""
+    return basejpeg._header(tables, width, height) + _reference_scan(levels) + basejpeg._EOI
+
+
+def _random_levels(rng, tables, blocks: int) -> list[np.ndarray]:
+    """Zig-zag levels, about a third nonzero and a tenth at the largest
+    magnitude that is codable (|AC| <= 1023, DC differences within +-2047) and
+    dequantizes to at most the decoder's limit."""
+    out = []
+    for zz in (tables.luma, tables.chroma, tables.chroma):
+        top = np.minimum(basejpeg._LEVEL_LIMIT // np.array(zz), 1023)
+        levels = rng.integers(-top, top + 1, size=(blocks, 64))
+        pick = rng.random((blocks, 64))
+        levels[pick < 0.1] = (top * rng.choice([-1, 1], size=(blocks, 64)))[pick < 0.1]
+        levels[pick > 0.35] = 0
+        out.append(levels)
+    return out
+
+
+@pytest.mark.parametrize("q", [1, 50, 80, 100])
+def test_decode_matches_int64_oracle_on_random_levels(q, rng):
+    tables = quality_to_tables(q)
+    sides = (1, 8, 9, 17, 33)
+    for width in sides:
+        for height in sides:
+            levels = _random_levels(rng, tables, ((width + 7) // 8) * ((height + 7) // 8))
+            decoded = decode_base(_stream(tables, width, height, levels))
+            assert np.array_equal(decoded.samples, _oracle_decode(levels, tables, width, height)), (width, height)
+
+
+def test_ycbcr_to_rgb_matches_oracle_on_every_triple():
+    cb, cr = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    for y in range(256):
+        ycc = np.stack([np.full_like(cb, y), cb, cr])
+        assert np.array_equal(ycbcr_to_rgb(ycc), _oracle_ycbcr_to_rgb(ycc)), y
+
+
+class _Affine:
+    """An integer IDCT intermediate as an affine form ``coef . d + const`` in
+    the 64 dequantized inputs d, give or take ``slack`` from the descales
+    before it.  Every form an operation makes is appended to ``made``."""
+
+    def __init__(self, made: list, coef: np.ndarray, const: float = 0.0, slack: float = 0.0):
+        self.made, self.coef, self.const, self.slack = made, coef, const, slack
+        made.append(self)
+
+    def bound(self, limit: int) -> float:
+        """The largest magnitude the intermediate takes with every |d| <= limit."""
+        return float(np.abs(self.coef).sum()) * limit + abs(self.const) + self.slack
+
+    def __add__(self, other):
+        if isinstance(other, _Affine):
+            return _Affine(self.made, self.coef + other.coef, self.const + other.const, self.slack + other.slack)
+        return _Affine(self.made, self.coef, self.const + other, self.slack)
+
+    def __neg__(self):
+        return _Affine(self.made, -self.coef, -self.const, self.slack)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k: int):
+        return _Affine(self.made, self.coef * k, self.const * k, self.slack * abs(k))
+
+    def __lshift__(self, n: int):
+        return self * (1 << n)
+
+    def __rshift__(self, n: int):
+        # floor(x / 2**n) lies within 1 below x / 2**n
+        return _Affine(self.made, self.coef / 2**n, self.const / 2**n, self.slack / 2**n + 1)
+
+
+def _idct_intermediates() -> list[_Affine]:
+    """Every value the two passes of ``_islow_1d`` compute, over one block."""
+    made: list[_Affine] = []
+    inputs = [_Affine(made, np.eye(64)[i]) for i in range(64)]
+    columns = [basejpeg._islow_1d(*(inputs[8 * u + v] for u in range(8)), basejpeg._CONST_BITS - basejpeg._PASS1_BITS)
+               for v in range(8)]
+    for y in range(8):
+        basejpeg._islow_1d(*(columns[v][y] for v in range(8)), basejpeg._CONST_BITS + basejpeg._PASS1_BITS + 3)
+    return made
+
+
+def test_idct_intermediates_fit_int32_at_the_level_limit():
+    bounds = [form.bound(basejpeg._LEVEL_LIMIT) for form in _idct_intermediates()]
+    assert max(bounds) < 2**31
+    # The headroom is narrow: a limit of 1200 would allow an overflow.
+    assert max(form.bound(1200) for form in _idct_intermediates()) >= 2**31
+
+
+def test_idct_matches_oracle_on_the_worst_block_of_every_intermediate():
+    signs = np.unique([np.where(form.coef < 0, -1, 1) for form in _idct_intermediates()], axis=0)
+    blocks = basejpeg._LEVEL_LIMIT * np.concatenate([signs, -signs])  # (m, 64), natural order
+    samples = basejpeg.idct_islow_blocks(blocks.T[None].astype(np.int32), np.ones((1, 64)))
+    assert np.array_equal(samples[0].transpose(2, 0, 1), _oracle_idct(blocks.reshape(-1, 8, 8), np.ones((8, 8))))
+    blocks[0, 0] = basejpeg._LEVEL_LIMIT + 1
+    with pytest.raises(ParseError, match="exceeds 1151"):
+        basejpeg.idct_islow_blocks(blocks.T[None].astype(np.int32), np.ones((1, 64)))
+
+
+def test_block_at_the_level_limit_decodes_to_the_oracle():
+    # DC step 1 and AC step 2: DC levels of +-1151 and AC levels of +-575.
+    tables = basejpeg.QuantTables(luma=(1,) + (2,) * 63, chroma=(1,) + (2,) * 63)
+    worst = max(_idct_intermediates(), key=lambda form: form.bound(1))
+    natural = np.where(worst.coef < 0, -1, 1) * np.array([basejpeg._LEVEL_LIMIT] + [575] * 63)
+    block = natural[ZIGZAG]
+    levels = [block[None], -block[None], block[None]]
+    assert np.array_equal(decode_base(_stream(tables, 8, 8, levels)).samples, _oracle_decode(levels, tables, 8, 8))
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_SCANS))
+def test_crafted_scans_decode_to_the_oracle(name):
+    levels = _crafted_levels(CRAFTED_SCANS[name])
+    tables = quality_to_tables(100)
+    width = 8 * len(CRAFTED_SCANS[name])
+    assert np.array_equal(decode_base(_stream(tables, width, 8, levels)).samples,
+                          _oracle_decode(levels, tables, width, 8))
+
+
+def test_zrl_past_coefficient_63_rejected_at_its_offset():
+    # Luma DC size 0, then four ZRLs: the fourth would end past index 63.
+    writer = _JpegBitWriter()
+    writer.write(*_DC_ENC[0][0])
+    for _ in range(4):
+        writer.write(*_AC_ENC[0][0xF0])
+    for _ in range(2):
+        writer.write(*_DC_ENC[1][0])
+        writer.write(*_AC_ENC[1][0x00])
+    stream = basejpeg._header(quality_to_tables(80), 8, 8) + writer.getvalue() + basejpeg._EOI
+    with pytest.raises(ParseError, match="ZRL runs past coefficient 63") as err:
+        decode_base(stream)
+    # 2 + 4 * 11 bits read: six data bytes, the fourth 0xFF and followed by a stuffed 0x00
+    assert err.value.offset == basejpeg._HEADER_SIZE + 7
+
+
+def _with_base(stream: bytes, jpeg: bytes) -> bytes:
+    """A container ``stream`` whose base layer is ``jpeg``, CRC recomputed."""
+    old = container.extract_ldr(stream)
+    at = stream.index(old)
+    out = bytearray(stream[: at - 4])
+    out += len(jpeg).to_bytes(4, "little") + jpeg + stream[at + len(old) : -4]
+    out += zlib.crc32(out).to_bytes(4, "little")
+    return bytes(out)
+
+
+def test_levels_beyond_the_limit_rejected_before_any_narrow_store():
+    tables = quality_to_tables(80)
+    width, blocks = 160, 20
+    drift = [np.zeros((blocks, 64), dtype=np.int64) for _ in range(3)]
+    drift[0][:, 0] = 2047 * np.arange(blocks)  # repeated DC differences of size 11
+    assert tables.luma[1] == 4
+    big_ac = [np.zeros((blocks, 64), dtype=np.int64) for _ in range(3)]
+    big_ac[0][0, 1] = 288  # 288 * 4 = 1152
+    stream = container.encode(sparse_hdr_image(width, 8), container.CodecParams(
+        mode=container.CoderMode.HP, tmo=tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=80))
+    for levels, match in ((drift, "DC level 2047 out of range"), (big_ac, "magnitude 1152 exceeds 1151")):
+        jpeg = _stream(tables, width, 8, levels)
+        for decoder, data in ((decode_base, jpeg), (container.decode, _with_base(stream, jpeg))):
+            with pytest.raises(ParseError, match=match):
+                decoder(data)
+    big_ac[0][0, 1] = 287
+    assert np.array_equal(decode_base(_stream(tables, width, 8, big_ac)).samples,
+                          _oracle_decode(big_ac, tables, width, 8))
 
 
 # ---------------------------------------------------------------------------
