@@ -552,10 +552,10 @@ def _idct_intermediates() -> list[_Affine]:
 
 
 def test_idct_intermediates_fit_int32_at_the_level_limit():
-    bounds = [form.bound(basejpeg._LEVEL_LIMIT) for form in _idct_intermediates()]
-    assert max(bounds) < 2**31
+    forms = _idct_intermediates()
+    assert max(form.bound(basejpeg._LEVEL_LIMIT) for form in forms) < 2**31
     # The headroom is narrow: a limit of 1200 would allow an overflow.
-    assert max(form.bound(1200) for form in _idct_intermediates()) >= 2**31
+    assert max(form.bound(1200) for form in forms) >= 2**31
 
 
 def test_idct_matches_oracle_on_the_worst_block_of_every_intermediate():
