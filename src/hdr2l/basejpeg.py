@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError
 from .imagio import LdrImage
-from .rescodec import _pack_fields, code_plane, decode_plane
+from .rescodec import _pack_fields, code_planes, decode_planes
 
 # Zig-zag scan: natural (row-major) index of each scan position.
 ZIGZAG = np.array([
@@ -654,7 +654,7 @@ def split_refinement(image: LdrImage) -> tuple[LdrImage, RefinementPlane]:
         return image, RefinementPlane(0, (), image.width, image.height)
     top = LdrImage(image.samples >> refine_bits, bit_depth=8)
     mask = (1 << refine_bits) - 1
-    payloads = tuple(code_plane(image.samples[c] & mask) for c in range(3))
+    payloads = code_planes(image.samples & mask)
     return top, RefinementPlane(refine_bits, payloads, image.width, image.height)
 
 
@@ -666,8 +666,6 @@ def merge_refinement(base: LdrImage, plane: RefinementPlane) -> LdrImage:
         return base
     if (base.width, base.height) != (plane.width, plane.height):
         raise ParameterError("refinement plane dimensions disagree with the base image")
-    lsbs = np.stack(
-        [decode_plane(p, plane.width, plane.height) for p in plane.payloads]
-    )
+    lsbs = decode_planes(plane.payloads, plane.width, plane.height)
     merged = (base.samples.astype(np.uint16) << plane.refine_bits) | lsbs
     return LdrImage(merged, bit_depth=8 + plane.refine_bits)

@@ -46,17 +46,22 @@ def build_table(component: np.ndarray) -> PackTable:
     arr = np.asarray(component, dtype=np.uint16)
     if arr.size == 0:
         raise IntegrityError("cannot build a pack table from an empty component")
-    return PackTable(np.unique(arr))
+    present = np.zeros(65536, dtype=bool)
+    present[arr] = True
+    return PackTable(np.flatnonzero(present))
 
 
 def pack(component: np.ndarray, table: PackTable) -> np.ndarray:
     """Replace each sample by its index in the table (uint16, in [0, K-1])."""
     arr = np.asarray(component, dtype=np.uint16)
-    idx = np.searchsorted(table.symbols, arr)
-    idx_clamped = np.minimum(idx, table.count - 1)
-    if not (table.symbols[idx_clamped] == arr).all():
+    # An absent value gathers 0xFFFF, an index no table of fewer than 65536
+    # symbols has, and a table of 65536 symbols has no absent value.
+    index_of = np.full(65536, 0xFFFF, dtype=np.uint16)
+    index_of[table.symbols] = np.arange(table.count)
+    idx = index_of[arr]
+    if arr.size and int(idx.max()) >= table.count:
         raise IntegrityError("component contains values absent from the pack table")
-    return idx.astype(np.uint16)
+    return idx
 
 
 def unpack(packed: np.ndarray, table: PackTable) -> np.ndarray:

@@ -7,6 +7,16 @@ a raster-order MED predictor followed by a partitioned Golomb-Rice code (one
 Rice parameter per block of symbols, as in FLAC); it is the in-repo stand-in
 for an arbitrary lossless image encoder.
 
+The coder works on a (p, h, w) stack of planes that share their size: the
+three planes of a residual, or the three refinement planes of the XT arm.
+:func:`code_planes` takes each plane's MED errors and gives them to
+:func:`code_plane`, the Rice layer, one payload per plane; :func:`decode_planes`
+reads every payload back with :func:`decode_plane`, then inverts MED once
+for the whole stack.  That inversion runs one anti-diagonal of all p planes
+at a time in uint16, using MED(a, b, c) = a + b - clip(c, min(a, b),
+max(a, b)): the true MED lies in [min(a, b), max(a, b)], a subset of
+[0, 65535], so the sum taken mod 2^16 is exactly the prediction.
+
 Plane payload, format version 2.  The symbols u are the MED prediction
 errors mod 2^16 in raster order, folded to 0..65535 (e < 32768 gives 2e, else
 2(65536 - e) - 1), and cut into blocks of B = 48 (the last may be shorter).
@@ -184,11 +194,12 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
     return words.astype(">u8").tobytes()[: (nbits + 7) >> 3]
 
 
-def code_plane(plane: np.ndarray) -> bytes:
-    """Losslessly encode one 2D plane of 16-bit samples.
+def code_plane(errors: np.ndarray) -> bytes:
+    """Rice-code one 2D plane of MED prediction errors mod 2^16.
 
-    Symbols are taken in raster order.  Each is the MED prediction error mod
-    2^16 (out-of-image neighbours read 0), folded to u in [0, 65535]: e < 32768
+    :func:`code_planes` computes the errors: each is a sample minus its MED
+    prediction (out-of-image neighbours read 0), mod 2^16.  Symbols are taken
+    in raster order.  Each error e is folded to u in [0, 65535]: e < 32768
     gives 2e, otherwise 2(65536 - e) - 1.  The symbols are cut into blocks of
     B = RICE_BLOCK (the last block may be shorter), and each block gets one
     nibble in the k table: ZERO_BLOCK (15) when all its symbols are 0, else the
@@ -210,12 +221,10 @@ def code_plane(plane: np.ndarray) -> bytes:
     puts no bits in either.  Given its k table, a plane has exactly one valid
     payload: :func:`decode_plane` rejects anything else, trailing bytes too.
     """
-    x = np.asarray(plane, dtype=np.uint16)
+    x = np.asarray(errors, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError(f"plane must be a non-empty 2D array, got shape {x.shape}")
-    error = (x - med_predict(x)).ravel()
-    error <<= 16
-    error >>= 16  # the error mod 2^16 as a signed 16-bit value
+    error = x.ravel().view(np.int16).astype(np.int32)  # the error as a signed 16-bit value
     u = (error << 1) ^ (error >> 31)
     ks = _block_parameters(u)
     k = np.repeat(ks, RICE_BLOCK)[: u.size]
@@ -236,43 +245,6 @@ def code_plane(plane: np.ndarray) -> bytes:
     nibbles[: ks.size] = ks
     table = (nibbles[0::2] << 4) | nibbles[1::2]
     return _UNARY_LENGTH.pack(len(unary)) + table.tobytes() + unary + remainder
-
-
-def _med_reconstruct(errors: np.ndarray) -> np.ndarray:
-    """Invert MED prediction: x = (MED(left, above, above-left) + e) mod 2^16.
-
-    A pixel depends on the previous anti-diagonal (left, above) and the one
-    before (above-left), so each anti-diagonal is reconstructed at once.  The
-    planes are stored skewed, ``skew[d + 2, i + 1] = x[i, d - i]``, which makes
-    every anti-diagonal a contiguous slice and leaves the out-of-image
-    neighbours at 0.  MED is symmetric in left and above, so a tall plane is
-    reconstructed transposed, which keeps the skewed array near 2x the plane.
-    """
-    height, width = errors.shape
-    if height > width:
-        return np.ascontiguousarray(_med_reconstruct(errors.T).T)
-    stride = height + 1
-    skew = np.zeros((height + width + 1, stride), dtype=np.int32)
-    plane = np.lib.stride_tricks.as_strided(
-        skew.reshape(-1)[2 * stride + 1 :],
-        shape=(height, width),
-        strides=((stride + 1) * skew.itemsize, stride * skew.itemsize),
-    )
-    plane[...] = errors  # each pixel holds its error until it is reconstructed
-    for d in range(height + width - 1):
-        lo = max(0, d - width + 1)
-        hi = min(d, height - 1) + 1
-        left = skew[d + 1, lo + 1 : hi + 1]
-        above = skew[d + 1, lo:hi]
-        # MED(a, b, c) = median(a, b, a + b - c)
-        guess = left + above
-        guess -= skew[d, lo:hi]
-        np.minimum(guess, np.maximum(left, above), out=guess)
-        np.maximum(guess, np.minimum(left, above), out=guess)
-        current = skew[d + 2, lo + 1 : hi + 1]
-        current += guess
-        current &= MASK
-    return plane.astype(np.uint16)
 
 
 def _decode_symbols(data: bytes, count: int) -> np.ndarray:
@@ -340,19 +312,81 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
     q |= fields
     if coded_count and q.max() > MASK:
         raise CorruptStreamError(f"decoded symbol {int(q.max())} exceeds 16-bit range")
-    symbols = np.zeros(count, dtype=np.int64)
+    symbols = np.zeros(count, dtype=np.uint16)
     symbols[coded] = q
     return symbols
 
 
 def decode_plane(data: bytes, width: int, height: int) -> np.ndarray:
-    """Exact inverse of :func:`code_plane`."""
+    """Exact inverse of :func:`code_plane`: the (h, w) uint16 MED errors mod
+    2^16.  :func:`decode_planes` turns the errors of a whole stack back into
+    samples in one uint16 wavefront (see :func:`_med_reconstruct_stack`)."""
     if width < 1 or height < 1:
         raise ParameterError(f"bad plane dimensions {width}x{height}")
     u = _decode_symbols(data, width * height)
     errors = u >> 1
-    errors ^= -(u & 1)  # unfolds to the error mod 2^16, which is all MED needs
-    return _med_reconstruct(errors.reshape(height, width))
+    errors ^= -(u & 1)  # uint16 arithmetic unfolds u to the error mod 2^16
+    return errors.reshape(height, width)
+
+
+def code_planes(planes: np.ndarray) -> tuple[bytes, ...]:
+    """Losslessly encode a (p, h, w) stack of 16-bit planes: one
+    :func:`code_plane` payload of each plane's MED errors mod 2^16."""
+    stack = np.asarray(planes, dtype=np.uint16)
+    return tuple(code_plane((plane - med_predict(plane)).astype(np.uint16)) for plane in stack)
+
+
+def _med_reconstruct_stack(errors: np.ndarray) -> np.ndarray:
+    """Invert MED prediction on a (p, h, w) uint16 stack of errors:
+    x = (MED(left, above, above-left) + e) mod 2^16 in every plane.
+
+    A pixel depends on the previous anti-diagonal (left, above) and the one
+    before (above-left), so each anti-diagonal is reconstructed at once, for
+    all p planes together.  The stack is stored skewed with the plane index
+    innermost, ``skew[d + 2, i + 1, k] = x[k, i, d - i]``, which makes every
+    anti-diagonal of the stack a contiguous slice and leaves the
+    out-of-image neighbours at 0.  MED is computed as a + b - clip(c,
+    min(a, b), max(a, b)); its true value lies in [min(a, b), max(a, b)],
+    so uint16 arithmetic, which wraps mod 2^16, gives it exactly.  MED is
+    symmetric in left and above, so a tall stack is reconstructed
+    transposed, which keeps the skewed array near 2x the stack.
+    """
+    planes, height, width = errors.shape
+    if height > width:
+        flipped = _med_reconstruct_stack(errors.transpose(0, 2, 1))
+        return np.ascontiguousarray(flipped.transpose(0, 2, 1))
+    stride = height + 1
+    skew = np.zeros((height + width + 1, stride, planes), dtype=np.uint16)
+    item = skew.itemsize
+    stack = np.lib.stride_tricks.as_strided(
+        skew.reshape(-1)[(2 * stride + 1) * planes :],
+        shape=(planes, height, width),
+        strides=(item, (stride + 1) * planes * item, stride * planes * item),
+    )
+    stack[...] = errors  # each pixel holds its error until it is reconstructed
+    for d in range(height + width - 1):
+        lo = max(0, d - width + 1)
+        hi = min(d, height - 1) + 1
+        left = skew[d + 1, lo + 1 : hi + 1]
+        above = skew[d + 1, lo:hi]
+        clipped = np.minimum(left, above)
+        np.maximum(clipped, skew[d, lo:hi], out=clipped)
+        np.minimum(clipped, np.maximum(left, above), out=clipped)
+        current = skew[d + 2, lo + 1 : hi + 1]
+        current += left
+        current += above
+        current -= clipped
+    return stack.copy()
+
+
+def decode_planes(payloads: list[bytes] | tuple[bytes, ...], width: int, height: int) -> np.ndarray:
+    """Exact inverse of :func:`code_planes`: the (p, h, w) uint16 stack.
+
+    Every payload is decoded, and so checked to hold a plane of this size,
+    before the skewed stack is allocated: allocation stays bounded by the
+    payloads.
+    """
+    return _med_reconstruct_stack(np.stack([decode_plane(data, width, height) for data in payloads]))
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +407,16 @@ def encode_residual(raw_planes: np.ndarray, use_packing: bool) -> bytes:
     raw = np.asarray(raw_planes, dtype=np.uint16)
     if raw.ndim != 3 or raw.shape[0] != 3:
         raise ParameterError(f"residual must have shape (3, h, w), got {raw.shape}")
-    transformed = color_transform_fwd(raw)
+    planes = color_transform_fwd(raw)
+    tables = [build_table(plane) for plane in planes] if use_packing else []
+    for plane, table in zip(planes, tables):
+        plane[...] = pack(plane, table)
     out = bytearray()
-    for plane in transformed:
+    for index, payload in enumerate(code_planes(planes)):
         if use_packing:
-            table = build_table(plane)
-            payload = code_plane(pack(plane, table))
-            table_bytes = serialize_table(table)
-            out += PLANE_HEADER.pack(table.count, len(payload))
-            out += table_bytes
+            out += PLANE_HEADER.pack(tables[index].count, len(payload))
+            out += serialize_table(tables[index])
         else:
-            payload = code_plane(plane)
             out += PLANE_HEADER.pack(0, len(payload))
         out += payload
     return bytes(out)
@@ -428,10 +461,9 @@ def split_residual_sections(data: bytes, packed: bool) -> tuple[PlaneSection, ..
 
 def decode_residual(data: bytes, width: int, height: int, packed: bool) -> np.ndarray:
     """Exact inverse of :func:`encode_residual`; returns (3, h, w) uint16."""
-    planes = []
-    for section in split_residual_sections(data, packed):
-        plane = decode_plane(section.payload, width, height)
+    sections = split_residual_sections(data, packed)
+    planes = decode_planes([section.payload for section in sections], width, height)
+    for plane, section in zip(planes, sections):
         if section.table is not None:
-            plane = unpack(plane, section.table)
-        planes.append(plane)
-    return color_transform_inv(np.stack(planes))
+            plane[...] = unpack(plane, section.table)
+    return color_transform_inv(planes)

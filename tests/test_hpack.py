@@ -34,6 +34,36 @@ def test_pack_rejects_missing_symbol():
         pack(np.array([0, 7000], dtype=np.uint16), t)
 
 
+def _unique_oracle(component: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table and the packed indices by sorting: ``np.unique`` and
+    ``searchsorted``."""
+    symbols = np.unique(component)
+    return symbols, np.searchsorted(symbols, component).astype(np.uint16)
+
+
+@pytest.mark.parametrize("kind", ["single", "full", "sparse", "dense"])
+def test_build_table_and_pack_match_sorting_oracle(kind, rng):
+    component = {
+        "single": np.full((5, 7), 40000, dtype=np.uint16),
+        "full": rng.permutation(65536).astype(np.uint16).reshape(256, 256),
+        "sparse": rng.choice(rng.integers(0, 65536, size=40), size=(30, 50)).astype(np.uint16),
+        "dense": rng.integers(0, 65536, size=(200, 300)).astype(np.uint16),
+    }[kind]
+    symbols, indices = _unique_oracle(component)
+    table = build_table(component)
+    assert table.symbols.dtype == np.uint16
+    assert np.array_equal(table.symbols, symbols)
+    packed = pack(component, table)
+    assert packed.dtype == np.uint16
+    assert np.array_equal(packed, indices)
+    absent = np.setdiff1d(np.arange(65536), symbols)
+    for value in absent[[0, -1]] if absent.size else ():
+        bad = component.copy()
+        bad[-1, -1] = value
+        with pytest.raises(IntegrityError, match="absent"):
+            pack(bad, table)
+
+
 def test_unpack_examples():
     t = PackTable(np.array([0, 5, 1000], dtype=np.uint16))
     assert unpack(np.array([0, 1, 1, 2], dtype=np.uint16), t).tolist() == [0, 5, 5, 1000]

@@ -17,10 +17,12 @@ from hdr2l.rescodec import (
     ZERO_BLOCK,
     apply_residual,
     code_plane,
+    code_planes,
     color_transform_fwd,
     color_transform_inv,
     compute_residual,
     decode_plane,
+    decode_planes,
     decode_residual,
     encode_residual,
     med_predict,
@@ -284,9 +286,9 @@ def _reference_planes() -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("name,plane", _reference_planes().items())
 def test_plane_coder_matches_reference(name, plane):
     height, width = plane.shape
-    payload = code_plane(plane)
+    payload = code_planes(plane[None])[0]
     assert payload == _ref_code_plane(plane)
-    decoded = decode_plane(payload, width, height)
+    decoded = decode_planes([payload], width, height)[0]
     assert decoded.dtype == np.uint16
     assert np.array_equal(decoded, plane)
     assert np.array_equal(_ref_decode_plane(payload, width, height), plane)
@@ -299,7 +301,7 @@ def test_plane_coder_matches_reference(name, plane):
 def test_reference_planes_reach_the_format_corners():
     def k_table(name):
         plane = _reference_planes()[name]
-        payload = code_plane(plane)
+        payload = code_planes(plane[None])[0]
         blocks = -(-plane.size // B)
         return [n for byte in payload[4 : 4 + (blocks + 1) // 2] for n in (byte >> 4, byte & 0xF)][:blocks]
 
@@ -322,7 +324,7 @@ def test_code_plane_all_zero_plane_is_header_and_k_table():
 def test_decode_plane_truncations_raise_only_corrupt_stream(name):
     plane = _reference_planes()[name][:8, :8]
     height, width = plane.shape
-    payload = code_plane(plane)
+    payload = code_planes(plane[None])[0]
     for cut in range(len(payload)):
         with pytest.raises(CorruptStreamError):
             decode_plane(payload[:cut], width, height)
@@ -346,7 +348,7 @@ def _payload(k_nibbles: list[int], unary_bits: str, remainder_bits: str) -> byte
 def test_payload_builder_matches_codec():
     # Under k = 0, u = 8 is escaped: E zeros, the stop bit, then 16 bits of u.
     plane = _row_of_symbols([8] + [0] * (B - 1))
-    assert code_plane(plane) == _payload([0], "0" * E + "1" * B, f"{8:016b}")
+    assert code_planes(plane[None])[0] == _payload([0], "0" * E + "1" * B, f"{8:016b}")
 
 
 @pytest.mark.parametrize(
@@ -403,6 +405,13 @@ def test_decode_plane_rejects_size_the_payload_cannot_hold_before_allocating():
 
     assert _peak_bytes(short_unary) < 1 << 20
 
+    # A stack decodes every payload before anything of the stack's size exists.
+    def short_stack():
+        with pytest.raises(CorruptStreamError, match="cannot hold the k table"):
+            decode_planes([b"\xff"] * 3, 4096, 4096)
+
+    assert _peak_bytes(short_stack) < 1 << 20
+
 
 def test_med_predictor_branches():
     # a=left, b=above, c=above-left; build a plane that exercises a=1, b=2, c=0.
@@ -415,10 +424,94 @@ def test_med_predictor_branches():
     assert med_predict(plane3)[1, 1] == 1 + 3 - 2  # otherwise a + b - c
 
 
+# MED inversion of a stack.  The per-plane int32 wavefront below is the
+# oracle that the uint16 stack wavefront of ``decode_planes`` must match.
+
+
+def _med_reconstruct(errors: np.ndarray) -> np.ndarray:
+    """Invert MED prediction on one plane in int32:
+    x = (MED(left, above, above-left) + e) mod 2^16, one anti-diagonal at a
+    time in a skewed array, ``skew[d + 2, i + 1] = x[i, d - i]``; a tall
+    plane is reconstructed transposed."""
+    height, width = errors.shape
+    if height > width:
+        return np.ascontiguousarray(_med_reconstruct(errors.T).T)
+    stride = height + 1
+    skew = np.zeros((height + width + 1, stride), dtype=np.int32)
+    plane = np.lib.stride_tricks.as_strided(
+        skew.reshape(-1)[2 * stride + 1 :],
+        shape=(height, width),
+        strides=((stride + 1) * skew.itemsize, stride * skew.itemsize),
+    )
+    plane[...] = errors
+    for d in range(height + width - 1):
+        lo = max(0, d - width + 1)
+        hi = min(d, height - 1) + 1
+        left = skew[d + 1, lo + 1 : hi + 1]
+        above = skew[d + 1, lo:hi]
+        # MED(a, b, c) = median(a, b, a + b - c)
+        guess = left + above
+        guess -= skew[d, lo:hi]
+        np.minimum(guess, np.maximum(left, above), out=guess)
+        np.maximum(guess, np.minimum(left, above), out=guess)
+        current = skew[d + 2, lo + 1 : hi + 1]
+        current += guess
+        current &= MASK
+    return plane.astype(np.uint16)
+
+
+def _stack_errors(kind: str, planes: int, shape: tuple[int, int]) -> np.ndarray:
+    """A (planes, h, w) stack of MED errors mod 2^16; the planes differ, so a
+    mix-up of planes shows."""
+    rng = np.random.default_rng(2024)
+    checker = np.indices((planes,) + shape).sum(axis=0) % 2
+    if kind == "random":
+        return rng.integers(0, 65536, size=(planes,) + shape).astype(np.uint16)
+    if kind == "checker-0-ffff":
+        return (checker * 0xFFFF).astype(np.uint16)
+    if kind == "checker-0-8000":
+        return (checker * 0x8000).astype(np.uint16)
+    spikes = np.zeros((planes,) + shape, dtype=np.uint16)
+    at = rng.random(spikes.shape) < 0.03
+    spikes[at] = rng.integers(1, 65536, size=int(at.sum()))
+    spikes.reshape(planes, -1)[:, -1] = 0xFFFF  # at least one spike per plane
+    return spikes
+
+
+@pytest.mark.parametrize("kind", ["random", "checker-0-ffff", "checker-0-8000", "spikes"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 300), (300, 1), (7, 300), (300, 7), (48, 48)])
+@pytest.mark.parametrize("planes", [1, 3])
+def test_plane_stack_matches_per_plane_oracle(planes, shape, kind):
+    height, width = shape
+    errors = _stack_errors(kind, planes, shape)
+    stack = np.stack([_med_reconstruct(plane) for plane in errors])
+    payloads = code_planes(stack)
+    assert len(payloads) == planes
+    for payload, plane_errors in zip(payloads, errors):
+        assert np.array_equal(decode_plane(payload, width, height), plane_errors)
+    decoded = decode_planes(payloads, width, height)
+    assert decoded.dtype == np.uint16
+    assert decoded.shape == (planes, height, width)
+    assert np.array_equal(decoded, stack)
+
+
+def test_med_clip_form_matches_median_mod_2_16(rng):
+    # MED(a, b, c) = a + b - clip(c, min(a, b), max(a, b)), taken in uint16,
+    # equals median(a, b, a + b - c) taken over the integers.
+    values = np.concatenate([np.arange(16), [32767, 32768, 32769, 65533, 65534, 65535]])
+    grid = np.stack(np.meshgrid(values, values, values, indexing="ij")).reshape(3, -1)
+    for a, b, c in (grid, rng.integers(0, 65536, size=(3, 200_000))):
+        exact = np.median(np.stack([a, b, a + b - c]).astype(np.int64), axis=0).astype(np.int64)
+        a16, b16, c16 = (v.astype(np.uint16) for v in (a, b, c))
+        clip = np.minimum(np.maximum(c16, np.minimum(a16, b16)), np.maximum(a16, b16))
+        assert np.array_equal(a16 + b16 - clip, exact.astype(np.uint16))
+        assert ((exact >= 0) & (exact <= MASK)).all()
+
+
 def test_code_plane_round_trip_random(rng):
     for shape in ((1, 1), (1, 17), (9, 1), (13, 11), (32, 32)):
         plane = rng.integers(0, 65536, size=shape).astype(np.uint16)
-        assert np.array_equal(decode_plane(code_plane(plane), shape[1], shape[0]), plane)
+        assert np.array_equal(decode_planes(code_planes(plane[None]), shape[1], shape[0])[0], plane)
 
 
 def test_code_plane_round_trip_adversarial():
@@ -430,19 +523,19 @@ def test_code_plane_round_trip_adversarial():
         np.arange(256, dtype=np.uint16).reshape(16, 16),
     ]
     for plane in cases:
-        assert np.array_equal(decode_plane(code_plane(plane), 16, 16), plane)
+        assert np.array_equal(decode_planes(code_planes(plane[None]), 16, 16)[0], plane)
 
 
 def test_code_plane_round_trip_sparse_packed(rng):
     raw = rng.choice(np.arange(0, 65536, 256, dtype=np.uint16), size=(24, 24))
     table = build_table(raw)
     packed = pack(raw, table)
-    assert np.array_equal(decode_plane(code_plane(packed), 24, 24), packed)
+    assert np.array_equal(decode_planes(code_planes(packed[None]), 24, 24)[0], packed)
 
 
 def test_decode_plane_truncation_raises():
     plane = np.arange(64, dtype=np.uint16).reshape(8, 8) * 977
-    payload = code_plane(plane)
+    payload = code_planes(plane[None])[0]
     with pytest.raises(CorruptStreamError):
         decode_plane(payload[: len(payload) // 2], 8, 8)
 
