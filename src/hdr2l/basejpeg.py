@@ -9,10 +9,11 @@ accepts exactly the header :func:`encode_base` writes for the tables and size
 the stream holds, decodes the scan with the standard Huffman tables, and
 reports the byte offset of any corruption.
 
-The decoder stores the levels of a stream coefficient-major, as one int32
+The decoder stores the levels of a stream coefficient-major, as one int16
 (3, 64, blocks) array in natural order, so that each coefficient of every
-block of a component is one contiguous row.  The inverse DCT and the colour
-conversion then run in int32 over whole rows.  That is exact because the
+block of a component is one contiguous row.  The inverse DCT then runs in
+int32 over whole rows, one component at a time into a uint8 YCbCr image, and
+the colour conversion writes one RGB plane at a time.  That is exact because the
 decoder rejects any dequantized coefficient |level * q| above 1151: a DCT
 coefficient of samples in [-128, 127] is at most 1024 in magnitude, and
 rounding it to a multiple of q <= 255 adds at most 127, so every stream of
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError
 from .imagio import LdrImage
-from .rescodec import _pack_fields, code_planes, decode_planes
+from .rescodec import _LOW_BITS, _pack_fields, code_planes, decode_planes
 
 # Zig-zag scan: natural (row-major) index of each scan position.
 ZIGZAG = np.array([
@@ -207,7 +208,7 @@ _LEVEL_LIMIT = 1024 + 255 // 2
 def idct_islow_blocks(levels: np.ndarray, quant: np.ndarray) -> np.ndarray:
     """Dequantize and inverse transform with the scaled-integer algorithm.
 
-    Input: (c, 64, n) int32 quantized levels, coefficient-major in natural
+    Input: (c, 64, n) int16 or int32 quantized levels, coefficient-major in natural
     order (row 8u + v of a component holds coefficient (u, v) of its n
     blocks), and the (c, 64) natural-order quantization tables.  Output:
     (c, 8, 8, n) int32 samples already level-shifted back to [0, 255], indexed
@@ -260,41 +261,62 @@ def quality_to_tables(q: int) -> QuantTables:
 # Color conversion (BT.601 full range, rounded)
 
 
+# Per YCbCr component: the R, G and B weights and the offset.  A subtracted
+# term is added with a negated weight, which is the same IEEE operation.
+_YCBCR_ROWS = (
+    (0.299, 0.587, 0.114, 0.0),
+    (-0.168736, -0.331264, 0.5, 128.0),
+    (0.5, -0.418688, -0.081312, 128.0),
+)
+
+
 def rgb_to_ycbcr(rgb: np.ndarray) -> np.ndarray:
-    r, g, b = (rgb[i].astype(np.float64) for i in range(3))
-    y = 0.299 * r + 0.587 * g + 0.114 * b
-    cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
-    cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
-    out = np.stack([y, cb, cr])
-    return np.clip(np.rint(out), 0, 255).astype(np.int64)
+    """(3, h, w) uint8 YCbCr of (3, h, w) 8-bit RGB samples: per component,
+    round(wr * R + wg * G + wb * B + offset) clipped to [0, 255], summed left
+    to right in float64, one component at a time."""
+    r, g, b = rgb
+    ycc = np.empty(np.shape(rgb), dtype=np.uint8)
+    acc = np.empty(ycc.shape[1:])
+    term = np.empty_like(acc)
+    for out, (wr, wg, wb, offset) in zip(ycc, _YCBCR_ROWS):
+        np.multiply(wr, r, out=acc)
+        acc += np.multiply(wg, g, out=term)
+        acc += np.multiply(wb, b, out=term)
+        acc += offset
+        np.rint(acc, out=acc)
+        out[...] = np.clip(acc, 0, 255, out=acc)
+    return ycc
+
+
+def _store_channel(out: np.ndarray, y: np.ndarray, term: np.ndarray) -> None:
+    """out = clip(y + ((term + 2**15) >> 16), 0, 255), computed in ``term``."""
+    term += 1 << 15
+    term >>= 16
+    term += y
+    out[...] = np.clip(term, 0, 255, out=term)
 
 
 def ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
     """RGB of 8-bit YCbCr samples in the fixed-point (16-bit scaled) arithmetic
     of the classic baseline decoder, which keeps this decoder bit-compatible
     with widespread JPEG implementations.  Every term stays below 2**24, so it
-    runs in int32."""
-    y, cb, cr = np.asarray(ycc, dtype=np.int32)
-    cb = cb - 128
-    cr = cr - 128
-    half = 1 << 15
-    rgb = np.stack([
-        y + ((91881 * cr + half) >> 16),                # 1.40200
-        y + ((-22554 * cb - 46802 * cr + half) >> 16),  # 0.34414, 0.71414
-        y + ((116130 * cb + half) >> 16),               # 1.77200
-    ])
-    return np.clip(rgb, 0, 255, out=rgb).astype(np.uint16)
+    runs in int32, one (h, w) uint16 output plane at a time."""
+    y, cb, cr = ycc
+    cb = np.subtract(cb, 128, dtype=np.int32)
+    cr = np.subtract(cr, 128, dtype=np.int32)
+    rgb = np.empty(np.shape(ycc), dtype=np.uint16)
+    _store_channel(rgb[0], y, 91881 * cr)  # 1.40200
+    _store_channel(rgb[1], y, -22554 * cb - 46802 * cr)  # 0.34414, 0.71414
+    _store_channel(rgb[2], y, 116130 * cb)  # 1.77200
+    return rgb
 
 
-def _to_blocks(plane: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _to_blocks(plane: np.ndarray) -> np.ndarray:
     """Edge-pad a plane to multiples of 8 and split into (n, 8, 8) blocks."""
     h, w = plane.shape
-    ph = (-h) % 8
-    pw = (-w) % 8
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
+    padded = np.pad(plane, ((0, (-h) % 8), (0, (-w) % 8)), mode="edge")
     bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
-    blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
-    return blocks, bh, bw
+    return padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +355,13 @@ _ZRL = 0xF0
 
 
 def _magnitude(levels: np.ndarray) -> np.ndarray:
-    """(bits, size) rows of levels: the bit length of each level, and its low
-    bits, in ones'-complement form for a negative level."""
-    size = np.frexp(levels)[1]
-    return np.stack([(levels - (levels < 0)) & ((1 << size) - 1), size], axis=1)
+    """(bits, size) uint16 rows of levels: the bit length of each level, and
+    its low bits, in ones'-complement form for a negative level."""
+    out = np.empty((levels.size, 2), dtype=np.uint16)
+    out[:, 1] = np.frexp(levels)[1]
+    out[:, 0] = levels - (levels < 0)
+    out[:, 0] &= _LOW_BITS[out[:, 1]]
+    return out
 
 
 def _scan_fields(levels: list[np.ndarray]) -> np.ndarray:
@@ -355,30 +380,42 @@ def _scan_fields(levels: list[np.ndarray]) -> np.ndarray:
     units = np.stack(levels, axis=1)
     units[:, :, 0] = np.diff(units[:, :, 0], axis=0, prepend=0)
     units = units.reshape(-1, 64)
-    n = units.shape[0]
+    n = units.shape[0]  # at most 3 * 8192**2 units: int32 counts them
     table = np.minimum(np.arange(n) % 3, 1).astype(np.uint8)
-    unit, k = np.nonzero(units[:, 1:])
-    unit, k = unit.astype(np.int32), k.astype(np.uint8) + 1
+    unit = np.flatnonzero(units[:, 1:])
+    k = (unit % 63).astype(np.uint8) + 1
+    unit //= 63
+    unit = unit.astype(np.int32)
     ac_levels = units[unit, k]
+    dc = _magnitude(units[:, 0])
+    del units
     prev = np.roll(k, 1)
-    prev[np.diff(unit, prepend=-1) != 0] = 0
+    prev[:1] = 0
+    prev[1:][unit[1:] != unit[:-1]] = 0
     run = k - prev - 1
+    del prev
     zrls = run >> 4  # a run is at most 62 zeros: up to three ZRLs
     eob = np.ones(n, dtype=bool)
     eob[unit[k == 63]] = False
-    ac_fields = zrls + 2
-    unit_ac = np.bincount(unit, ac_fields, n).astype(np.int64)
+    del k
+    # Two AC fields per level, and its ZRLs, which few levels have.
+    has_zrl = zrls > 0
+    unit_ac = np.bincount(unit[has_zrl], zrls[has_zrl], n).astype(np.int64)
+    unit_ac += 2 * np.diff(np.searchsorted(unit, np.arange(n + 1, dtype=np.int32)))
     # A field's offset counts the DC pairs, EOBs and AC fields before it; a
     # level's symbol is the last but one of its AC fields.
-    eob_before = np.cumsum(eob) - eob
+    eob_before = (np.cumsum(eob) - eob).astype(np.int32)
     dc_at = 2 * np.arange(n) + eob_before + np.cumsum(unit_ac) - unit_ac
-    ac_at = np.cumsum(ac_fields, dtype=np.int64) + 2 * unit + eob_before[unit]
+    ac_at = np.cumsum(zrls + 2, dtype=np.int64)
+    ac_at += unit
+    ac_at += unit
+    ac_at += eob_before[unit]
+    level_table = table[unit]
+    del unit
     fields = np.zeros((dc_at[-1] + 2 + unit_ac[-1] + eob[-1] + 1, 2), dtype=np.uint16)
-    dc = _magnitude(units[:, 0])
     fields[dc_at] = _DC_CODES[table, dc[:, 1]]
     fields[dc_at + 1] = dc
     fields[(dc_at + 2 + unit_ac)[eob]] = _AC_CODES[table[eob], _EOB]
-    level_table = table[unit]
     for i in range(1, 4):
         zrl = zrls >= i
         fields[ac_at[zrl] - i] = _AC_CODES[level_table[zrl], _ZRL]
@@ -406,15 +443,18 @@ def encode_base(image: LdrImage, q: int) -> bytes:
         raise ParameterError(f"unencodable dimensions {image.width}x{image.height}")
     tables = quality_to_tables(q)
     ycc = rgb_to_ycbcr(image.samples)
-
-    quantized = []
-    for comp in range(3):
-        blocks, _, _ = _to_blocks(ycc[comp].astype(np.float64) - 128.0)
-        coeffs = forward_dct_blocks(blocks)
-        qtab = tables.natural(chroma=comp > 0)
-        # |level| <= 1024 and a DC difference lies within +-2047: int16 holds both.
-        quantized.append(np.rint(coeffs / qtab).astype(np.int16).reshape(-1, 64)[:, ZIGZAG])
+    quantized = [_quantize(ycc[comp], tables.natural(chroma=comp > 0)) for comp in range(3)]
+    del ycc
     return _header(tables, image.width, image.height) + _entropy_code(quantized) + _EOI
+
+
+def _quantize(samples: np.ndarray, qtab: np.ndarray) -> np.ndarray:
+    """(blocks, 64) int16 zig-zag ordered levels of one component's 8-bit
+    samples under the (8, 8) natural-order quantization table ``qtab``."""
+    coeffs = forward_dct_blocks(_to_blocks(np.subtract(samples, 128.0)))
+    coeffs /= qtab
+    # |level| <= 1024 and a DC difference lies within +-2047: int16 holds both.
+    return np.rint(coeffs, out=coeffs).astype(np.int16).reshape(-1, 64)[:, ZIGZAG]
 
 
 def _segment(marker: int, payload: bytes) -> bytes:
@@ -575,7 +615,8 @@ def decode_base(stream: bytes) -> LdrImage:
     n = bh * bw
     # Laid out (component, natural coefficient index, block): a block's DC sits
     # at dc_at[component] + block, its zig-zag coefficient k step[k] further.
-    levels = np.zeros(3 * 64 * n, dtype=np.int32)
+    # Every stored level is within +-1151, so int16 holds it.
+    levels = np.zeros(3 * 64 * n, dtype=np.int16)
     dc_at = (0, 64 * n, 128 * n)
     step = [int(z) * n for z in ZIGZAG]
     pred = [0, 0, 0]
@@ -614,9 +655,15 @@ def decode_base(stream: bytes) -> LdrImage:
     if len(stream) > tail + 2:
         raise ParseError(f"{len(stream) - tail - 2} bytes after the EOI marker", offset=tail + 2)
 
-    quant = np.stack([tables.natural(chroma=comp > 0).ravel() for comp in range(3)])
-    samples = idct_islow_blocks(levels.reshape(3, 64, n), quant)
-    ycc = samples.reshape(3, 8, 8, bh, bw).transpose(0, 3, 1, 4, 2).reshape(3, 8 * bh, 8 * bw)
+    # One component at a time: its (8, 8, n) samples go straight into the
+    # (component, block row, row, block column, column) uint8 image.
+    levels = levels.reshape(3, 64, n)
+    ycc = np.empty((3, bh, 8, bw, 8), dtype=np.uint8)
+    for comp in range(3):
+        quant = tables.natural(chroma=comp > 0).reshape(1, 64)
+        samples = idct_islow_blocks(levels[comp : comp + 1], quant)
+        ycc[comp] = samples[0].reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
+    ycc = ycc.reshape(3, 8 * bh, 8 * bw)
     return LdrImage(ycbcr_to_rgb(ycc[:, :height, :width]), bit_depth=8)
 
 

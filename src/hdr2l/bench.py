@@ -222,8 +222,9 @@ def _step_wedge_scene(size: int, rng: np.random.Generator) -> HdrImage:
 def _score_pair(hdr: HdrImage, params, refine_bits: int, stream: bytes) -> tuple[float | None, float | None]:
     if min(hdr.width, hdr.height) < TMQI_MIN_SIDE:
         return None, None
-    bound = bind_image_stats(params, luminance(hdr))
-    pre8, _ = split_refinement(tonemap(hdr, bound, refine_bits))
+    lum = luminance(hdr)
+    bound = bind_image_stats(params, lum)
+    pre8, _ = split_refinement(tonemap(hdr, lum, bound, refine_bits))
     decoded8 = decode_base(container.extract_ldr(stream))
     return (
         score_tmqi(hdr, pre8).q_overall,

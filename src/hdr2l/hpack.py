@@ -74,44 +74,56 @@ def unpack(packed: np.ndarray, table: PackTable) -> np.ndarray:
     return table.symbols[arr]
 
 
+# A varint of a table holds at most four bytes (28 bits); its first three may
+# carry the continuation bit, a fourth may not.
+_VARINT_BYTES = 4
+
+
 def serialize_table(table: PackTable) -> bytes:
     """K as u32 LE, then per symbol the gap to its predecessor minus one as a
-    LEB128 varint (the first symbol's predecessor is taken to be -1)."""
-    symbols = table.symbols.astype(np.int64)
-    gaps = np.diff(symbols, prepend=-1) - 1
-    out = bytearray(int(table.count).to_bytes(4, "little"))
-    for g in gaps.tolist():
-        while g >= 0x80:
-            out.append((g & 0x7F) | 0x80)
-            g >>= 7
-        out.append(g)
-    return bytes(out)
+    LEB128 varint (the first symbol's predecessor is taken to be -1).  A gap
+    is below 2^16, so its varint has one to three bytes."""
+    gaps = np.diff(table.symbols.astype(np.int64), prepend=-1) - 1
+    sizes = 1 + (gaps >= 1 << 7) + (gaps >= 1 << 14)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(int(sizes.sum()), dtype=np.uint8)
+    for j in range(3):  # byte j of every varint that has one
+        has = sizes > j
+        out[starts[has] + j] = ((gaps[has] >> 7 * j) & 0x7F) | np.where(sizes[has] > j + 1, 0x80, 0)
+    return int(table.count).to_bytes(4, "little") + out.tobytes()
 
 
 def read_table(data: bytes, pos: int) -> tuple[PackTable, int]:
-    """Parse one serialized table starting at ``pos``; returns (table, end)."""
+    """Parse one serialized table starting at ``pos``; returns (table, end).
+
+    Errors carry the offset a byte-at-a-time reader stops at: the end of the
+    data for a truncated varint, the byte after the fourth for a varint that
+    does not end there, and the end of the table for a symbol past 0xFFFF."""
     if len(data) - pos < 4:
         raise ParseError("truncated pack table header", offset=pos)
     count = int.from_bytes(data[pos : pos + 4], "little")
     pos += 4
     if count == 0 or count > 65536:
         raise ParseError(f"pack table symbol count {count} out of range", offset=pos - 4)
-    gaps = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        value = 0
-        shift = 0
-        while True:
-            if pos >= len(data):
-                raise ParseError("truncated pack table varint", offset=pos)
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                break
-            shift += 7
-            if shift > 21:
-                raise ParseError("oversized pack table varint", offset=pos)
-        gaps[i] = value
+    # Only the first count * 4 bytes can hold the table.
+    window = np.frombuffer(data, np.uint8, min(len(data) - pos, _VARINT_BYTES * count), pos)
+    ends = np.flatnonzero(window < 0x80)[:count]  # the last byte of each varint
+    starts = np.zeros(ends.size, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    sizes = ends - starts + 1
+    over = np.flatnonzero(sizes > _VARINT_BYTES)
+    if over.size:
+        raise ParseError("oversized pack table varint", offset=pos + int(starts[over[0]]) + _VARINT_BYTES)
+    if ends.size < count:  # varint ends.size has no last byte in the window
+        start = int(ends[-1]) + 1 if ends.size else 0
+        if window.size - start >= _VARINT_BYTES:
+            raise ParseError("oversized pack table varint", offset=pos + start + _VARINT_BYTES)
+        raise ParseError("truncated pack table varint", offset=len(data))
+    gaps = np.zeros(count, dtype=np.int64)
+    for j in range(_VARINT_BYTES):  # byte j of every varint that has one
+        has = sizes > j
+        gaps[has] |= (window[starts[has] + j].astype(np.int64) & 0x7F) << 7 * j
+    pos += int(ends[-1]) + 1
     symbols = np.cumsum(gaps + 1) - 1
     if symbols[-1] > 0xFFFF:
         raise ParseError("pack table symbol exceeds 16-bit range", offset=pos)

@@ -165,10 +165,18 @@ class LdrImage:
 
 
 def luminance(image: HdrImage) -> np.ndarray:
-    """BT.709 luminance of the decoded linear values, float64 (h, w)."""
-    rgb = image.linear()
-    w = LUMA_WEIGHTS
-    return w[0] * rgb[0] + w[1] * rgb[1] + w[2] * rgb[2]
+    """BT.709 luminance of the decoded linear values, float64 (h, w).
+
+    The weighted channels are summed left to right, one decoded channel at a
+    time, so at most two float64 planes exist at once."""
+    lum = half_decode_array(image.samples[0])
+    lum *= LUMA_WEIGHTS[0]
+    for weight, plane in zip(LUMA_WEIGHTS[1:], image.samples[1:]):
+        term = half_decode_array(plane)
+        term *= weight
+        lum += term
+        del term  # before the next channel is decoded
+    return lum
 
 
 def _normalize_linear(values: np.ndarray, where: str) -> np.ndarray:

@@ -108,17 +108,19 @@ def color_transform_inv(planes: np.ndarray) -> np.ndarray:
 
 
 def med_predict(plane: np.ndarray) -> np.ndarray:
-    """Vectorized MED prediction; out-of-image neighbors read 0."""
-    x = np.asarray(plane, dtype=np.int32)
-    padded = np.zeros((x.shape[0] + 1, x.shape[1] + 1), dtype=np.int32)
+    """Vectorized MED prediction of a 16-bit plane, uint16; out-of-image
+    neighbors read 0.  Computed as a + b - clip(c, min(a, b), max(a, b)) in
+    uint16, which wraps to the true MED (see the module docstring)."""
+    x = np.asarray(plane, dtype=np.uint16)
+    padded = np.zeros((x.shape[0] + 1, x.shape[1] + 1), dtype=np.uint16)
     padded[1:, 1:] = x
     left = padded[1:, :-1]
     above = padded[:-1, 1:]
-    # MED(a, b, c) = median(a, b, a + b - c)
+    clipped = np.minimum(left, above)
+    np.maximum(clipped, padded[:-1, :-1], out=clipped)
+    np.minimum(clipped, np.maximum(left, above), out=clipped)
     guess = left + above
-    guess -= padded[:-1, :-1]
-    np.minimum(guess, np.maximum(left, above), out=guess)
-    np.maximum(guess, np.minimum(left, above), out=guess)
+    guess -= clipped
     return guess
 
 
@@ -131,13 +133,16 @@ def _threshold_columns() -> tuple[np.ndarray, np.ndarray]:
     MASK maps to the extra column of zeros.
     """
     thresholds = np.arange(1, RICE_ESCAPE_QUOTIENT + 1) << np.arange(RICE_MAX_K + 1)[:, None]
-    edges = np.unique(thresholds[thresholds <= MASK])
-    bin_of = np.searchsorted(edges, np.arange(MASK + 1), side="right").astype(np.uint8)
-    columns = np.where(thresholds <= MASK, bin_of[np.minimum(thresholds, MASK)], edges.size + 1)
+    fits = thresholds <= MASK
+    is_edge = np.zeros(MASK + 1, dtype=bool)
+    is_edge[thresholds[fits]] = True
+    bin_of = np.cumsum(is_edge).astype(np.uint8)  # the count of edges at or below u
+    columns = np.where(fits, bin_of[np.minimum(thresholds, MASK)], int(bin_of[-1]) + 1)
     return bin_of, columns
 
 
 _BIN_OF, _THRESHOLD_COLUMNS = _threshold_columns()
+_LOW_BITS = ((1 << np.arange(17)) - 1).astype(np.uint16)  # indexed by a width of 0..16 bits
 
 
 def _block_parameters(u: np.ndarray) -> np.ndarray:
@@ -151,47 +156,64 @@ def _block_parameters(u: np.ndarray) -> np.ndarray:
     """
     blocks = -(-u.size // RICE_BLOCK)
     nbins = int(_BIN_OF[-1]) + 1
-    keys = np.arange(u.size) // RICE_BLOCK * nbins
+    keys = np.repeat(np.arange(0, blocks * nbins, nbins), RICE_BLOCK)[: u.size]
     keys += _BIN_OF[u]
     counts = np.bincount(keys, minlength=blocks * nbins).reshape(blocks, nbins)
-    at_least = np.zeros((blocks, nbins + 1), dtype=np.int64)  # [:, i]: symbols in bin i or above
+    del keys
+    # A count is at most RICE_BLOCK, and so is a sum of counts of one block.
+    at_least = np.zeros((blocks, nbins + 1), dtype=np.int16)  # [:, i]: symbols in bin i or above
     np.cumsum(counts[:, ::-1], axis=1, out=at_least[:, -2::-1])
+    del counts
     k = np.arange(RICE_MAX_K + 1)
-    lengths = at_least[:, _THRESHOLD_COLUMNS].sum(axis=2)
+    lengths = at_least[:, _THRESHOLD_COLUMNS].sum(axis=2, dtype=np.int32)
     lengths += at_least[:, :1] * (1 + k)
     lengths += at_least[:, _THRESHOLD_COLUMNS[:, -1]] * (16 - k)
-    ks = lengths.argmin(axis=1)
+    ks = lengths.argmin(axis=1).astype(np.uint8)
     ks[at_least[:, 1] == 0] = ZERO_BLOCK
     return ks
 
 
 def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
     """Concatenate fields of 0 to 16 bits MSB-first, zero-padded to a byte."""
-    # Join fields four at a time into items of at most 64 bits.
+    # Join fields two at a time into items of at most 32 bits, then those two
+    # at a time into items of at most 64 bits.
     size = -(-values.size // 4) * 4
-    items = np.zeros(size, dtype=np.uint64)
-    items[: values.size] = values
-    lengths = np.zeros(size, dtype=np.int64)
+    fields = np.zeros(size, dtype=np.uint32)
+    fields[: values.size] = values
+    lengths = np.zeros(size, dtype=np.uint8)
     lengths[: values.size] = widths
-    for _ in range(2):
-        items = (items[0::2] << lengths[1::2].view(np.uint64)) | items[1::2]
-        lengths = lengths[0::2] + lengths[1::2]
-    ends = np.cumsum(lengths)
-    nbits = int(ends[-1]) if ends.size else 0
-    starts = ends - lengths
+    pairs = fields[0::2] << lengths[1::2]
+    pairs |= fields[1::2]
+    del fields
+    lengths = lengths[0::2] + lengths[1::2]
+    items = pairs[0::2].astype(np.uint64)
+    items <<= lengths[1::2]
+    items |= pairs[1::2]
+    del pairs
+    lengths = lengths[0::2].astype(np.int64) + lengths[1::2]
+    starts = np.cumsum(lengths)
+    nbits = int(starts[-1]) if starts.size else 0
+    starts -= lengths
     # Items are or-ed into 64-bit words, and an item that ends past its word
     # spills its low bits into the next.  An item is at most 64 bits, so each
     # word but perhaps the last holds an item start: the n-th word that holds
     # one is word n.
-    spill = ends - (starts & ~63) - 64
-    heads = items >> np.maximum(spill, 0).view(np.uint64)
-    heads <<= np.clip(-spill, 0, 63).view(np.uint64)
-    first = np.flatnonzero(np.diff(starts >> 6, prepend=-1))
-    words = np.zeros(((nbits + 63) >> 6) + 1, dtype=np.uint64)
-    words[: first.size] = np.bitwise_or.reduceat(heads, first)
+    spill = lengths  # becomes the bits past the end of the item's word
+    spill += starts & 63
+    spill -= 64
+    word = starts  # becomes the word of the item's start
+    word >>= 6
     over = np.flatnonzero(spill > 0)
-    words[(starts[over] >> 6) + 1] |= items[over] << (64 - spill[over]).view(np.uint64)
-    return words.astype(">u8").tobytes()[: (nbits + 7) >> 3]
+    tails = items[over] << (64 - spill[over]).view(np.uint64)
+    items >>= np.maximum(spill, 0).view(np.uint64)
+    items <<= np.clip(-spill, 0, 63).view(np.uint64)
+    new_word = np.ones(word.size, dtype=bool)
+    np.not_equal(word[1:], word[:-1], out=new_word[1:])
+    first = np.flatnonzero(new_word)
+    words = np.zeros(((nbits + 63) >> 6) + 1, dtype=np.uint64)
+    words[: first.size] = np.bitwise_or.reduceat(items, first)
+    words[word[over] + 1] |= tails
+    return words.astype(">u8").view(np.uint8)[: (nbits + 7) >> 3].tobytes()
 
 
 def code_plane(errors: np.ndarray) -> bytes:
@@ -224,8 +246,9 @@ def code_plane(errors: np.ndarray) -> bytes:
     x = np.asarray(errors, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError(f"plane must be a non-empty 2D array, got shape {x.shape}")
-    error = x.ravel().view(np.int16).astype(np.int32)  # the error as a signed 16-bit value
-    u = (error << 1) ^ (error >> 31)
+    error = x.ravel()
+    u = error << 1  # uint16 arithmetic folds: 2e, or 2(65536 - e) - 1 from e = 32768 up
+    u ^= -(error >> 15)
     ks = _block_parameters(u)
     k = np.repeat(ks, RICE_BLOCK)[: u.size]
     coded = k != ZERO_BLOCK
@@ -235,12 +258,16 @@ def code_plane(errors: np.ndarray) -> bytes:
     escape = q >= RICE_ESCAPE_QUOTIENT
     np.minimum(q, RICE_ESCAPE_QUOTIENT, out=q)
     q += 1
-    stops = np.cumsum(q)
-    unary = np.zeros(int(stops[-1]) if stops.size else 0, dtype=np.uint8)
-    unary[stops - 1] = 1
+    stops = np.cumsum(q, dtype=np.int64)
+    del q
+    stops -= 1
+    unary = np.zeros(int(stops[-1]) + 1 if stops.size else 0, dtype=np.uint8)
+    unary[stops] = 1
+    del stops
     unary = np.packbits(unary).tobytes()
     k[escape] = 16  # now the width of each remainder field
-    remainder = _pack_fields(u & ((1 << k) - 1), k)
+    u &= _LOW_BITS[k]
+    remainder = _pack_fields(u, k)
     nibbles = np.zeros(-(-ks.size // 2) * 2, dtype=np.uint8)
     nibbles[: ks.size] = ks
     table = (nibbles[0::2] << 4) | nibbles[1::2]
@@ -277,18 +304,20 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
         raise CorruptStreamError("nonzero pad bits after the unary stream")
     if unary_len != (int(stops[-1]) // 8 + 1 if coded_count else 0):
         raise CorruptStreamError(f"unary stream is {unary_len} bytes, its last stop bit is sooner")
-    q = np.diff(stops, prepend=-1)
-    q -= 1
-    if coded_count and q.max() > RICE_ESCAPE_QUOTIENT:
+    # The zeros before each stop bit, checked at full width, then kept in uint8.
+    stops[1:] -= stops[:-1] + 1
+    if coded_count and stops.max() > RICE_ESCAPE_QUOTIENT:
         raise CorruptStreamError(f"run of more than {RICE_ESCAPE_QUOTIENT} zeros in the unary stream")
+    q = stops.astype(np.uint8)
+    del stops
 
     k = np.repeat(ks, RICE_BLOCK)[:count]
     coded = k != ZERO_BLOCK
-    k = k[coded].astype(np.int64)
+    k = k[coded]
     escape = np.flatnonzero(q == RICE_ESCAPE_QUOTIENT)
     width = k.copy()
     width[escape] = 16
-    starts = np.cumsum(width)
+    starts = np.cumsum(width, dtype=np.int64)
     remainder_bits = int(starts[-1]) if coded_count else 0
     starts -= width
     remainder_start = unary_start + unary_len
@@ -303,17 +332,24 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
     remainder = np.zeros(len(data) - remainder_start + 4, dtype=np.uint8)
     remainder[:-4] = np.frombuffer(data, np.uint8, offset=remainder_start)
     windows = np.ndarray((remainder.size - 3,), dtype=">u4", buffer=remainder, strides=(1,))
-    fields = windows[starts >> 3] >> (32 - (starts & 7) - width)
-    fields &= (1 << width) - 1
+    shift = (starts & 7).astype(np.uint8)
+    np.subtract(32 - width, shift, out=shift)
+    starts >>= 3
+    fields = windows[starts].astype(np.uint32)
+    del starts
+    fields >>= shift
+    del shift
+    fields &= _LOW_BITS[width]
     if ((fields[escape] >> k[escape]) < RICE_ESCAPE_QUOTIENT).any():
         raise CorruptStreamError("escaped symbol whose quotient is below the escape")
     q[escape] = 0
-    q <<= k
-    q |= fields
-    if coded_count and q.max() > MASK:
-        raise CorruptStreamError(f"decoded symbol {int(q.max())} exceeds 16-bit range")
+    value = q.astype(np.uint32)
+    value <<= k
+    value |= fields
+    if coded_count and value.max() > MASK:
+        raise CorruptStreamError(f"decoded symbol {int(value.max())} exceeds 16-bit range")
     symbols = np.zeros(count, dtype=np.uint16)
-    symbols[coded] = q
+    symbols[coded] = value
     return symbols
 
 
@@ -382,11 +418,17 @@ def _med_reconstruct_stack(errors: np.ndarray) -> np.ndarray:
 def decode_planes(payloads: list[bytes] | tuple[bytes, ...], width: int, height: int) -> np.ndarray:
     """Exact inverse of :func:`code_planes`: the (p, h, w) uint16 stack.
 
-    Every payload is decoded, and so checked to hold a plane of this size,
-    before the skewed stack is allocated: allocation stays bounded by the
-    payloads.
+    The first payload is decoded, and so checked to hold a plane of this
+    size, before the stack of errors is allocated, and every payload before
+    the skewed stack is: allocation stays bounded by the payloads.
     """
-    return _med_reconstruct_stack(np.stack([decode_plane(data, width, height) for data in payloads]))
+    first = decode_plane(payloads[0], width, height)
+    errors = np.empty((len(payloads),) + first.shape, dtype=np.uint16)
+    errors[0] = first
+    del first
+    for index in range(1, len(payloads)):
+        errors[index] = decode_plane(payloads[index], width, height)
+    return _med_reconstruct_stack(errors)
 
 
 # ---------------------------------------------------------------------------

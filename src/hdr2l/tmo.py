@@ -26,7 +26,7 @@ import numpy as np
 
 from .basejpeg import REFINE_BIT_CHOICES
 from .errors import InternalError, ParameterError, ParseError
-from .imagio import HdrImage, LdrImage, half_encode_array, luminance
+from .imagio import HdrImage, LdrImage, half_decode_array, half_encode_array
 
 LOG_AVERAGE_DELTA = 1e-6
 
@@ -150,7 +150,8 @@ def log_average_luminance(lum: np.ndarray) -> float:
     arr = np.asarray(lum, dtype=np.float64)
     if arr.size == 0:
         raise ParameterError("luminance map is empty")
-    return float(np.exp(np.mean(np.log(LOG_AVERAGE_DELTA + arr))))
+    logs = LOG_AVERAGE_DELTA + arr
+    return float(np.exp(np.mean(np.log(logs, out=logs))))
 
 
 def bind_image_stats(params: TmoParams, lum: np.ndarray) -> TmoParams:
@@ -167,34 +168,48 @@ def _effective_key(params: TmoParams) -> float:
 
 
 def _drago_curve(lum: np.ndarray, l_max: float, bias: float, ldmax: float) -> np.ndarray:
-    """Adaptive logarithmic display luminance, 0 at 0 and ldmax/100 at l_max."""
+    """Adaptive logarithmic display luminance, 0 at 0 and ldmax/100 at l_max:
+    prefix * log1p(L) / log(2 + 8 * clip(L / l_max, 0, 1) ** exponent)."""
     exponent = math.log(bias) / math.log(0.5)
     prefix = (ldmax / 100.0) / math.log10(1.0 + l_max)
+    lum = np.asarray(lum, dtype=np.float64)
+    # Every step writes into one of two planes; ``out`` keeps a 0-d input an array.
     with np.errstate(divide="ignore"):
-        ratio = np.clip(np.asarray(lum, dtype=np.float64) / l_max, 0.0, 1.0)
-        denom = np.log(2.0 + 8.0 * np.power(ratio, exponent))
-    return prefix * np.log1p(lum) / denom
+        denom = np.divide(lum, l_max, out=np.empty_like(lum))
+        np.clip(denom, 0.0, 1.0, out=denom)
+        np.power(denom, exponent, out=denom)
+        denom *= 8.0
+        denom += 2.0
+        np.log(denom, out=denom)
+    curve = np.log1p(lum, out=np.empty_like(lum))
+    curve *= prefix
+    curve /= denom
+    return curve
 
 
 def _local_adaptation(scaled: np.ndarray, key: float, params: TmoParams) -> np.ndarray:
     """Per-pixel adaptation luminance: the center Gaussian average at the
-    largest scale whose center-surround activity stays below the threshold."""
+    largest scale whose center-surround activity stays below the threshold.
+
+    The centers are filtered in scale order and only scales i and i + 1 are
+    kept.  Scale 0 is selected everywhere at the first step, so its plane
+    becomes the selection, which later scales overwrite where they pass."""
     from scipy.ndimage import gaussian_filter  # slow to import; only this operator needs it
 
-    n = params.local_scales
-    centers = [
-        gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO**i, mode="nearest")
-        for i in range(n + 1)
-    ]
-    selected = centers[0]
+    center = gaussian_filter(scaled, sigma=1.0, mode="nearest")
+    selected = center
     passing = np.ones(scaled.shape, dtype=bool)
-    for i in range(n):
+    activity = np.empty_like(scaled)
+    for i in range(params.local_scales):
         scale = LOCAL_SCALE_RATIO**i
-        activity = (centers[i] - centers[i + 1]) / (
-            LOCAL_SHARPEN * key / (scale * scale) + centers[i]
-        )
-        passing = passing & (np.abs(activity) < params.local_threshold)
-        selected = np.where(passing, centers[i], selected)
+        surround = gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO ** (i + 1), mode="nearest")
+        np.subtract(center, surround, out=activity)
+        activity /= LOCAL_SHARPEN * key / (scale * scale) + center
+        np.abs(activity, out=activity)
+        passing &= activity < params.local_threshold
+        if i:
+            np.copyto(selected, center, where=passing)
+        center = surround
     return selected
 
 
@@ -205,35 +220,59 @@ def display_luminance(lum: np.ndarray, params: TmoParams) -> np.ndarray:
         if params.l_max <= 0:
             raise ParameterError("Drago operator requires bound l_max")
         return _drago_curve(lum, params.l_max, params.bias, params.ldmax)
-    scaled = key * lum / params.log_avg
-    if params.kind == TmoKind.REINHARD_LOCAL:
-        return scaled / (1.0 + _local_adaptation(scaled, key, params))
-    if params.kind == TmoKind.REINHARD_GLOBAL and math.isfinite(params.l_white):
-        return scaled * (1.0 + scaled / (params.l_white * params.l_white)) / (1.0 + scaled)
-    return scaled / (1.0 + scaled)
+    # Each curve is evaluated in the order its formula reads, in place; IEEE
+    # addition and multiplication commute, so 1 + x is computed as x + 1.
+    scaled = key * np.asarray(lum, dtype=np.float64)
+    scaled /= params.log_avg
+    if params.kind == TmoKind.REINHARD_LOCAL:  # scaled / (1 + adaptation)
+        denom = _local_adaptation(scaled, key, params)
+        denom += 1.0
+    elif params.kind == TmoKind.REINHARD_GLOBAL and math.isfinite(params.l_white):
+        # scaled * (1 + scaled / l_white^2) / (1 + scaled)
+        boosted = scaled / (params.l_white * params.l_white)
+        boosted += 1.0
+        boosted *= scaled
+        scaled += 1.0
+        boosted /= scaled
+        return boosted
+    else:  # scaled / (1 + scaled)
+        denom = scaled + 1.0
+    scaled /= denom
+    return scaled
 
 
-def tonemap(image: HdrImage, params: TmoParams, refine_bits: int = 0) -> LdrImage:
-    """Tone map to an (8 + refine_bits)-bit image.
+def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: int = 0) -> LdrImage:
+    """Tone map to an (8 + refine_bits)-bit image; ``lum`` is
+    :func:`~hdr2l.imagio.luminance` of ``image``.
 
     Per channel: out = round((channel / L * Ld) ** (1 / gamma) * maxval),
-    clamped to the output range; pixels with zero luminance map to 0.
+    clamped to the output range; pixels with zero luminance map to 0.  The
+    channels are mapped one at a time, each in one float64 plane.
     """
     if refine_bits not in REFINE_BIT_CHOICES:
         raise ParameterError(f"refine_bits must be one of {REFINE_BIT_CHOICES}, got {refine_bits}")
     if params.log_avg <= 0:
         raise ParameterError("tonemap requires bound TmoParams (call bind_image_stats)")
-    lum = luminance(image)
     display = display_luminance(lum, params)
-    rgb = image.linear()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(lum > 0.0, rgb / np.where(lum > 0.0, lum, 1.0), 0.0)
+    lit = lum > 0.0
+    divisor = np.where(lit, lum, 1.0)
+    dark = np.logical_not(lit, out=lit)
     bit_depth = 8 + refine_bits
     maxval = (1 << bit_depth) - 1
-    mapped = np.power(np.clip(ratio * display, 0.0, None), 1.0 / params.gamma) * maxval
-    if not np.isfinite(mapped).all():
-        raise InternalError("non-finite value during tone mapping")
-    codes = np.clip(np.rint(mapped), 0, maxval).astype(np.uint16)
+    codes = np.empty(image.samples.shape, dtype=np.uint16)
+    for plane, out in zip(image.samples, codes):
+        mapped = half_decode_array(plane)
+        mapped /= divisor
+        np.copyto(mapped, 0.0, where=dark)
+        mapped *= display
+        np.clip(mapped, 0.0, None, out=mapped)
+        np.power(mapped, 1.0 / params.gamma, out=mapped)
+        mapped *= maxval
+        if not np.isfinite(mapped).all():
+            raise InternalError("non-finite value during tone mapping")
+        np.rint(mapped, out=mapped)
+        out[...] = np.clip(mapped, 0, maxval, out=mapped)
+        del mapped  # before the next channel is decoded
     return LdrImage(codes, bit_depth=bit_depth)
 
 
@@ -256,12 +295,15 @@ def _drago_inverse(target: np.ndarray, params: TmoParams) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _top_codes(samples: np.ndarray, linearized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_codes(samples: np.ndarray, linearized) -> tuple[np.ndarray, np.ndarray]:
     """Per pixel, the channel maximum of ``linearized`` and a code whose level
     it is.  A later channel takes over only when its level is larger, so any
-    level table works (np.power need not be monotone in its base)."""
-    top, proxy = samples[0], linearized[0]
-    for code, level in zip(samples[1:], linearized[1:]):
+    level table works (np.power need not be monotone in its base).
+    ``linearized`` holds or yields one level plane per channel, so a caller
+    can gather them one at a time."""
+    pairs = zip(samples, linearized)
+    top, proxy = next(pairs)
+    for code, level in pairs:
         top = np.where(level > proxy, code, top)
         proxy = np.maximum(proxy, level)
     return top, proxy
@@ -279,24 +321,32 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     only the table gathers, the channel maximum, the channel ratio and the
     half encode remain.  The pixel's top code is one whose level is the
     channel maximum, so every value equals the per-pixel evaluation of the
-    same formula.
+    same formula.  Levels are gathered one channel at a time, and each
+    channel is scaled and half-encoded in one float64 plane.
     """
     if params.log_avg <= 0:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
     levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, params.gamma)
-    linearized = levels[base.samples]
-    top, proxy = _top_codes(base.samples, linearized)
     if params.kind == TmoKind.DRAGO:
         if params.l_max <= 0:
             raise ParameterError("Drago inverse requires bound l_max")
-        lum_est = _drago_inverse(levels, params)[top]
+        inverse = _drago_inverse(levels, params)
     else:  # the local operator reuses the photographic inverse
         capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
         scaled = capped / (1.0 - capped)
-        lum_est = (scaled * params.log_avg / _effective_key(params))[top]
+        inverse = scaled * params.log_avg / _effective_key(params)
+    top, proxy = _top_codes(base.samples, (levels[plane] for plane in base.samples))
+    lum_est = inverse[top]
+    del top
     # Channel ratios; a zero proxy has all three channels at level 0, so they
-    # are divided by 1.
-    scene = linearized / np.where(proxy > 0.0, proxy, 1.0)
-    scene *= lum_est
-    return HdrImage(half_encode_array(scene))
+    # are divided by 1.  No level is negative or NaN: not > 0 is == 0.
+    proxy[proxy == 0.0] = 1.0
+    codes = np.empty(base.samples.shape, dtype=np.uint16)
+    for plane, out in zip(base.samples, codes):
+        scene = levels[plane]
+        scene /= proxy
+        scene *= lum_est
+        out[...] = half_encode_array(scene)
+        del scene  # before the next channel is gathered
+    return HdrImage(codes)

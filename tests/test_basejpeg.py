@@ -505,6 +505,74 @@ def test_ycbcr_to_rgb_matches_oracle_on_every_triple():
         assert np.array_equal(ycbcr_to_rgb(ycc), _oracle_ycbcr_to_rgb(ycc)), y
 
 
+# The whole-image colour conversions and decode pixel stage that the
+# per-component ones replaced: they hold every component in float64, or in
+# int32, at once.  The per-component stages must match them exactly.
+def _rgb_to_ycbcr_whole(rgb: np.ndarray) -> np.ndarray:
+    r, g, b = (rgb[i].astype(np.float64) for i in range(3))
+    y = 0.299 * r + 0.587 * g + 0.114 * b
+    cb = -0.168736 * r - 0.331264 * g + 0.5 * b + 128.0
+    cr = 0.5 * r - 0.418688 * g - 0.081312 * b + 128.0
+    return np.clip(np.rint(np.stack([y, cb, cr])), 0, 255).astype(np.int64)
+
+
+def _ycbcr_to_rgb_whole(ycc: np.ndarray) -> np.ndarray:
+    y, cb, cr = np.asarray(ycc, dtype=np.int32)
+    cb = cb - 128
+    cr = cr - 128
+    half = 1 << 15
+    rgb = np.stack([
+        y + ((91881 * cr + half) >> 16),
+        y + ((-22554 * cb - 46802 * cr + half) >> 16),
+        y + ((116130 * cb + half) >> 16),
+    ])
+    return np.clip(rgb, 0, 255, out=rgb).astype(np.uint16)
+
+
+def _pixels_whole(levels: list[np.ndarray], tables, width: int, height: int) -> np.ndarray:
+    """The pixel stage of the decoder on the (blocks, 64) zig-zag levels of
+    each component: all three inverse DCTs at once, then one transpose."""
+    bh, bw = (height + 7) // 8, (width + 7) // 8
+    natural = np.zeros((3, bh * bw, 64), dtype=np.int32)
+    for comp in range(3):
+        natural[comp][:, ZIGZAG] = levels[comp]
+    quant = np.stack([tables.natural(chroma=comp > 0).ravel() for comp in range(3)])
+    samples = basejpeg.idct_islow_blocks(np.ascontiguousarray(natural.transpose(0, 2, 1)), quant)
+    ycc = samples.reshape(3, 8, 8, bh, bw).transpose(0, 3, 1, 4, 2).reshape(3, 8 * bh, 8 * bw)
+    return _ycbcr_to_rgb_whole(ycc[:, :height, :width])
+
+
+def _odd_rgb(rng) -> list[np.ndarray]:
+    """8-bit RGB at 1 x N, N x 1 and sizes off the block grid, with the
+    extreme codes and grey pixels mixed in."""
+    images = []
+    for height, width in ((1, 41), (41, 1), (13, 21), (64, 72)):
+        rgb = rng.integers(0, 256, size=(3, height, width)).astype(np.uint16)
+        pick = rng.random((height, width))
+        rgb[:, pick < 0.1] = rng.choice([0, 255], size=(3, int((pick < 0.1).sum())))
+        rgb[:, pick > 0.9] = rgb[0, pick > 0.9]
+        images.append(rgb)
+    return images
+
+
+def test_rgb_to_ycbcr_matches_whole_image_oracle(rng):
+    cube = np.stack(np.meshgrid(*(np.arange(0, 256, 5),) * 3, indexing="ij")).reshape(3, 52, -1)
+    for rgb in _odd_rgb(rng) + [cube.astype(np.uint16)]:
+        ycc = rgb_to_ycbcr(rgb)
+        assert ycc.dtype == np.uint8
+        assert np.array_equal(ycc, _rgb_to_ycbcr_whole(rgb))
+        assert np.array_equal(ycbcr_to_rgb(ycc), _ycbcr_to_rgb_whole(ycc))
+
+
+@pytest.mark.parametrize("q", [1, 80, 100])
+def test_decode_pixels_match_whole_image_stage(q, rng):
+    tables = quality_to_tables(q)
+    for height, width in ((1, 41), (41, 1), (13, 21), (8, 8), (64, 72)):
+        levels = _random_levels(rng, tables, ((width + 7) // 8) * ((height + 7) // 8))
+        decoded = decode_base(_stream(tables, width, height, levels))
+        assert np.array_equal(decoded.samples, _pixels_whole(levels, tables, width, height)), (width, height)
+
+
 class _Affine:
     """An integer IDCT intermediate as an affine form ``coef . d + const`` in
     the 64 dequantized inputs d, give or take ``slack`` from the descales

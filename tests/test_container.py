@@ -135,7 +135,7 @@ def test_extract_ldr_is_jpeg_and_layer_independent():
     assert jpeg[:2] == b"\xFF\xD8"
     # byte-identical to a standalone base encode of the same tone-mapped image
     bound = tmo.bind_image_stats(params.tmo, luminance(img))
-    ldr8, _ = basejpeg.split_refinement(tmo.tonemap(img, bound, 4))
+    ldr8, _ = basejpeg.split_refinement(tmo.tonemap(img, luminance(img), bound, 4))
     assert jpeg == basejpeg.encode_base(ldr8, 85)
 
 

@@ -137,3 +137,103 @@ def test_read_table_errors():
     overflow = bytes([2, 0, 0, 0]) + bytes([0xFF, 0xFF, 0x03]) + bytes([0x00])
     with pytest.raises(ParseError):
         read_table(overflow, 0)  # second symbol lands beyond 16 bits
+
+
+# The byte-at-a-time table writer and reader that the numpy ones replaced:
+# the oracle of their bytes, their tables and their error offsets.
+def _serialize_table_loop(table: PackTable) -> bytes:
+    gaps = np.diff(table.symbols.astype(np.int64), prepend=-1) - 1
+    out = bytearray(int(table.count).to_bytes(4, "little"))
+    for g in gaps.tolist():
+        while g >= 0x80:
+            out.append((g & 0x7F) | 0x80)
+            g >>= 7
+        out.append(g)
+    return bytes(out)
+
+
+def _read_table_loop(data: bytes, pos: int) -> tuple[PackTable, int]:
+    if len(data) - pos < 4:
+        raise ParseError("truncated pack table header", offset=pos)
+    count = int.from_bytes(data[pos : pos + 4], "little")
+    pos += 4
+    if count == 0 or count > 65536:
+        raise ParseError(f"pack table symbol count {count} out of range", offset=pos - 4)
+    gaps = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        value = 0
+        shift = 0
+        while True:
+            if pos >= len(data):
+                raise ParseError("truncated pack table varint", offset=pos)
+            byte = data[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+            if shift > 21:
+                raise ParseError("oversized pack table varint", offset=pos)
+        gaps[i] = value
+    symbols = np.cumsum(gaps + 1) - 1
+    if symbols[-1] > 0xFFFF:
+        raise ParseError("pack table symbol exceeds 16-bit range", offset=pos)
+    return PackTable(symbols.astype(np.uint16)), pos
+
+
+def _outcome(read, data: bytes, pos: int):
+    """(symbols, end) of a table read, or the message and offset of its error."""
+    try:
+        table, end = read(data, pos)
+    except ParseError as exc:
+        return str(exc), exc.offset
+    return table.symbols.tolist(), end
+
+
+def _oracle_tables(rng) -> list[PackTable]:
+    """Gaps of one, two and three varint bytes, the extremes, and random."""
+    return [
+        PackTable(np.array([0], dtype=np.uint16)),
+        PackTable(np.array([65535], dtype=np.uint16)),
+        PackTable(np.array([0, 127, 128, 255, 16383, 16511, 32767, 65535], dtype=np.uint16)),
+        PackTable(np.arange(0, 65536, 129, dtype=np.uint16)),
+        PackTable(np.sort(rng.choice(65536, size=300, replace=False)).astype(np.uint16)),
+        PackTable(np.sort(rng.choice(65536, size=3000, replace=False)).astype(np.uint16)),
+    ]
+
+
+def test_serialize_table_matches_loop_oracle(rng):
+    for table in _oracle_tables(rng) + [PackTable(np.arange(65536, dtype=np.uint16))]:
+        data = serialize_table(table)
+        assert data == _serialize_table_loop(table)
+        assert read_table(data, 0) == (table, len(data))
+
+
+def test_read_table_matches_loop_oracle_on_every_truncation(rng):
+    for table in _oracle_tables(rng)[:5]:
+        data = b"\x07\x80" + serialize_table(table)
+        for cut in range(2, len(data) + 1):
+            assert _outcome(read_table, data[:cut], 2) == _outcome(_read_table_loop, data[:cut], 2), cut
+
+
+def test_read_table_matches_loop_oracle_on_malformed_tables(rng):
+    count = (3).to_bytes(4, "little")
+    cases = [
+        b"",
+        (0).to_bytes(4, "little"),
+        (65537).to_bytes(4, "little") + b"\x00",
+        (65536).to_bytes(4, "little"),
+        count + b"\x80\x80\x80\x00\x00\x00",  # four bytes, ends in the fourth
+        count + b"\x80\x80\x80\x80\x00\x00",  # no end in four bytes
+        count + b"\x00\x80\x80\x80\x80",
+        count + b"\x00\x00\xff\xff\xff\x7f",  # 28 bits
+        count + b"\x00\xff\xff\x03\x00",  # past 0xFFFF
+        count + b"\xff\xff\x03\x00",  # the last gap runs past 0xFFFF
+        count + b"\x00\x80\x80",
+        (2).to_bytes(4, "little") + b"\xff\xff\x03\x00",
+    ]
+    for _ in range(300):  # random bytes after a random small count
+        body = rng.choice([0x00, 0x01, 0x7F, 0x80, 0x81, 0xFF], size=int(rng.integers(0, 12)))
+        cases.append(int(rng.integers(1, 5)).to_bytes(4, "little") + body.astype(np.uint8).tobytes())
+    for data in cases:
+        assert _outcome(read_table, data, 0) == _outcome(_read_table_loop, data, 0), data

@@ -1,5 +1,7 @@
 """Importing the package, or its command line, loads no scipy: only TMQI and
-the local Reinhard operator need it, and they import it when first called."""
+the local Reinhard operator need it, and they import it when first called.
+Nor does it load ``numpy.ma``, which some numpy functions (``np.unique``)
+import on first use."""
 
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ def test_import_loads_no_scipy(module):
         f"import sys, {module}, hdr2l\n"
         "from hdr2l import tmqi\n"
         "assert tmqi is hdr2l.tmqi and callable(tmqi), tmqi\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

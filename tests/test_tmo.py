@@ -7,9 +7,20 @@ import pytest
 
 from hdr2l.errors import ParameterError, ParseError
 from hdr2l import tmo
-from hdr2l.imagio import HdrImage, LdrImage, half_decode_array, half_encode, half_encode_array, luminance
+from hdr2l.imagio import (
+    HALF_MAX,
+    LUMA_WEIGHTS,
+    HdrImage,
+    LdrImage,
+    half_decode_array,
+    half_encode,
+    half_encode_array,
+    luminance,
+)
 from hdr2l.tmo import (
     INVERSE_DISPLAY_CAP,
+    LOCAL_SCALE_RATIO,
+    LOCAL_SHARPEN,
     LOG_AVERAGE_DELTA,
     TMO_PARAMS_SIZE,
     TmoKind,
@@ -155,7 +166,7 @@ def test_tonemap_uniform_gray_default_scalar_oracle():
     value = 0.25
     img = _uniform_image(value, size=8)
     params = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), luminance(img))
-    out = tonemap(img, params, 0)
+    out = tonemap(img, luminance(img), params, 0)
     # scalar pipeline oracle
     lum = 0.2126 * value + 0.7152 * value + 0.0722 * value
     scaled = 0.18 * lum / params.log_avg
@@ -169,7 +180,8 @@ def test_tonemap_zero_luminance_maps_to_zero():
     img = HdrImage(np.zeros((3, 4, 4), dtype=np.uint16))
     params = bind_image_stats(TmoParams(kind=TmoKind.DRAGO), luminance(img))
     for kind in TmoKind:
-        out = tonemap(img, TmoParams(kind=kind, log_avg=params.log_avg, l_max=params.l_max), 0)
+        bound = TmoParams(kind=kind, log_avg=params.log_avg, l_max=params.l_max)
+        out = tonemap(img, luminance(img), bound, 0)
         assert (out.samples == 0).all()
 
 
@@ -177,7 +189,7 @@ def test_tonemap_output_depth_and_range(rng):
     img = _gray_image(np.exp(rng.uniform(-3, 6, size=(8, 8))))
     params = bind_image_stats(TmoParams(kind=TmoKind.REINHARD_GLOBAL), luminance(img))
     for refine in (0, 4):
-        out = tonemap(img, params, refine)
+        out = tonemap(img, luminance(img), params, refine)
         assert out.bit_depth == 8 + refine
         assert int(out.samples.max()) <= (1 << (8 + refine)) - 1
 
@@ -186,9 +198,9 @@ def test_tonemap_rejects_bad_refine_and_unbound_params():
     img = _uniform_image(1.0)
     params = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), luminance(img))
     with pytest.raises(ParameterError):
-        tonemap(img, params, 2)
+        tonemap(img, luminance(img), params, 2)
     with pytest.raises(ParameterError):
-        tonemap(img, TmoParams(kind=TmoKind.DEFAULT), 0)
+        tonemap(img, luminance(img), TmoParams(kind=TmoKind.DEFAULT), 0)
 
 
 def test_tonemap_monotone_in_luminance_for_global_kinds():
@@ -197,7 +209,7 @@ def test_tonemap_monotone_in_luminance_for_global_kinds():
     stats = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), luminance(img))
     for kind in (TmoKind.DEFAULT, TmoKind.REINHARD_GLOBAL, TmoKind.DRAGO):
         params = TmoParams(kind=kind, log_avg=stats.log_avg, l_max=stats.l_max)
-        out = tonemap(img, params, 0)
+        out = tonemap(img, luminance(img), params, 0)
         for channel in out.samples:
             assert (np.diff(channel[0].astype(np.int64)) >= 0).all()
 
@@ -205,7 +217,7 @@ def test_tonemap_monotone_in_luminance_for_global_kinds():
 def test_tonemap_reinhard_local_runs_and_stays_in_range():
     img = smooth_hdr_image(32, 32)
     params = bind_image_stats(TmoParams(kind=TmoKind.REINHARD_LOCAL), luminance(img))
-    out = tonemap(img, params, 0)
+    out = tonemap(img, luminance(img), params, 0)
     assert out.bit_depth == 8
     assert int(out.samples.max()) <= 255
 
@@ -246,7 +258,7 @@ def test_predict_hdr_round_trip_residual_is_small():
     # the original for a midtone image, so residual magnitudes stay small.
     img = _uniform_image(0.8, size=8)
     params = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), luminance(img))
-    pred = predict_hdr(tonemap(img, params, 0), params)
+    pred = predict_hdr(tonemap(img, luminance(img), params, 0), params)
     rel = np.abs(half_decode_array(pred.samples) - 0.8) / 0.8
     assert float(rel.max()) < 0.05
 
@@ -254,7 +266,7 @@ def test_predict_hdr_round_trip_residual_is_small():
 def test_predict_hdr_drago_inverts_its_own_curve():
     img = _gray_image(np.exp(np.linspace(-3, 5, 64)).reshape(8, 8))
     params = bind_image_stats(TmoParams(kind=TmoKind.DRAGO), luminance(img))
-    pred = predict_hdr(tonemap(img, params, 0), params)
+    pred = predict_hdr(tonemap(img, luminance(img), params, 0), params)
     orig = half_decode_array(img.samples)
     approx = half_decode_array(pred.samples)
     mask = orig > 1e-3
@@ -306,9 +318,11 @@ def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng, monkeypa
         for l_max in (LOG_AVERAGE_DELTA, 65504.0):
             params = TmoParams(kind=kind, log_avg=0.37, l_max=l_max, gamma=gamma)
             for base in bases:
+                encoded.clear()
                 got = predict_hdr(base, params)
                 want = _predict_hdr_per_pixel(base, params)
-                assert np.array_equal(encoded[-1].view(np.uint64), want.view(np.uint64)), (gamma, l_max)
+                # One half encode per channel plane.
+                assert np.array_equal(np.stack(encoded).view(np.uint64), want.view(np.uint64)), (gamma, l_max)
                 assert np.array_equal(got.samples, half_encode_array(want)), (gamma, l_max)
 
 
@@ -321,3 +335,142 @@ def test_top_codes_follow_a_non_monotone_level_table(rng):
     assert np.array_equal(proxy, linearized.max(axis=0))
     assert np.array_equal(levels[top], proxy)
     assert not np.array_equal(top, samples.max(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# The whole-image stages that the one-plane-at-a-time ones replaced: each
+# computes on (3, h, w) float64 arrays and keeps every Gaussian center.  The
+# per-channel stages must match them bit for bit.
+
+
+def _luminance_whole(image: HdrImage) -> np.ndarray:
+    rgb = image.linear()
+    w = LUMA_WEIGHTS
+    return w[0] * rgb[0] + w[1] * rgb[1] + w[2] * rgb[2]
+
+
+def _drago_curve_whole(lum, l_max: float, bias: float, ldmax: float) -> np.ndarray:
+    exponent = math.log(bias) / math.log(0.5)
+    prefix = (ldmax / 100.0) / math.log10(1.0 + l_max)
+    with np.errstate(divide="ignore"):
+        ratio = np.clip(np.asarray(lum, dtype=np.float64) / l_max, 0.0, 1.0)
+        denom = np.log(2.0 + 8.0 * np.power(ratio, exponent))
+    return prefix * np.log1p(lum) / denom
+
+
+def _local_adaptation_all_scales(scaled: np.ndarray, key: float, params: TmoParams) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter
+
+    n = params.local_scales
+    centers = [gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO**i, mode="nearest") for i in range(n + 1)]
+    selected = centers[0]
+    passing = np.ones(scaled.shape, dtype=bool)
+    for i in range(n):
+        scale = LOCAL_SCALE_RATIO**i
+        activity = (centers[i] - centers[i + 1]) / (LOCAL_SHARPEN * key / (scale * scale) + centers[i])
+        passing = passing & (np.abs(activity) < params.local_threshold)
+        selected = np.where(passing, centers[i], selected)
+    return selected
+
+
+def _display_luminance_whole(lum: np.ndarray, params: TmoParams) -> np.ndarray:
+    key = tmo._effective_key(params)
+    if params.kind == TmoKind.DRAGO:
+        return _drago_curve_whole(lum, params.l_max, params.bias, params.ldmax)
+    scaled = key * lum / params.log_avg
+    if params.kind == TmoKind.REINHARD_LOCAL:
+        return scaled / (1.0 + _local_adaptation_all_scales(scaled, key, params))
+    if params.kind == TmoKind.REINHARD_GLOBAL and math.isfinite(params.l_white):
+        return scaled * (1.0 + scaled / (params.l_white * params.l_white)) / (1.0 + scaled)
+    return scaled / (1.0 + scaled)
+
+
+def _tonemap_whole(image: HdrImage, params: TmoParams, refine_bits: int) -> np.ndarray:
+    lum = _luminance_whole(image)
+    display = _display_luminance_whole(lum, params)
+    rgb = image.linear()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(lum > 0.0, rgb / np.where(lum > 0.0, lum, 1.0), 0.0)
+    maxval = (1 << (8 + refine_bits)) - 1
+    mapped = np.power(np.clip(ratio * display, 0.0, None), 1.0 / params.gamma) * maxval
+    return np.clip(np.rint(mapped), 0, maxval).astype(np.uint16)
+
+
+def _predict_hdr_whole(base: LdrImage, params: TmoParams) -> np.ndarray:
+    maxval = (1 << base.bit_depth) - 1
+    levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, params.gamma)
+    linearized = levels[base.samples]
+    top, proxy = base.samples[0], linearized[0]
+    for code, level in zip(base.samples[1:], linearized[1:]):
+        top = np.where(level > proxy, code, top)
+        proxy = np.maximum(proxy, level)
+    if params.kind == TmoKind.DRAGO:
+        lum_est = tmo._drago_inverse(levels, params)[top]
+    else:
+        capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
+        scaled = capped / (1.0 - capped)
+        lum_est = (scaled * params.log_avg / tmo._effective_key(params))[top]
+    scene = linearized / np.where(proxy > 0.0, proxy, 1.0)
+    scene *= lum_est
+    return half_encode_array(scene)
+
+
+def _oracle_images(rng) -> list[HdrImage]:
+    """Random colours over 23 stops at sizes that are not multiples of 8, 1 x N
+    and N x 1, with black pixels, pixels with one black channel, and samples
+    at the top half codes (up to HALF_MAX)."""
+    images = []
+    for height, width in ((1, 37), (37, 1), (13, 21), (40, 56)):
+        lum = np.exp(rng.uniform(-12.0, 11.0, size=(height, width)))
+        codes = half_encode_array(lum * rng.uniform(0.05, 1.0, size=(3, height, width)))
+        pick = rng.random((height, width))
+        codes[:, pick < 0.1] = 0
+        codes[0, (pick >= 0.1) & (pick < 0.15)] = 0
+        top = pick > 0.9
+        codes[:, top] = rng.integers(0x7BC0, 0x7C00, size=(3, int(top.sum())))
+        images.append(HdrImage(codes))
+    return images
+
+
+_ORACLE_PARAMS = (
+    TmoParams(kind=TmoKind.DEFAULT),
+    TmoParams(kind=TmoKind.REINHARD_GLOBAL, key_a=0.3),
+    TmoParams(kind=TmoKind.REINHARD_GLOBAL, l_white=2.0, gamma=1.0),
+    TmoParams(kind=TmoKind.REINHARD_LOCAL, local_scales=1),
+    TmoParams(kind=TmoKind.REINHARD_LOCAL),
+    TmoParams(kind=TmoKind.REINHARD_LOCAL, local_scales=16, gamma=0.45),
+    TmoParams(kind=TmoKind.DRAGO),
+    TmoParams(kind=TmoKind.DRAGO, bias=1.0, ldmax=250.0),
+)
+
+
+def test_luminance_matches_whole_image_oracle(rng):
+    for image in _oracle_images(rng):
+        assert np.array_equal(luminance(image).view(np.uint64), _luminance_whole(image).view(np.uint64))
+
+
+@pytest.mark.parametrize("params", _ORACLE_PARAMS, ids=lambda p: f"{p.kind.name}-{p.local_scales}-{p.gamma}")
+def test_tonemap_matches_whole_image_oracle(params, rng):
+    for image in _oracle_images(rng):
+        lum = luminance(image)
+        bound = bind_image_stats(params, lum)
+        assert np.array_equal(
+            display_luminance(lum, bound).view(np.uint64), _display_luminance_whole(lum, bound).view(np.uint64)
+        )
+        for refine_bits in (0, 4):
+            got = tonemap(image, lum, bound, refine_bits)
+            assert got.bit_depth == 8 + refine_bits
+            assert np.array_equal(got.samples, _tonemap_whole(image, bound, refine_bits)), refine_bits
+
+
+@pytest.mark.parametrize("kind", list(TmoKind))
+def test_predict_hdr_matches_whole_image_oracle(kind, rng):
+    for depth in (8, 12):
+        for image in _oracle_images(rng):
+            samples = rng.integers(0, 1 << depth, size=image.samples.shape).astype(np.uint16)
+            samples[:, rng.random(samples.shape[1:]) < 0.1] = 0
+            samples[:, rng.random(samples.shape[1:]) < 0.1] = (1 << depth) - 1
+            base = LdrImage(samples, bit_depth=depth)
+            for gamma in (0.45, 2.2):
+                params = TmoParams(kind=kind, log_avg=0.37, l_max=HALF_MAX, gamma=gamma)
+                assert np.array_equal(predict_hdr(base, params).samples, _predict_hdr_whole(base, params))
