@@ -2,6 +2,9 @@
 HDR directory, verify losslessness, and collect bitrates and quality scores.
 
 The grid per image is {configured TMOs} x {q values} x {HP, XT(R=0), XT(R=4)}.
+By default each distinct tone curve runs once (:data:`DISTINCT_TMOS`):
+``reinhard-global`` is the ``default`` curve under another kind byte, so it
+would repeat those cells and count that curve twice in the cross-TMO spread.
 Every cell is round-tripped and compared bit-exactly; a failed cell fails the
 whole run.  Two tone-mapped images are scored per cell when quality scoring is
 on: the pre-compression 8-bit image and the decoded base layer (columns
@@ -20,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .basejpeg import decode_base, split_refinement
 from .container import CodecParams, CoderMode, MODE_NAMES
 from .errors import BenchError, Hdr2lError, LosslessnessError, ParameterError
 from .imagio import HdrImage, half_encode_array, luminance, parse_pfm, parse_rgbe, write_pfm
-from .tmo import TMO_BY_NAME, TMO_NAMES, TmoKind, TmoParams, bind_image_stats, tonemap
+from .tmo import TMO_NAMES, TmoKind, TmoParams, bind_image_stats, tonemap
 from .tmqi import MIN_SIDE as TMQI_MIN_SIDE
 from .tmqi import BoxStats, boxstats
 from .tmqi import tmqi as score_tmqi
@@ -41,6 +44,7 @@ CSV_FIELDS = (
     "tmqi_pre", "tmqi_decoded", "lossless_ok", "encode_s", "decode_s",
 )
 ARMS = ((CoderMode.HP, 0), (CoderMode.XT, 0), (CoderMode.XT, 4))
+DISTINCT_TMOS = (TmoKind.DEFAULT, TmoKind.REINHARD_LOCAL, TmoKind.DRAGO)
 QUARTILE_METHOD_NOTE = (
     "quartiles: linear interpolation at p*(n+1) (median-exclusive convention)"
 )
@@ -65,14 +69,13 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    tmos: tuple[TmoKind, ...] = tuple(TmoKind)
+    tmos: tuple[TmoKind, ...] = DISTINCT_TMOS
     qs: tuple[int, ...] = (80, 90)
-    arms: tuple[tuple[CoderMode, int], ...] = ARMS
     workers: int = 1
     compute_tmqi: bool = True
 
     def __post_init__(self):
-        if not self.tmos or not self.qs or not self.arms:
+        if not self.tmos or not self.qs:
             raise ParameterError("benchmark grid must have at least one arm")
 
 
@@ -238,7 +241,7 @@ def run_image(image_id: str, hdr: HdrImage, config: BenchConfig) -> list[RunReco
     for kind in config.tmos:
         tmo_params = TmoParams(kind=kind)
         for q in config.qs:
-            for mode, refine in config.arms:
+            for mode, refine in ARMS:
                 params = CodecParams(mode=mode, tmo=tmo_params, q=q, refine_bits=refine)
                 t0 = time.perf_counter()
                 stream = container.encode(hdr, params)
@@ -429,7 +432,7 @@ def records_from_csv(text: str) -> list[RunRecord]:
 # Boxplot SVG
 
 
-def emit_boxplot_svg(arm_stats: dict[str, BoxStats], title: str = "bitrate (bpp)") -> str:
+def emit_boxplot_svg(arm_stats: dict[str, BoxStats]) -> str:
     """Render per-arm box-and-whisker plots as a deterministic static SVG."""
     if not arm_stats:
         raise ParameterError("boxplot needs at least one arm")
@@ -456,7 +459,7 @@ def emit_boxplot_svg(arm_stats: dict[str, BoxStats], title: str = "bitrate (bpp)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="10">',
-        f'<text x="{margin_left}" y="16">{title}</text>',
+        f'<text x="{margin_left}" y="16">bitrate (bpp)</text>',
         f'<line x1="{margin_left - 8}" y1="{f(y(vmin))}" x2="{margin_left - 8}" '
         f'y2="{f(y(vmax))}" stroke="black"/>',
     ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -56,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generate N synthetic images instead of reading a directory "
                         "(seeded by HDR2L_SEED)")
     p.add_argument("--size", type=int, default=96, help="synthetic image side length")
-    p.add_argument("--tmo", choices=sorted(TMO_BY_NAME) + ["all"], default="all")
+    p.add_argument("--tmo", choices=sorted(TMO_BY_NAME) + ["all"], default="all",
+                   help="tone-mapping operator; 'all' runs each distinct curve once: "
+                        "default, reinhard-local, drago (reinhard-global is default's curve)")
     p.add_argument("--q", type=int, action="append", metavar="1..100",
                    help="quality value (repeatable; default 80 and 90)")
     p.add_argument("--workers", type=int, default=1)
@@ -104,7 +105,7 @@ def _cmd_tmqi(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    tmos = tuple(TMO_BY_NAME.values()) if args.tmo == "all" else (TMO_BY_NAME[args.tmo],)
+    tmos = bench.DISTINCT_TMOS if args.tmo == "all" else (TMO_BY_NAME[args.tmo],)
     config = bench.BenchConfig(
         tmos=tmos,
         qs=tuple(args.q) if args.q else (80, 90),

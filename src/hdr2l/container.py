@@ -13,12 +13,20 @@ bytes     field
 1         reserved, must be 0
 4 + 4     width, height (u32 each)
 4         CRC-32 of the source half codes (pixel CRC)
-73        tone-mapping parameter block
+73        tone-mapping parameter block (below)
 4 + n     base JPEG length + bytes
 3*(4+n)   refinement payloads (only when R > 0)
 4 + n     residual block length + bytes
 4         CRC-32 of all preceding bytes
 ========  =====================================================
+
+The TMO block is the kind byte and nine float64 fields: the constants
+``tmo.KEY``, ``L_WHITE``, ``BIAS``, ``LDMAX``, ``LOCAL_SCALES`` and
+``LOCAL_THRESHOLD`` (block bytes 1-48), the image's log-average and peak
+luminance (49-64), and ``tmo.GAMMA`` (65-72).  Every reader raises
+:class:`ParseError` at the first constant byte that differs from the
+encoder's, with its offset in the block, and on a log-average of 0 or a peak
+below ``tmo.LOG_AVERAGE_DELTA``, before it reads the base layer.
 
 The embedded JPEG is byte-identical to a standalone base-layer encode of the
 same tone-mapped image, so extracting it yields an ordinary JPEG file.  Every
@@ -197,7 +205,7 @@ def _parse(data: bytes) -> _Parsed:
         raise FormatError(f"image {width}x{height} is larger than a JPEG frame (65535 x 65535)")
 
     pos = _HEADER.size
-    tmo_params = tmo.parse_tmo_params(data[pos : pos + tmo.TMO_PARAMS_SIZE])
+    tmo_params = _stage("tmo-params", tmo.parse_tmo_params, data[pos : pos + tmo.TMO_PARAMS_SIZE])
     pos += tmo.TMO_PARAMS_SIZE
     try:
         params = CodecParams(mode=mode, tmo=tmo_params, q=q, refine_bits=refine_bits)

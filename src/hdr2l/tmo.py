@@ -1,11 +1,13 @@
 """Tone-mapping operators and the decoder-side inverse prediction map.
 
-Four operators are provided: the default global photographic curve (fixed key
-0.18), the photographic operator with a configurable key and optional burn-out
-luminance, its local dodge-and-burn variant, and the adaptive logarithmic
-operator.  The operator parameters, together with two statistics of the source
-image (log-average and peak luminance), are serialized bit-exactly so that the
-encoder and decoder compute identical predictions.
+Three tone curves run at their published settings, the module constants
+:data:`KEY`, :data:`L_WHITE`, :data:`BIAS`, :data:`LDMAX`, :data:`LOCAL_SCALES`,
+:data:`LOCAL_THRESHOLD` and :data:`GAMMA`: the global photographic curve
+(Reinhard et al. 2002), its local dodge-and-burn variant, and the adaptive
+logarithmic operator (Drago et al. 2003).  ``default`` and ``reinhard-global``
+are one curve under two kind bytes.  The kind, the constants and two statistics
+of the source image (log-average and peak luminance) are serialized bit-exactly
+so that the encoder and decoder compute identical predictions.
 
 The inverse prediction map only has to be deterministic, not accurate: the
 residual layer restores the original bit-exactly regardless.  Prediction
@@ -30,11 +32,20 @@ from .imagio import HdrImage, LdrImage, half_decode_array, half_encode_array
 
 LOG_AVERAGE_DELTA = 1e-6
 
-# Local operator constants: center/surround scale ratio, sharpening exponent
-# in the activity normalizer, and the smallest Gaussian scale in pixels.
+# The operators' settings.  Every stream carries them, and a reader refuses
+# a block that holds any other value.
+KEY = 0.18  # photographic key value a
+L_WHITE = math.inf  # burn-out luminance; inf turns burn-out off
+BIAS = 0.85  # logarithmic operator's bias b
+LDMAX = 100.0  # display peak in cd/m^2; the logarithmic curve reaches LDMAX / 100
+LOCAL_SCALES = 8  # center/surround scale pairs the local operator probes
+LOCAL_THRESHOLD = 0.05  # local operator's activity threshold epsilon
+GAMMA = 2.2  # display gamma of the base layer
+
+# Local operator constants: center/surround scale ratio and sharpening
+# exponent in the activity normalizer.
 LOCAL_SCALE_RATIO = 1.6
 LOCAL_SHARPEN = 2.0**8
-DEFAULT_KEY = 0.18
 
 # Inverse map constants: the photographic inverse saturates just below 1, the
 # logarithmic inverse bisects its forward curve to float64 resolution.  The
@@ -59,52 +70,42 @@ TMO_NAMES = {
 }
 TMO_BY_NAME = {name: kind for kind, name in TMO_NAMES.items()}
 
+# The kind byte, then nine little-endian float64 fields: KEY, L_WHITE, BIAS,
+# LDMAX, LOCAL_SCALES, LOCAL_THRESHOLD, log_avg, l_max, GAMMA.  The two image
+# statistics sit at bytes 49-64; every other field is a constant.
 _PARAMS_STRUCT = struct.Struct("<B9d")
 TMO_PARAMS_SIZE = _PARAMS_STRUCT.size
+_STATS_AT = struct.calcsize("<B6d")
+
+
+def _pack(kind: int, log_avg: float, l_max: float) -> bytes:
+    constants = (KEY, L_WHITE, BIAS, LDMAX, LOCAL_SCALES, LOCAL_THRESHOLD)
+    return _PARAMS_STRUCT.pack(kind, *constants, log_avg, l_max, GAMMA)
+
+
+_CONSTANTS = _pack(0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
 class TmoParams:
-    """Operator choice plus every number the prediction map depends on.
+    """Operator choice plus the two statistics of the source image.
 
-    ``log_avg`` and ``l_max`` are statistics of the source image; they default
-    to 0 (unbound) and must be bound with :func:`bind_image_stats` before
-    tone mapping, prediction, or serialization.
+    ``log_avg`` and ``l_max`` default to 0 (unbound) and must be bound with
+    :func:`bind_image_stats` before tone mapping, prediction, or
+    serialization.
     """
 
     kind: TmoKind
-    key_a: float = 0.18
-    l_white: float = math.inf
-    bias: float = 0.85
-    ldmax: float = 100.0
-    local_scales: int = 8
-    local_threshold: float = 0.05
     log_avg: float = 0.0
     l_max: float = 0.0
-    gamma: float = 2.2
 
     def __post_init__(self):
         if not isinstance(self.kind, TmoKind):
             object.__setattr__(self, "kind", TmoKind(self.kind))
-        if not (self.key_a > 0 and math.isfinite(self.key_a)):
-            raise ParameterError(f"key_a must be positive and finite, got {self.key_a}")
-        if not (self.l_white > 0):
-            raise ParameterError(f"l_white must be positive (inf disables it), got {self.l_white}")
-        if not (0 < self.bias <= 1):
-            raise ParameterError(f"bias must lie in (0, 1], got {self.bias}")
-        if not (self.ldmax > 0 and math.isfinite(self.ldmax)):
-            raise ParameterError(f"ldmax must be positive and finite, got {self.ldmax}")
-        if not (1 <= int(self.local_scales) <= 16):
-            raise ParameterError(f"local_scales must lie in [1, 16], got {self.local_scales}")
-        if not (self.local_threshold > 0 and math.isfinite(self.local_threshold)):
-            raise ParameterError(f"local_threshold must be positive, got {self.local_threshold}")
         if not (self.log_avg >= 0 and math.isfinite(self.log_avg)):
             raise ParameterError(f"log_avg must be finite and non-negative, got {self.log_avg}")
         if not (self.l_max >= 0 and math.isfinite(self.l_max)):
             raise ParameterError(f"l_max must be finite and non-negative, got {self.l_max}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
-        object.__setattr__(self, "local_scales", int(self.local_scales))
 
     @property
     def bound(self) -> bool:
@@ -115,31 +116,31 @@ def serialize_tmo_params(params: TmoParams) -> bytes:
     """Fixed-order little-endian layout: kind byte plus nine float64 fields."""
     if not params.bound:
         raise ParameterError("cannot serialize unbound TmoParams (call bind_image_stats)")
-    return _PARAMS_STRUCT.pack(
-        int(params.kind),
-        params.key_a,
-        params.l_white,
-        params.bias,
-        params.ldmax,
-        float(params.local_scales),
-        params.local_threshold,
-        params.log_avg,
-        params.l_max,
-        params.gamma,
-    )
+    return _pack(int(params.kind), params.log_avg, params.l_max)
 
 
 def parse_tmo_params(data: bytes) -> TmoParams:
-    """Exact inverse of :func:`serialize_tmo_params`."""
+    """Exact inverse of :func:`serialize_tmo_params`.  Any constant byte that
+    differs raises :class:`ParseError` at its offset in the block."""
     if len(data) != TMO_PARAMS_SIZE:
         raise ParseError(f"TMO parameter block must be {TMO_PARAMS_SIZE} bytes, got {len(data)}")
-    fields = _PARAMS_STRUCT.unpack(data)
-    try:  # the fields are in TmoParams declaration order
-        params = TmoParams(TmoKind(fields[0]), *fields[1:5], int(fields[5]), *fields[6:])
-    except (ValueError, OverflowError) as exc:
+    if data[0] not in TMO_NAMES:
+        raise ParseError(f"unknown TMO kind {data[0]}", offset=0)
+    stats_end = _STATS_AT + 16
+    expected = data[:1] + _CONSTANTS[1:_STATS_AT] + data[_STATS_AT:stats_end] + _CONSTANTS[stats_end:]
+    if data != expected:
+        at = next(i for i, (a, b) in enumerate(zip(data, expected)) if a != b)
+        raise ParseError("TMO parameter block does not hold the operator constants", offset=at)
+    log_avg, l_max = struct.unpack_from("<2d", data, _STATS_AT)
+    try:
+        params = TmoParams(TmoKind(data[0]), log_avg, l_max)
+    except ParameterError as exc:
         raise ParseError(f"invalid TMO parameter block: {exc}") from None
-    # bind_image_stats never stores a peak below this floor; the logarithmic
-    # curve divides by log10(1 + l_max).
+    # bind_image_stats never stores a log-average of 0, which the prediction
+    # refuses, nor a peak below this floor; the logarithmic curve divides by
+    # log10(1 + l_max).
+    if params.log_avg == 0.0:
+        raise ParseError("TMO log-average luminance is 0", offset=_STATS_AT)
     if params.l_max < LOG_AVERAGE_DELTA:
         raise ParseError(f"TMO peak luminance {params.l_max} below {LOG_AVERAGE_DELTA}")
     return params
@@ -163,15 +164,11 @@ def bind_image_stats(params: TmoParams, lum: np.ndarray) -> TmoParams:
     )
 
 
-def _effective_key(params: TmoParams) -> float:
-    return DEFAULT_KEY if params.kind == TmoKind.DEFAULT else params.key_a
-
-
-def _drago_curve(lum: np.ndarray, l_max: float, bias: float, ldmax: float) -> np.ndarray:
-    """Adaptive logarithmic display luminance, 0 at 0 and ldmax/100 at l_max:
+def _drago_curve(lum: np.ndarray, l_max: float) -> np.ndarray:
+    """Adaptive logarithmic display luminance, 0 at 0 and LDMAX/100 at l_max:
     prefix * log1p(L) / log(2 + 8 * clip(L / l_max, 0, 1) ** exponent)."""
-    exponent = math.log(bias) / math.log(0.5)
-    prefix = (ldmax / 100.0) / math.log10(1.0 + l_max)
+    exponent = math.log(BIAS) / math.log(0.5)
+    prefix = (LDMAX / 100.0) / math.log10(1.0 + l_max)
     lum = np.asarray(lum, dtype=np.float64)
     # Every step writes into one of two planes; ``out`` keeps a 0-d input an array.
     with np.errstate(divide="ignore"):
@@ -187,7 +184,7 @@ def _drago_curve(lum: np.ndarray, l_max: float, bias: float, ldmax: float) -> np
     return curve
 
 
-def _local_adaptation(scaled: np.ndarray, key: float, params: TmoParams) -> np.ndarray:
+def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
     """Per-pixel adaptation luminance: the center Gaussian average at the
     largest scale whose center-surround activity stays below the threshold.
 
@@ -200,13 +197,13 @@ def _local_adaptation(scaled: np.ndarray, key: float, params: TmoParams) -> np.n
     selected = center
     passing = np.ones(scaled.shape, dtype=bool)
     activity = np.empty_like(scaled)
-    for i in range(params.local_scales):
+    for i in range(LOCAL_SCALES):
         scale = LOCAL_SCALE_RATIO**i
         surround = gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO ** (i + 1), mode="nearest")
         np.subtract(center, surround, out=activity)
-        activity /= LOCAL_SHARPEN * key / (scale * scale) + center
+        activity /= LOCAL_SHARPEN * KEY / (scale * scale) + center
         np.abs(activity, out=activity)
-        passing &= activity < params.local_threshold
+        passing &= activity < LOCAL_THRESHOLD
         if i:
             np.copyto(selected, center, where=passing)
         center = surround
@@ -215,27 +212,18 @@ def _local_adaptation(scaled: np.ndarray, key: float, params: TmoParams) -> np.n
 
 def display_luminance(lum: np.ndarray, params: TmoParams) -> np.ndarray:
     """Map scene luminance to display luminance under the chosen operator."""
-    key = _effective_key(params)
     if params.kind == TmoKind.DRAGO:
         if params.l_max <= 0:
             raise ParameterError("Drago operator requires bound l_max")
-        return _drago_curve(lum, params.l_max, params.bias, params.ldmax)
+        return _drago_curve(lum, params.l_max)
     # Each curve is evaluated in the order its formula reads, in place; IEEE
     # addition and multiplication commute, so 1 + x is computed as x + 1.
-    scaled = key * np.asarray(lum, dtype=np.float64)
+    scaled = KEY * np.asarray(lum, dtype=np.float64)
     scaled /= params.log_avg
     if params.kind == TmoKind.REINHARD_LOCAL:  # scaled / (1 + adaptation)
-        denom = _local_adaptation(scaled, key, params)
+        denom = _local_adaptation(scaled)
         denom += 1.0
-    elif params.kind == TmoKind.REINHARD_GLOBAL and math.isfinite(params.l_white):
-        # scaled * (1 + scaled / l_white^2) / (1 + scaled)
-        boosted = scaled / (params.l_white * params.l_white)
-        boosted += 1.0
-        boosted *= scaled
-        scaled += 1.0
-        boosted /= scaled
-        return boosted
-    else:  # scaled / (1 + scaled)
+    else:  # scaled / (1 + scaled), burn-out off
         denom = scaled + 1.0
     scaled /= denom
     return scaled
@@ -254,19 +242,17 @@ def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: in
     if params.log_avg <= 0:
         raise ParameterError("tonemap requires bound TmoParams (call bind_image_stats)")
     display = display_luminance(lum, params)
-    lit = lum > 0.0
-    divisor = np.where(lit, lum, 1.0)
-    dark = np.logical_not(lit, out=lit)
+    # Zero luminance means all three half codes are 0, which 0 / 1 maps to 0.
+    divisor = np.where(lum > 0.0, lum, 1.0)
     bit_depth = 8 + refine_bits
     maxval = (1 << bit_depth) - 1
     codes = np.empty(image.samples.shape, dtype=np.uint16)
     for plane, out in zip(image.samples, codes):
         mapped = half_decode_array(plane)
         mapped /= divisor
-        np.copyto(mapped, 0.0, where=dark)
         mapped *= display
         np.clip(mapped, 0.0, None, out=mapped)
-        np.power(mapped, 1.0 / params.gamma, out=mapped)
+        np.power(mapped, 1.0 / GAMMA, out=mapped)
         mapped *= maxval
         if not np.isfinite(mapped).all():
             raise InternalError("non-finite value during tone mapping")
@@ -276,20 +262,19 @@ def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: in
     return LdrImage(codes, bit_depth=bit_depth)
 
 
-def _drago_inverse(target: np.ndarray, params: TmoParams) -> np.ndarray:
+def _drago_inverse(target: np.ndarray, l_max: float) -> np.ndarray:
     """Deterministic bisection of the monotone logarithmic curve.
 
     The curve has no closed-form inverse; a fixed iteration count keeps the
     result a pure function of the inputs, which is all losslessness needs.
     """
-    l_max, bias, ldmax = params.l_max, params.bias, params.ldmax
-    top = float(_drago_curve(np.float64(l_max), l_max, bias, ldmax))
+    top = float(_drago_curve(np.float64(l_max), l_max))
     t = np.clip(np.asarray(target, dtype=np.float64), 0.0, top)
     lo = np.zeros_like(t)
     hi = np.full_like(t, l_max)
     for _ in range(DRAGO_INVERSE_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        above = _drago_curve(mid, l_max, bias, ldmax) >= t
+        above = _drago_curve(mid, l_max) >= t
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi)
@@ -327,15 +312,15 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     if params.log_avg <= 0:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
-    levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, params.gamma)
+    levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, GAMMA)
     if params.kind == TmoKind.DRAGO:
         if params.l_max <= 0:
             raise ParameterError("Drago inverse requires bound l_max")
-        inverse = _drago_inverse(levels, params)
+        inverse = _drago_inverse(levels, params.l_max)
     else:  # the local operator reuses the photographic inverse
         capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
         scaled = capped / (1.0 - capped)
-        inverse = scaled * params.log_avg / _effective_key(params)
+        inverse = scaled * params.log_avg / KEY
     top, proxy = _top_codes(base.samples, (levels[plane] for plane in base.samples))
     lum_est = inverse[top]
     del top

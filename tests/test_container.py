@@ -53,6 +53,16 @@ def test_reserved_header_byte_must_be_zero():
             reader(bad)
 
 
+def test_zero_log_average_refused_by_every_reader():
+    # Unbound statistics made decode fail only at the prediction, after the
+    # base layer was decoded, while measure and extract_ldr accepted them.
+    stream = encode(sparse_hdr_image(8, 8), _params())
+    bad = _edited(stream, PIXEL_CRC_OFFSET + 4 + 49, bytes(8))  # log_avg = 0.0
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(ParseError, match="log-average"):
+            reader(bad)
+
+
 def test_header_fields_checked_as_codec_params():
     stream = encode(sparse_hdr_image(8, 8), _params(mode=CoderMode.XT, refine=4))
     # byte 5 mode, 6 quality, 7 refinement bits

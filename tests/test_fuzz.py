@@ -8,6 +8,7 @@ source image exactly.  Besides random sites, a share of the mutants rewrite
 the fields that readers size their work from: the container width and
 height, each residual plane's payload length, and inside every plane payload
 (residual and refinement) the unary-stream length U and the k-table nibbles.
+Every byte of the tone-mapping operator constants is flipped on its own.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import zlib
 import numpy as np
 import pytest
 
-from hdr2l import tmo
+from hdr2l import basejpeg, tmo
 from hdr2l.container import _HEADER, CodecParams, CoderMode, _parse, decode, encode, extract_ldr, measure
-from hdr2l.errors import Hdr2lError
+from hdr2l.errors import Hdr2lError, ParseError
 from hdr2l.imagio import HdrImage
 from hdr2l.rescodec import PLANE_HEADER, RICE_BLOCK, RICE_MAX_K, ZERO_BLOCK, split_residual_sections
 from conftest import sparse_hdr_image
@@ -29,6 +30,8 @@ SIDE = 20
 MUTANTS = 300
 FIELD_MUTANTS = 60
 WIDTH_OFFSET = 9  # u32 width, then u32 height
+# The TMO block's constant bytes: all but the kind byte and log_avg, l_max.
+TMO_CONSTANT_BYTES = [*range(1, 49), *range(65, tmo.TMO_PARAMS_SIZE)]
 
 
 def _mutants(stream: bytes, count: int, seed: int):
@@ -125,3 +128,21 @@ def test_mutated_streams_raise_only_codec_errors(mode, refine, seed):
             if reader is decode and result != image:
                 escapes.append((index, "decode", "returned an image that is not the source"))
     assert escapes == []
+
+
+def test_every_tmo_constant_byte_is_refused_at_its_offset(monkeypatch):
+    stream = encode(_patch_image(), CodecParams(CoderMode.XT, tmo.TmoParams(kind=tmo.TmoKind.DRAGO), q=100))
+
+    def base_reached(*args):
+        raise AssertionError("the base layer was read before the TMO block was checked")
+
+    monkeypatch.setattr(basejpeg, "check_base", base_reached)
+    for at in TMO_CONSTANT_BYTES:
+        for flip in (0x01, 0x80):
+            mutant = bytearray(stream[:-4])
+            mutant[_HEADER.size + at] ^= flip
+            mutant = _with_crc(mutant)
+            for reader in (decode, measure, extract_ldr):
+                with pytest.raises(ParseError) as info:
+                    reader(mutant)
+                assert info.value.offset == at, (at, flip, reader.__name__)
