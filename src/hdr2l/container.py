@@ -44,7 +44,7 @@ channel at a time.  It maps, converts or predicts one channel, or one YCbCr
 component, into its output before it reads the next, and :func:`encode` and
 :func:`decode` release each intermediate image once the next stage has run.
 At full size on the first image of each benchmark workload, the traced peak
-of :func:`encode` is 45-48 B/px, set by the base-layer JPEG encode (57 B/px
+of :func:`encode` is 45-48 B/px, set by the base-layer JPEG encode (59 B/px
 under the local operator, set by its Gaussian planes in the tone map), and
 that of :func:`decode` is 41-51 B/px, set by the prediction; the half-float
 input itself is 6 B/px.

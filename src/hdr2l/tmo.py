@@ -9,6 +9,15 @@ are one curve under two kind bytes.  The kind, the constants and two statistics
 of the source image (log-average and peak luminance) are serialized bit-exactly
 so that the encoder and decoder compute identical predictions.
 
+The local operator's widest Gaussians (sigma up to 1.6^8, about 43 pixels)
+run on a box pyramid after Burt and Adelson ("The Laplacian pyramid as a
+compact image code", 1983).  A Gaussian of sigma >= :data:`PYRAMID_SIGMA` is
+filtered on the level of 2^k x 2^k block means where sigma / 2^k first falls
+below :data:`PYRAMID_SIGMA`, at sigma_k = sqrt(sigma^2 - (4^k - 1) / 12) / 2^k
+because the box adds a variance of (4^k - 1) / 12 pixels^2, and interpolated
+linearly back to full size.  Only the encoder evaluates this operator; its
+streams decode through the global inverse like any other.
+
 The inverse prediction map only has to be deterministic, not accurate: the
 residual layer restores the original bit-exactly regardless.  Prediction
 quality affects bitrate only.  Everything in it that depends on one sample
@@ -46,6 +55,10 @@ GAMMA = 2.2  # display gamma of the base layer
 # exponent in the activity normalizer.
 LOCAL_SCALE_RATIO = 1.6
 LOCAL_SHARPEN = 2.0**8
+# Gaussians at least this wide run on a box pyramid (see _local_adaptation),
+# upsampled to full size in this many blocks of whole rows.
+PYRAMID_SIGMA = 6.0
+UPSAMPLE_BLOCKS = 32
 
 # Inverse map constants: the photographic inverse saturates just below 1, the
 # logarithmic inverse bisects its forward curve to float64 resolution.  The
@@ -184,22 +197,109 @@ def _drago_curve(lum: np.ndarray, l_max: float) -> np.ndarray:
     return curve
 
 
+def _halve_rows(inner: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Means of row pairs of ``inner``, between the edge lines ``first`` and
+    ``last``.  An odd last row is paired with ``last``, the next block of the
+    image extended by its edge."""
+    pairs, odd = divmod(inner.shape[0], 2)
+    out = np.empty((pairs + odd + 2,) + inner.shape[1:])
+    out[0] = first
+    out[-1] = last
+    body = out[1:-1]
+    np.add(inner[0 : 2 * pairs : 2], inner[1 : 2 * pairs : 2], out=body[:pairs])
+    if odd:
+        np.add(inner[-1], last, out=body[-1])
+    body *= 0.5
+    return out
+
+
+def _halve(level: np.ndarray, padded: bool) -> np.ndarray:
+    """The next pyramid level: 2 x 2 box means of ``level``, with one line of
+    edge values on each side.  A padded level already carries those lines; the
+    full-size image is its own edge."""
+    inner = level[1:-1] if padded else level
+    rows = _halve_rows(inner, level[0], level[-1])
+    inner = rows[:, 1:-1] if padded else rows
+    return np.ascontiguousarray(_halve_rows(inner.T, rows[:, 0], rows[:, -1]).T)
+
+
+def _upsample_taps(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``size`` pixels, the padded level-k index of the block
+    centre at or before it and the linear weight of the next one.  Block j
+    (index j + 1) covers pixels j * 2^k to (j + 1) * 2^k - 1."""
+    at = (np.arange(size) + 0.5) / 2**k + 0.5
+    lower = np.floor(at)
+    return lower.astype(np.intp), at - lower
+
+
+def _pyramid_surround(sigma: float, level: tuple, shape: tuple[int, int]) -> tuple[np.ndarray, tuple]:
+    """``gaussian_filter(scaled, sigma, mode="nearest")`` of the full-size
+    ``shape``, approximated on level k of the box pyramid, k the largest with
+    sigma / 2^k >= PYRAMID_SIGMA / 2, and upsampled linearly a block of rows
+    at a time.  ``level`` is (j, level j) for some j <= k, level 0 the
+    full-size plane; the surround is returned with (k, level k)."""
+    from scipy.ndimage import gaussian_filter
+
+    k = 0
+    while sigma / 2**k >= PYRAMID_SIGMA:
+        k += 1
+    while level[0] < k:
+        level = (level[0] + 1, _halve(level[1], padded=level[0] > 0))
+    # A 2^k box has variance (4^k - 1) / 12 in pixels^2; the Gaussian on the
+    # level supplies the rest.
+    coarse = gaussian_filter(level[1], math.sqrt(sigma * sigma - (4**k - 1) / 12) / 2**k, mode="nearest")
+    row_at, row_weight = _upsample_taps(shape[0], k)
+    col_at, col_weight = _upsample_taps(shape[1], k)
+    col_next = col_at + 1
+    surround = np.empty(shape)
+    step = -(-shape[0] // UPSAMPLE_BLOCKS)
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        lines = coarse[row_at[rows] + 1]
+        lower = coarse[row_at[rows]]
+        lines -= lower
+        lines *= row_weight[rows, None]
+        lines += lower
+        out = surround[rows]
+        right = lines[:, col_next]
+        np.take(lines, col_at, axis=1, out=out)
+        right -= out
+        right *= col_weight
+        out += right
+    return surround, level
+
+
 def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
     """Per-pixel adaptation luminance: the center Gaussian average at the
     largest scale whose center-surround activity stays below the threshold.
 
     The centers are filtered in scale order and only scales i and i + 1 are
     kept.  Scale 0 is selected everywhere at the first step, so its plane
-    becomes the selection, which later scales overwrite where they pass."""
+    becomes the selection, which later scales overwrite where they pass.
+
+    Surrounds of sigma >= :data:`PYRAMID_SIGMA` come from the box pyramid
+    of the module docstring, whose levels are built once per call, each from
+    the one before, and shared by the scales on them.  Each level is framed
+    by one line of edge values per side, the block outside that border of
+    the edge-extended image, with which an odd last row or column pairs when
+    decimated.  So the Gaussian on a level, which replicates edges like the
+    full-size ones, sees the decimated extended image, and the interpolation
+    between block centres reaches the border.  It fills the full-size
+    surround a block of rows at a time."""
     from scipy.ndimage import gaussian_filter  # slow to import; only this operator needs it
 
+    level = (0, scaled)
     center = gaussian_filter(scaled, sigma=1.0, mode="nearest")
     selected = center
     passing = np.ones(scaled.shape, dtype=bool)
     activity = np.empty_like(scaled)
     for i in range(LOCAL_SCALES):
         scale = LOCAL_SCALE_RATIO**i
-        surround = gaussian_filter(scaled, sigma=LOCAL_SCALE_RATIO ** (i + 1), mode="nearest")
+        sigma = LOCAL_SCALE_RATIO ** (i + 1)
+        if sigma < PYRAMID_SIGMA:
+            surround = gaussian_filter(scaled, sigma=sigma, mode="nearest")
+        else:
+            surround, level = _pyramid_surround(sigma, level, scaled.shape)
         np.subtract(center, surround, out=activity)
         activity /= LOCAL_SHARPEN * KEY / (scale * scale) + center
         np.abs(activity, out=activity)

@@ -232,3 +232,24 @@ def test_decoded_params_round_trip_via_stream():
     img = sparse_hdr_image(8, 8)
     stream = encode(img, _params(kind=tmo.TmoKind.REINHARD_LOCAL, q=90))
     assert decode(stream) == img
+
+
+@pytest.mark.parametrize("mode,refine", [(CoderMode.HP, 0), (CoderMode.XT, 4)])
+def test_decode_never_evaluates_the_local_operator(mode, refine, monkeypatch):
+    """The decoder inverts the global curve alone, so a reinhard-local stream
+    whose base layer came from scipy's full-size Gaussian bank, as encoders
+    before the box pyramid wrote it, decodes bit-exactly."""
+    from test_tmo import _local_adaptation_gaussian_bank
+
+    def refuse(scaled):
+        raise AssertionError("decode evaluated the local operator")
+
+    img = sparse_hdr_image(24, 24)
+    params = _params(mode=mode, kind=tmo.TmoKind.REINHARD_LOCAL, refine=refine)
+    pyramid_stream = encode(img, params)
+    monkeypatch.setattr(tmo, "_local_adaptation", _local_adaptation_gaussian_bank)
+    stream = encode(img, params)
+    assert stream != pyramid_stream
+    monkeypatch.setattr(tmo, "_local_adaptation", refuse)
+    assert decode(stream) == img
+    assert decode(pyramid_stream) == img

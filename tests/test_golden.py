@@ -47,16 +47,16 @@ GOLDEN = {
         (1163, 1076, 0, 3130, 142),
     ),
     ("sparse", "reinhard-local", "hp"): (
-        "a241d4faa0a3a3438abf13de921e4c17e47be8eaf8da6611bde0d553432d581f",
-        (1165, 0, 1691, 2162, 130),
+        "8dbb4c5a3a9c883c2ab455c48e638af19f1c0b3108309b37dbc8f1d3017ece4e",
+        (1161, 0, 1685, 2165, 130),
     ),
     ("sparse", "reinhard-local", "xt-r0"): (
-        "2846be24918a463e0a327afe43a9e68defa40167cac4295af72f1b67e35e8a0a",
-        (1165, 0, 0, 3198, 130),
+        "bff9f14d719908089d7ecbcc82f3f22981311ac066c62f798dbdbfa2b8f4721e",
+        (1161, 0, 0, 3203, 130),
     ),
     ("sparse", "reinhard-local", "xt-r4"): (
-        "b461e2cafb0e4c7ac9cd874ca713bff5f7f61532c3fa03f67525f5b15d986658",
-        (1165, 1113, 0, 3199, 142),
+        "8995ced19f81d56c15fddc3fc8739e0239677d6d134e73741937783655290c6a",
+        (1160, 1113, 0, 3210, 142),
     ),
     ("sparse", "drago", "hp"): (
         "325c547d25fdfef0a1672bc70046149cb5564af2bdfa23958eb589839754bf73",
@@ -95,16 +95,16 @@ GOLDEN = {
         (718, 1073, 0, 2267, 142),
     ),
     ("smooth", "reinhard-local", "hp"): (
-        "2ecd75d11a8b3dab60950385f51b0345d39388b4cb505a0a19801279c4e1d219",
-        (728, 0, 723, 1896, 130),
+        "885614841798f91a05a9907842aefa1aed0f60ab467597a3b0200e229957e42b",
+        (725, 0, 752, 1913, 130),
     ),
     ("smooth", "reinhard-local", "xt-r0"): (
-        "4621d9054085648d7580506599ca97cf1853c094ea46301ea75f8a2841ac103f",
-        (728, 0, 0, 2300, 130),
+        "abb93da91ce2eca41b7b6a4b2ab3a24092128ddff62a4061defb502966c74595",
+        (725, 0, 0, 2293, 130),
     ),
     ("smooth", "reinhard-local", "xt-r4"): (
-        "a79a9656c957c482c442e44901450b1c73b30385d06bda8876582b69dbb66cee",
-        (730, 1078, 0, 2370, 142),
+        "5f26223c01d11a3654c87c3c65262a7a4a0fa672534cafb30c382425e888249a",
+        (727, 1078, 0, 2369, 142),
     ),
     ("smooth", "drago", "hp"): (
         "6aec2bec06ad931ac949a1ae4b4e78a58eb06246baaa8aeddf3ea37fe7a90670",

@@ -40,7 +40,7 @@ from hdr2l.tmo import (
     serialize_tmo_params,
     tonemap,
 )
-from conftest import smooth_hdr_image
+from conftest import smooth_hdr_image, sparse_hdr_image
 
 
 def _uniform_image(value: float, size: int = 4) -> HdrImage:
@@ -337,8 +337,10 @@ def test_top_codes_follow_a_non_monotone_level_table(rng):
 
 # ---------------------------------------------------------------------------
 # The whole-image stages that the one-plane-at-a-time ones replaced: each
-# computes on (3, h, w) float64 arrays and keeps every Gaussian center.  The
-# per-channel stages must match them bit for bit.
+# computes on (3, h, w) float64 arrays.  The per-channel stages must match
+# them bit for bit.  The local operator's adaptation is taken from
+# tmo._local_adaptation; its Gaussian pyramid is bounded against scipy's
+# Gaussian bank further below.
 
 
 def _luminance_whole(image: HdrImage) -> np.ndarray:
@@ -356,7 +358,9 @@ def _drago_curve_whole(lum, l_max: float) -> np.ndarray:
     return prefix * np.log1p(lum) / denom
 
 
-def _local_adaptation_all_scales(scaled: np.ndarray) -> np.ndarray:
+def _local_adaptation_gaussian_bank(scaled: np.ndarray) -> np.ndarray:
+    """The local operator's adaptation with every center filtered at full
+    size by scipy, all scales kept."""
     from scipy.ndimage import gaussian_filter
 
     n = LOCAL_SCALES
@@ -376,13 +380,16 @@ def _display_luminance_whole(lum: np.ndarray, params: TmoParams) -> np.ndarray:
         return _drago_curve_whole(lum, params.l_max)
     scaled = KEY * lum / params.log_avg
     if params.kind == TmoKind.REINHARD_LOCAL:
-        return scaled / (1.0 + _local_adaptation_all_scales(scaled))
+        return scaled / (1.0 + tmo._local_adaptation(scaled))
     return scaled / (1.0 + scaled)
 
 
 def _tonemap_whole(image: HdrImage, params: TmoParams, refine_bits: int) -> np.ndarray:
     lum = _luminance_whole(image)
-    display = _display_luminance_whole(lum, params)
+    return _map_channels_whole(image, lum, _display_luminance_whole(lum, params), refine_bits)
+
+
+def _map_channels_whole(image: HdrImage, lum: np.ndarray, display: np.ndarray, refine_bits: int) -> np.ndarray:
     rgb = image.linear()
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(lum > 0.0, rgb / np.where(lum > 0.0, lum, 1.0), 0.0)
@@ -458,3 +465,102 @@ def test_predict_hdr_matches_whole_image_oracle(kind, rng):
             for l_max in (LOG_AVERAGE_DELTA, HALF_MAX):
                 params = TmoParams(kind=kind, log_avg=0.37, l_max=l_max)
                 assert np.array_equal(predict_hdr(base, params).samples, _predict_hdr_whole(base, params))
+
+
+# ---------------------------------------------------------------------------
+# The local operator's box pyramid against scipy's Gaussian bank.  The bounds
+# hold with some margin on every image below; the per-pixel noise of the
+# 24 x 24 sparse image puts the most pixels near the activity threshold.
+
+SURROUND_TOLERANCE = 0.08  # relative error of each pyramid surround
+ADAPTATION_TOLERANCE = 0.05  # an adaptation this far off in relative terms...
+ADAPTATION_SHARE = 0.1  # ...on at most this share of the pixels
+CODE_SHARE = 0.2  # share of 8-bit tone-mapped samples that may differ
+CODE_STEP = 32  # and by how much at most
+
+
+def _ladder_image(height: int, width: int, seed: int) -> HdrImage:
+    """4 x 4 flat patches on a 12-rung ladder of 0.75 stops, crossed by a step
+    wedge: the hard edges of the benchmark's exposure-ladder scenes."""
+    rng = np.random.default_rng(seed)
+    rungs = np.exp2(0.75 * np.arange(12) - 4.0)
+    picks = rng.integers(0, 12, size=(4, 4))
+    idx = np.repeat(np.repeat(picks, -(-height // 4), 0), -(-width // 4), 1)[:height, :width]
+    idx[height // 3 : height // 3 + max(1, height // 8)] = np.arange(width) * 12 // width
+    lum = rungs[idx]
+    return HdrImage(half_encode_array(np.stack([lum, lum * 0.8, lum * 0.6])))
+
+
+PYRAMID_IMAGES = {
+    "smooth-24x24": lambda: smooth_hdr_image(24, 24),
+    "sparse-24x24": lambda: sparse_hdr_image(24, 24),
+    "smooth-1x97": lambda: smooth_hdr_image(97, 1),
+    "smooth-97x1": lambda: smooth_hdr_image(1, 97),
+    "sparse-1x61": lambda: sparse_hdr_image(61, 1),
+    "sparse-37x53": lambda: sparse_hdr_image(53, 37),
+    "smooth-96x96": lambda: smooth_hdr_image(96, 96),
+    "ladder-131x67": lambda: _ladder_image(131, 67, 1),
+    "ladder-256x256": lambda: _ladder_image(256, 256, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PYRAMID_IMAGES))
+def test_local_operator_pyramid_stays_near_the_gaussian_bank(name):
+    from scipy.ndimage import gaussian_filter
+
+    image = PYRAMID_IMAGES[name]()
+    lum = luminance(image)
+    params = bind_image_stats(TmoParams(kind=TmoKind.REINHARD_LOCAL), lum)
+    scaled = KEY * lum / params.log_avg
+    level = (0, scaled)
+    sigmas = [LOCAL_SCALE_RATIO**i for i in range(1, LOCAL_SCALES + 1)]
+    assert any(sigma >= tmo.PYRAMID_SIGMA for sigma in sigmas)
+    for sigma in sigmas:
+        if sigma >= tmo.PYRAMID_SIGMA:
+            surround, level = tmo._pyramid_surround(sigma, level, scaled.shape)
+            exact = gaussian_filter(scaled, sigma, mode="nearest")
+            assert np.max(np.abs(surround - exact) / exact) <= SURROUND_TOLERANCE, sigma
+
+    exact = _local_adaptation_gaussian_bank(scaled)
+    off = np.abs(tmo._local_adaptation(scaled) - exact) > ADAPTATION_TOLERANCE * exact
+    assert off.mean() <= ADAPTATION_SHARE
+
+    got = tonemap(image, lum, params).samples.astype(np.int64)
+    step = np.abs(got - _map_channels_whole(image, lum, scaled / (1.0 + exact), 0))
+    assert (step > 0).mean() <= CODE_SHARE
+    assert step.max() <= CODE_STEP
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (5, 9), (24, 24), (37, 53)])
+def test_pyramid_levels_are_box_means_of_the_edge_extended_image(shape, rng):
+    image = rng.uniform(0.0, 4.0, size=shape)
+    level = image
+    for k in range(1, 5):
+        level = tmo._halve(level, padded=k > 1)
+        n = 2**k
+        blocks = [-(-side // n) for side in shape]
+        # One block of edge values before the image, then whole blocks to one
+        # block past its end.
+        extended = np.pad(image, [(n, (b + 1) * n - side) for b, side in zip(blocks, shape)], mode="edge")
+        means = extended.reshape(blocks[0] + 2, n, blocks[1] + 2, n).mean(axis=(1, 3))
+        np.testing.assert_allclose(level, means, rtol=1e-13, err_msg=f"level {k}")
+
+
+@pytest.mark.parametrize("shape", [(1, 1500), (1500, 1)])
+def test_pyramid_surround_adds_the_variance_of_its_gaussian(shape):
+    """On a quadratic the Gaussian of variance sigma^2 adds sigma^2.  The
+    pyramid adds that, the box included, plus 4^k t (1 - t) from the linear
+    upsampling at weight t; scipy's kernel, cut at 4 sigma, falls short by
+    less than 0.1 %.  Without the box's (4^k - 1) / 12 in sigma_k it would
+    add at least 0.2 % more on these scales."""
+    x = np.arange(max(shape)) - max(shape) / 2.0
+    quadratic = (x * x).reshape(shape)
+    interior = slice(500, -500)
+    for sigma in (LOCAL_SCALE_RATIO**i for i in range(1, LOCAL_SCALES + 1)):
+        if sigma < tmo.PYRAMID_SIGMA:
+            continue
+        surround, (k, _) = tmo._pyramid_surround(sigma, (0, quadratic), shape)
+        _, t = tmo._upsample_taps(max(shape), k)
+        added = (surround - quadratic).ravel()[interior]
+        expected = (sigma * sigma + 4**k * t * (1.0 - t))[interior]
+        assert np.max(np.abs(added - expected)) <= 1.5e-3 * sigma * sigma, sigma
