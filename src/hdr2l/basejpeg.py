@@ -511,12 +511,19 @@ def check_base(stream: bytes, q: int, width: int, height: int) -> None:
     scan data in which every 0xFF byte is stuffed, then one EOI marker that
     ends the stream.  The scan is not decoded."""
     _require_header(stream, _header(quality_to_tables(q), width, height), f"q={q} at {width}x{height}")
+    _scan_end(stream)
+
+
+def _scan_end(stream: bytes) -> int:
+    """Offset of the EOI marker that ends ``stream``: the scan data after the
+    header must stuff every 0xFF byte and run up to one final EOI."""
     marker = _UNSTUFFED.search(stream, _HEADER_SIZE)
     at = len(stream) if marker is None else marker.start()
     if stream[at : at + 2] != _EOI:
         raise ParseError("missing EOI marker after scan", offset=at)
     if at + 2 != len(stream):
         raise ParseError(f"{len(stream) - at - 2} bytes after the EOI marker", offset=at + 2)
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -524,30 +531,25 @@ def check_base(stream: bytes, q: int, width: int, height: int) -> None:
 
 
 class _JpegBitReader:
-    """MSB-first reader over entropy-coded data with 0xFF00 unstuffing."""
+    """MSB-first reader over the unstuffed scan data of a stream.  Offsets it
+    reports are stream offsets: each 0xFF before a scan position was followed
+    by a stuffed 0x00 in the stream."""
 
-    def __init__(self, data: bytes, pos: int):
-        self._data = data
-        self._pos = pos
+    def __init__(self, scan: bytes):
+        self._data = scan
+        self._pos = 0
         self._acc = 0
         self._nbits = 0
+
+    def _offset(self, pos: int) -> int:
+        return _HEADER_SIZE + pos + self._data.count(0xFF, 0, pos)
 
     def read1(self) -> int:
         if self._nbits == 0:
             if self._pos >= len(self._data):
-                raise ParseError("entropy data exhausted", offset=self._pos)
-            byte = self._data[self._pos]
+                raise ParseError("entropy data exhausted", offset=self.end_position())
+            self._acc = self._data[self._pos]
             self._pos += 1
-            if byte == 0xFF:
-                if self._pos >= len(self._data):
-                    raise ParseError("dangling 0xFF in entropy data", offset=self._pos)
-                stuffed = self._data[self._pos]
-                if stuffed != 0x00:
-                    raise ParseError(
-                        f"unexpected marker 0xFF{stuffed:02X} inside scan", offset=self._pos
-                    )
-                self._pos += 1
-            self._acc = byte
             self._nbits = 8
         self._nbits -= 1
         return (self._acc >> self._nbits) & 1
@@ -559,13 +561,19 @@ class _JpegBitReader:
         return value
 
     def end_position(self) -> int:
-        return self._pos
+        return self._offset(self._pos)
 
-    def check_padding(self) -> None:
-        """Require the unread bits of the current byte to be one-filled."""
+    def check_end(self) -> None:
+        """Require the scan to be read to its last byte, whose unread bits
+        must be one-filled."""
         mask = (1 << self._nbits) - 1
         if self._acc & mask != mask:
-            raise ParseError("scan pad bits are not all ones", offset=self._pos - 1)
+            raise ParseError("scan pad bits are not all ones", offset=self._offset(self._pos - 1))
+        if self._pos != len(self._data):
+            raise ParseError(
+                f"{len(self._data) - self._pos} bytes of scan data after the last block",
+                offset=self.end_position(),
+            )
 
 
 def _read_huffman(reader: _JpegBitReader, table: dict[tuple[int, int], int]) -> int:
@@ -611,7 +619,7 @@ def decode_base(stream: bytes) -> LdrImage:
     # least one bit each: reject a frame the scan cannot fill before allocating.
     if 3 * bh * bw * 2 > 8 * (len(stream) - _HEADER_SIZE):
         raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=_HEADER_SIZE)
-    reader = _JpegBitReader(stream, _HEADER_SIZE)
+    reader = _JpegBitReader(stream[_HEADER_SIZE : _scan_end(stream)].replace(b"\xFF\x00", b"\xFF"))
     n = bh * bw
     # Laid out (component, natural coefficient index, block): a block's DC sits
     # at dc_at[component] + block, its zig-zag coefficient k step[k] further.
@@ -648,12 +656,7 @@ def decode_base(stream: bytes) -> LdrImage:
                 levels[at + step[k]] = _extend(reader.read(size), size)
                 k += 1
 
-    reader.check_padding()
-    tail = reader.end_position()
-    if stream[tail : tail + 2] != _EOI:
-        raise ParseError("missing EOI marker after scan", offset=tail)
-    if len(stream) > tail + 2:
-        raise ParseError(f"{len(stream) - tail - 2} bytes after the EOI marker", offset=tail + 2)
+    reader.check_end()
 
     # One component at a time: its (8, 8, n) samples go straight into the
     # (component, block row, row, block column, column) uint8 image.

@@ -12,7 +12,6 @@ on: the pre-compression 8-bit image and the decoded base layer (columns
 
 A deterministic synthetic corpus generator (gradients, sparse-exponent block
 scenes, palette noise) is bundled so the harness runs without external data.
-The ``HDR2L_SEED`` environment variable overrides the generator seed.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +28,7 @@ import numpy as np
 from . import container
 from .basejpeg import decode_base, split_refinement
 from .container import CodecParams, CoderMode, MODE_NAMES
-from .errors import BenchError, Hdr2lError, LosslessnessError, ParameterError
+from .errors import BenchError, Hdr2lError, ParameterError
 from .imagio import HdrImage, half_encode_array, luminance, parse_pfm, parse_rgbe, write_pfm
 from .tmo import TMO_NAMES, TmoKind, TmoParams, bind_image_stats, tonemap
 from .tmqi import MIN_SIDE as TMQI_MIN_SIDE
@@ -71,7 +68,6 @@ class RunRecord:
 class BenchConfig:
     tmos: tuple[TmoKind, ...] = DISTINCT_TMOS
     qs: tuple[int, ...] = (80, 90)
-    workers: int = 1
     compute_tmqi: bool = True
 
     def __post_init__(self):
@@ -83,11 +79,7 @@ class BenchConfig:
 class GridResult:
     records: list[RunRecord]
     skipped: list[tuple[str, str]]
-    summary: dict = field(default_factory=dict)
-
-    @property
-    def all_lossless(self) -> bool:
-        return all(r.lossless_ok for r in self.records)
+    summary: dict
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +96,11 @@ def load_hdr_file(path: Path) -> HdrImage:
     raise ParameterError(f"unsupported HDR input {path} (expected .hdr or .pfm)")
 
 
-def _corpus_seed() -> int:
-    env = os.environ.get("HDR2L_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
-def synthetic_corpus(count: int, size: int = 96, seed: int | None = None) -> list[tuple[str, HdrImage]]:
+def synthetic_corpus(count: int, size: int = 96, seed: int = DEFAULT_SEED) -> list[tuple[str, HdrImage]]:
     """Deterministic desk-scale HDR scenes with sparse sample histograms."""
     if count < 1:
         raise ParameterError("corpus needs at least one image")
-    rng = np.random.default_rng(_corpus_seed() if seed is None else seed)
+    rng = np.random.default_rng(seed)
     makers = (_gradient_scene, _sparse_exponent_scene, _patch_noise_scene, _step_wedge_scene)
     corpus = []
     for i in range(count):
@@ -123,7 +110,7 @@ def synthetic_corpus(count: int, size: int = 96, seed: int | None = None) -> lis
     return corpus
 
 
-def write_corpus(directory: Path, count: int, size: int = 96, seed: int | None = None) -> list[Path]:
+def write_corpus(directory: Path, count: int, size: int = 96, seed: int = DEFAULT_SEED) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -134,9 +121,9 @@ def write_corpus(directory: Path, count: int, size: int = 96, seed: int | None =
     return paths
 
 
-def _smooth_field(size: int, rng: np.random.Generator, cells: int = 3) -> np.ndarray:
-    """Smooth value noise in [0, 1]: a coarse random grid upsampled bilinearly."""
-    cells = max(2, cells)
+def _smooth_field(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Smooth value noise in [0, 1]: a 3 x 3 random grid upsampled bilinearly."""
+    cells = 2
     coarse = rng.random((cells + 1, cells + 1))
     pos = np.linspace(0.0, cells, size)
     i = np.clip(pos.astype(np.int64), 0, cells - 1)
@@ -197,7 +184,7 @@ def _patch_noise_scene(size: int, rng: np.random.Generator) -> HdrImage:
     nb = (size + block - 1) // block
     levels = int(rng.integers(10, 15))
     ladder = _exposure_ladder(levels, float(rng.uniform(0.7, 1.2)))
-    drift = _smooth_field(nb, rng, cells=2)
+    drift = _smooth_field(nb, rng)
     jitter = rng.integers(-2, 3, size=(nb, nb))
     picks = np.clip(np.rint(drift * (levels - 1)).astype(np.int64) + jitter, 0, levels - 1)
     lum = np.repeat(np.repeat(ladder[picks], block, 0), block, 1)[:size, :size]
@@ -269,11 +256,6 @@ def run_image(image_id: str, hdr: HdrImage, config: BenchConfig) -> list[RunReco
     return records
 
 
-def _run_image_task(args) -> list[RunRecord]:
-    image_id, hdr, config = args
-    return run_image(image_id, hdr, config)
-
-
 def run_grid(input_dir: Path, config: BenchConfig | None = None) -> GridResult:
     """Sweep the grid over every parseable .hdr/.pfm file in a directory."""
     config = config or BenchConfig()
@@ -290,22 +272,13 @@ def run_grid(input_dir: Path, config: BenchConfig | None = None) -> GridResult:
         raise BenchError(f"no usable HDR images in {input_dir}")
     result = run_images(images, config)
     result.skipped.extend(skipped)
-    result.summary["skipped"] = list(result.skipped)
     return result
 
 
 def run_images(images: list[tuple[str, HdrImage]], config: BenchConfig) -> GridResult:
-    tasks = [(image_id, hdr, config) for image_id, hdr in images]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_image = list(pool.map(_run_image_task, tasks))
-    else:
-        per_image = [_run_image_task(t) for t in tasks]
-    records = [r for group in per_image for r in group]
+    records = [r for image_id, hdr in images for r in run_image(image_id, hdr, config)]
     records.sort(key=lambda r: (r.image_id, r.tmo, r.mode, r.q, r.refine))
-    result = GridResult(records=records, skipped=[])
-    result.summary = summarize(records)
-    return result
+    return GridResult(records=records, skipped=[], summary=summarize(records))
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +293,11 @@ def arm_label(tmo: str, mode: str, q: int, refine: int) -> str:
 def summarize(records: list[RunRecord]) -> dict:
     """Per-arm boxplot stats plus the two cross-coder findings."""
     ok = [r for r in records if r.lossless_ok]  # never report failed streams
-    arms: dict[str, list[float]] = {}
+    arms: dict[tuple[str, str, int, int], list[float]] = {}
     for r in ok:
-        arms.setdefault(arm_label(r.tmo, r.mode, r.q, r.refine), []).append(r.bpp)
-    arm_stats = {label: boxstats(v) for label, v in sorted(arms.items())}
-
-    mean_bpp: dict[tuple[str, str, int, int], float] = {}
-    for key in {(r.tmo, r.mode, r.q, r.refine) for r in ok}:
-        values = [r.bpp for r in ok if (r.tmo, r.mode, r.q, r.refine) == key]
-        mean_bpp[key] = float(np.mean(values))
+        arms.setdefault((r.tmo, r.mode, r.q, r.refine), []).append(r.bpp)
+    arm_stats = dict(sorted((arm_label(*k), boxstats(v)) for k, v in arms.items()))
+    mean_bpp = {k: float(np.mean(v)) for k, v in arms.items()}
 
     tmos = sorted({r.tmo for r in ok})
     qs = sorted({r.q for r in ok})
@@ -373,12 +342,6 @@ def summarize(records: list[RunRecord]) -> dict:
     }
 
 
-def require_lossless(result: GridResult) -> None:
-    if not result.all_lossless:
-        failures = result.summary.get("lossless_failures", [])
-        raise LosslessnessError(f"lossless round trip failed for {failures}")
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization
 
@@ -400,32 +363,6 @@ def records_to_csv(records: list[RunRecord]) -> str:
     for r in records:
         writer.writerow([_format_field(getattr(r, name)) for name in CSV_FIELDS])
     return buf.getvalue()
-
-
-def records_from_csv(text: str) -> list[RunRecord]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_FIELDS:
-        raise BenchError(f"unexpected CSV header {header}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        values = dict(zip(CSV_FIELDS, row))
-        records.append(RunRecord(
-            image_id=values["image_id"],
-            tmo=values["tmo"],
-            mode=values["mode"],
-            q=int(values["q"]),
-            refine=int(values["refine"]),
-            bpp=float(values["bpp"]),
-            tmqi_pre=float(values["tmqi_pre"]) if values["tmqi_pre"] else None,
-            tmqi_decoded=float(values["tmqi_decoded"]) if values["tmqi_decoded"] else None,
-            lossless_ok=values["lossless_ok"] == "true",
-            encode_s=float(values["encode_s"]),
-            decode_s=float(values["decode_s"]),
-        ))
-    return records
 
 
 # ---------------------------------------------------------------------------

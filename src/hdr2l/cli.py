@@ -52,15 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the evaluation grid over an HDR directory")
     p.add_argument("input", type=Path, nargs="?", help="directory of .hdr/.pfm images")
     p.add_argument("--synthetic", type=int, metavar="N",
-                   help="generate N synthetic images instead of reading a directory "
-                        "(seeded by HDR2L_SEED)")
+                   help="generate N synthetic images instead of reading a directory")
     p.add_argument("--size", type=int, default=96, help="synthetic image side length")
     p.add_argument("--tmo", choices=sorted(TMO_BY_NAME) + ["all"], default="all",
                    help="tone-mapping operator; 'all' runs each distinct curve once: "
                         "default, reinhard-local, drago (reinhard-global is default's curve)")
     p.add_argument("--q", type=int, action="append", metavar="1..100",
                    help="quality value (repeatable; default 80 and 90)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-tmqi", action="store_true", help="skip quality scoring")
     p.add_argument("--csv", type=Path, help="write per-cell records here")
     p.add_argument("--svg", type=Path, help="write a bitrate boxplot here")
@@ -109,7 +107,6 @@ def _cmd_bench(args) -> int:
     config = bench.BenchConfig(
         tmos=tmos,
         qs=tuple(args.q) if args.q else (80, 90),
-        workers=args.workers,
         compute_tmqi=not args.no_tmqi,
     )
     if args.synthetic:
@@ -147,10 +144,11 @@ def _cmd_bench(args) -> int:
             f"tmqi: {summary['tmqi_unscored']} of {len(result.records)} cells unscored "
             f"(side < {TMQI_MIN_SIDE} px)"
         )
-    for name, reason in summary.get("skipped", []):
+    for name, reason in result.skipped:
         print(f"  skipped {name}: {reason}", file=sys.stderr)
 
-    bench.require_lossless(result)
+    if summary["lossless_failures"]:
+        raise LosslessnessError(f"lossless round trip failed for {summary['lossless_failures']}")
     return 0
 
 

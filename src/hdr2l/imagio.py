@@ -200,7 +200,9 @@ def parse_rgbe(data: bytes) -> HdrImage:
     if not (data.startswith(b"#?RADIANCE") or data.startswith(b"#?RGBE")):
         raise ParseError("missing #?RADIANCE / #?RGBE signature", offset=0)
 
-    pos = data.index(b"\n") + 1
+    pos = data.find(b"\n") + 1
+    if not pos:
+        raise ParseError("unterminated RGBE signature line", offset=len(data))
     # Header: variable lines terminated by one empty line.
     while True:
         end = data.find(b"\n", pos)

@@ -217,32 +217,9 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
 
 
 def code_plane(errors: np.ndarray) -> bytes:
-    """Rice-code one 2D plane of MED prediction errors mod 2^16.
-
-    :func:`code_planes` computes the errors: each is a sample minus its MED
-    prediction (out-of-image neighbours read 0), mod 2^16.  Symbols are taken
-    in raster order.  Each error e is folded to u in [0, 65535]: e < 32768
-    gives 2e, otherwise 2(65536 - e) - 1.  The symbols are cut into blocks of
-    B = RICE_BLOCK (the last block may be shorter), and each block gets one
-    nibble in the k table: ZERO_BLOCK (15) when all its symbols are 0, else the
-    Rice parameter k in 0..14 that codes the block in the fewest bits (the
-    least such k on a tie).
-
-    Payload, in order:
-
-    1. ``U``, u32 little-endian: the byte length of the unary stream.
-    2. The k table: one nibble per block, high nibble first, and a zero pad
-       nibble when the count of blocks is odd.
-    3. The unary stream, ``U`` bytes.  For each symbol of a block that is not
-       ZERO_BLOCK, with q = u >> k: min(q, E) zeros, then a one, where
-       E = RICE_ESCAPE_QUOTIENT.
-    4. The remainder stream, to the end of the payload.  For each such symbol,
-       the low k bits of u, or all 16 bits of u when q >= E.
-
-    Both streams are MSB-first and zero-padded to a byte; a ZERO_BLOCK block
-    puts no bits in either.  Given its k table, a plane has exactly one valid
-    payload: :func:`decode_plane` rejects anything else, trailing bytes too.
-    """
+    """Rice-code one 2D plane of MED prediction errors mod 2^16 into the
+    plane payload laid out in this module's docstring.  :func:`code_planes`
+    computes the errors; :func:`decode_plane` accepts only this payload."""
     x = np.asarray(errors, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError(f"plane must be a non-empty 2D array, got shape {x.shape}")

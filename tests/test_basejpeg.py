@@ -194,6 +194,26 @@ def test_decode_rejects_corruption():
     with pytest.raises(ParseError, match="after the EOI marker") as err:
         decode_base(stream + b"\x00")
     assert err.value.offset == len(stream)
+    with pytest.raises(ParseError, match="1 bytes of scan data after the last block") as err:
+        decode_base(stream[:-2] + b"\x00" + stream[-2:])
+    assert err.value.offset == len(stream) - 2
+
+
+def test_decode_and_check_base_agree_on_scan_corruption_offsets():
+    stream = encode_base(_gradient_ldr(32, 32), 80)
+    mid = (basejpeg._HEADER_SIZE + len(stream)) // 2
+    assert stream[mid - 1] != 0xFF  # so the byte at mid starts no stuffed pair
+    bad = {
+        "marker inside the scan": (stream[:mid] + b"\xFF\xD0" + stream[mid + 2 :], mid),
+        "dangling 0xFF": (stream[:mid] + b"\xFF", mid),
+        "missing EOI": (stream[:-2], len(stream) - 2),
+    }
+    for name, (data, offset) in bad.items():
+        with pytest.raises(ParseError) as decoded:
+            decode_base(data)
+        with pytest.raises(ParseError) as checked:
+            basejpeg.check_base(data, 80, 32, 32)
+        assert decoded.value.offset == checked.value.offset == offset, name
 
 
 @pytest.mark.parametrize("width, height", [(24, 16), (17, 9), (16, 16), (8, 8)])

@@ -243,6 +243,13 @@ def test_parse_rgbe_errors():
     assert err.value.offset is not None
 
 
+@pytest.mark.parametrize("data", [b"#?RADIANCE", b"#?RGBE FORMAT=32-bit_rle_rgbe"])
+def test_parse_rgbe_signature_without_newline(data):
+    with pytest.raises(ParseError, match="signature line") as err:
+        parse_rgbe(data)
+    assert err.value.offset == len(data)
+
+
 def test_parse_rgbe_huge_values_clamp_to_half_max():
     quads = np.zeros((1, 1, 4), dtype=np.uint8)
     quads[0, 0] = (255, 255, 255, 255)  # far above the half range
