@@ -6,8 +6,8 @@ scaled quantization tables, the standard Huffman tables, and edge-replicated
 padding.  Every stream starts with the same header apart from its two
 quantization tables and its frame size, so the decoder parses no markers: it
 accepts exactly the header :func:`encode_base` writes for the tables and size
-the stream holds, decodes the scan with the standard Huffman tables, and
-reports the byte offset of any corruption.
+the stream holds, refuses a table entry of 0, decodes the scan with the
+standard Huffman tables, and reports the byte offset of any corruption.
 
 The decoder stores the levels of a stream coefficient-major, as one int16
 (3, 64, blocks) array in natural order, so that each coefficient of every
@@ -206,27 +206,28 @@ _LEVEL_LIMIT = 1024 + 255 // 2
 
 
 def idct_islow_blocks(levels: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Dequantize and inverse transform with the scaled-integer algorithm.
+    """Dequantize and inverse transform one component with the scaled-integer
+    algorithm.
 
-    Input: (c, 64, n) int16 or int32 quantized levels, coefficient-major in natural
-    order (row 8u + v of a component holds coefficient (u, v) of its n
-    blocks), and the (c, 64) natural-order quantization tables.  Output:
-    (c, 8, 8, n) int32 samples already level-shifted back to [0, 255], indexed
-    by component, row, column and block.
+    Input: (64, n) int16 or int32 quantized levels, coefficient-major in
+    natural order (row 8u + v holds coefficient (u, v) of the n blocks), and
+    the (64,) natural-order quantization table.  Output: (8, 8, n) int32
+    samples already level-shifted back to [0, 255], indexed by row, column
+    and block.
 
     Both passes run in int32 on contiguous (8, n) rows: the first transforms
     every column of coefficients, the second every row of its output.  Raises
     :class:`ParseError` if some |level * q| exceeds 1151, the limit up to
     which no intermediate overflows.
     """
-    c, _, n = levels.shape
-    d = levels * quant.astype(np.int32)[:, :, None]
+    n = levels.shape[1]
+    d = levels * quant.astype(np.int32)[:, None]
     worst = max(int(d.max()), -int(d.min())) if d.size else 0
     if worst > _LEVEL_LIMIT:
         raise ParseError(f"dequantized coefficient of magnitude {worst} exceeds {_LEVEL_LIMIT}")
-    d = d.reshape(c, 8, 8, n)
-    ws = np.stack(_islow_1d(*(d[:, u] for u in range(8)), _CONST_BITS - _PASS1_BITS), axis=2)
-    out = np.stack(_islow_1d(*(ws[:, v] for v in range(8)), _CONST_BITS + _PASS1_BITS + 3), axis=2)
+    d = d.reshape(8, 8, n)
+    ws = np.stack(_islow_1d(*(d[u] for u in range(8)), _CONST_BITS - _PASS1_BITS), axis=1)
+    out = np.stack(_islow_1d(*(ws[v] for v in range(8)), _CONST_BITS + _PASS1_BITS + 3), axis=1)
     out += 128
     return np.clip(out, 0, 255, out=out)
 
@@ -497,20 +498,34 @@ _SIZE_AT = _CHROMA_AT + 64 + 5  # after the SOF marker, length and precision: he
 _UNSTUFFED = re.compile(rb"\xFF(?!\x00)")
 
 
-def _require_header(stream: bytes, header: bytes, what: str) -> None:
-    """Raise :class:`ParseError` at the first byte where ``stream`` does not
-    start with ``header``."""
+def _read_header(stream: bytes) -> tuple[QuantTables, int, int]:
+    """The quantization tables and frame size of ``stream``, whose header
+    must be the one :func:`encode_base` writes for them, with every table
+    entry in 1..255 (T.81 Table B.4).  Raises :class:`ParseError` at the first
+    byte that breaks either rule."""
+    if len(stream) < _HEADER_SIZE:
+        raise ParseError("truncated header", offset=len(stream))
+    tables = QuantTables(tuple(stream[_LUMA_AT : _LUMA_AT + 64]), tuple(stream[_CHROMA_AT : _CHROMA_AT + 64]))
+    height, width = struct.unpack_from(">HH", stream, _SIZE_AT)
+    header = _header(tables, width, height)
     if not stream.startswith(header):
-        at = next((i for i, (a, b) in enumerate(zip(stream, header)) if a != b), len(stream))
+        at = next(i for i, (a, b) in enumerate(zip(stream, header)) if a != b)
+        what = f"its tables at {width}x{height}"
         raise ParseError(f"header is not the one encode_base writes for {what}", offset=at)
+    zero = stream.find(0, _LUMA_AT, _CHROMA_AT + 64)  # the byte between the tables is table id 1
+    if zero >= 0:
+        raise ParseError("quantization table entry of 0 (T.81 allows 1..255)", offset=zero)
+    return tables, width, height
 
 
-def check_base(stream: bytes, q: int, width: int, height: int) -> None:
-    """Require ``stream`` to be laid out as :func:`encode_base` writes it at
-    quality ``q`` for a ``width`` x ``height`` image: exactly its header, then
-    scan data in which every 0xFF byte is stuffed, then one EOI marker that
-    ends the stream.  The scan is not decoded."""
-    _require_header(stream, _header(quality_to_tables(q), width, height), f"q={q} at {width}x{height}")
+def check_base(stream: bytes, width: int, height: int) -> None:
+    """Require ``stream`` to be laid out as :func:`encode_base` writes it for
+    a ``width`` x ``height`` image: the header :func:`decode_base` accepts,
+    with that frame size, then scan data in which every 0xFF byte is stuffed,
+    then one EOI marker that ends the stream.  The scan is not decoded."""
+    _, frame_width, frame_height = _read_header(stream)
+    if (frame_width, frame_height) != (width, height):
+        raise ParseError(f"{frame_width}x{frame_height} frame in a {width}x{height} image", offset=_SIZE_AT)
     _scan_end(stream)
 
 
@@ -605,12 +620,8 @@ _CHROMA_MAPS = (_decode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES), _decode_map(AC_CH
 def decode_base(stream: bytes) -> LdrImage:
     """Decode a stream produced by :func:`encode_base`.  Its header must be
     the one :func:`encode_base` writes for the quantization tables and the
-    frame size the stream holds."""
-    if len(stream) < _HEADER_SIZE:
-        raise ParseError("truncated header", offset=len(stream))
-    tables = QuantTables(tuple(stream[_LUMA_AT : _LUMA_AT + 64]), tuple(stream[_CHROMA_AT : _CHROMA_AT + 64]))
-    height, width = struct.unpack_from(">HH", stream, _SIZE_AT)
-    _require_header(stream, _header(tables, width, height), f"its tables at {width}x{height}")
+    frame size the stream holds, and no table entry may be 0."""
+    tables, width, height = _read_header(stream)
     if not width or not height:
         raise ParseError(f"empty {width}x{height} frame", offset=_SIZE_AT)
     bh = (height + 7) // 8
@@ -663,9 +674,8 @@ def decode_base(stream: bytes) -> LdrImage:
     levels = levels.reshape(3, 64, n)
     ycc = np.empty((3, bh, 8, bw, 8), dtype=np.uint8)
     for comp in range(3):
-        quant = tables.natural(chroma=comp > 0).reshape(1, 64)
-        samples = idct_islow_blocks(levels[comp : comp + 1], quant)
-        ycc[comp] = samples[0].reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
+        samples = idct_islow_blocks(levels[comp], tables.natural(chroma=comp > 0).ravel())
+        ycc[comp] = samples.reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
     ycc = ycc.reshape(3, 8 * bh, 8 * bw)
     return LdrImage(ycbcr_to_rgb(ycc[:, :height, :width]), bit_depth=8)
 

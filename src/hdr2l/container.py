@@ -1,43 +1,41 @@
 """Two-layer container: base JPEG + refinement + residual, with CRC framing.
 
-Stream layout (little-endian):
+Stream layout, format version 3 (little-endian):
 
 ========  =====================================================
 bytes     field
 ========  =====================================================
 4         magic ``H2L1``
-1         format version (2)
-1         coder mode (0 = HP, 1 = XT)
-1         base quality q
-1         refinement bits R
-1         reserved, must be 0
+1         format version (3)
+1         refinement bits R (0 or 4)
 4 + 4     width, height (u32 each)
 4         CRC-32 of the source half codes (pixel CRC)
-73        tone-mapping parameter block (below)
+17        tone-mapping parameter block (below)
 4 + n     base JPEG length + bytes
 3*(4+n)   refinement payloads (only when R > 0)
 4 + n     residual block length + bytes
 4         CRC-32 of all preceding bytes
 ========  =====================================================
 
-The TMO block is the kind byte and nine float64 fields: the constants
-``tmo.KEY``, ``L_WHITE``, ``BIAS``, ``LDMAX``, ``LOCAL_SCALES`` and
-``LOCAL_THRESHOLD`` (block bytes 1-48), the image's log-average and peak
-luminance (49-64), and ``tmo.GAMMA`` (65-72).  Every reader raises
-:class:`ParseError` at the first constant byte that differs from the
-encoder's, with its offset in the block, and on a log-average of 0 or a peak
-below ``tmo.LOG_AVERAGE_DELTA``, before it reads the base layer.
+Each setting is stored once.  The coder mode is not a header field: each
+residual plane's pack-table count K says whether that plane is packed (see
+:mod:`rescodec`).  Nor is the base quality: the JPEG's quantization tables
+are what the decoder uses.  The TMO block is the kind byte and the image's
+log-average and peak luminance as float64; the operator constants
+(``tmo.KEY``, ``GAMMA`` and the rest) are not stored, so changing one means a
+new ``VERSION``.  Every reader raises :class:`ParseError` on a log-average of
+0 or a peak below ``tmo.LOG_AVERAGE_DELTA`` before it reads the base layer.
 
 The embedded JPEG is byte-identical to a standalone base-layer encode of the
 same tone-mapped image, so extracting it yields an ordinary JPEG file.  Every
 reader (:func:`decode`, :func:`measure`, :func:`extract_ldr`) requires the JPEG's
-header to be the one :func:`basejpeg.encode_base` writes at quality q for the
-container's width and height, its scan to stuff every 0xFF, and one EOI
-marker to end it; a width or height above 65535 is rejected before that.  The
-trailing CRC covers the bytes; the pixel CRC, taken over the samples as
-(3, h, w) little-endian u16 in C order, covers the reconstruction, which
-rests on floating-point tone-map inversion that another machine may compute
-differently.  Residual planes use the plane format of :mod:`rescodec`.
+header to be the one :func:`basejpeg.encode_base` writes for the tables it holds
+and the container's width and height, with no table entry of 0, its scan to
+stuff every 0xFF, and one EOI marker to end it; a width or height above 65535
+is rejected before that.  The trailing CRC covers the bytes; the pixel CRC,
+taken over the samples as (3, h, w) little-endian u16 in C order, covers the
+reconstruction, which rests on floating-point tone-map inversion that another
+machine may compute differently.
 
 Working set: every per-pixel stage holds at most one float64 plane per
 channel at a time.  It maps, converts or predicts one channel, or one YCbCr
@@ -65,8 +63,8 @@ from .errors import FormatError, Hdr2lError, IntegrityError, ParameterError
 from .imagio import HdrImage, luminance
 
 MAGIC = b"H2L1"
-VERSION = 2
-_HEADER = struct.Struct("<4sBBBBBIII")
+VERSION = 3
+_HEADER = struct.Struct("<4sBBIII")  # magic, version, R, width, height, pixel CRC
 
 
 class CoderMode(IntEnum):
@@ -127,7 +125,8 @@ class SizeReport:
 
 @dataclass(frozen=True)
 class _Parsed:
-    params: CodecParams
+    tmo: tmo.TmoParams
+    refine_bits: int
     width: int
     height: int
     pixel_crc: int
@@ -173,10 +172,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
     del residual
 
     out = bytearray()
-    out += _HEADER.pack(
-        MAGIC, VERSION, int(params.mode), params.q, params.refine_bits, 0,  # reserved
-        hdr.width, hdr.height, _pixel_crc(hdr),
-    )
+    out += _HEADER.pack(MAGIC, VERSION, params.refine_bits, hdr.width, hdr.height, _pixel_crc(hdr))
     out += tmo.serialize_tmo_params(bound)
     out += struct.pack("<I", len(base)) + base
     for payload in refinement.payloads:
@@ -189,7 +185,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
 def _parse(data: bytes) -> _Parsed:
     if len(data) < _HEADER.size + tmo.TMO_PARAMS_SIZE + 12:
         raise FormatError(f"stream too short ({len(data)} bytes)")
-    magic, version, mode, q, refine_bits, reserved, width, height, pixel_crc = _HEADER.unpack_from(data, 0)
+    magic, version, refine_bits, width, height, pixel_crc = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -197,8 +193,8 @@ def _parse(data: bytes) -> _Parsed:
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != crc_stored:
         raise FormatError("CRC-32 mismatch")
-    if reserved != 0:
-        raise FormatError(f"reserved header byte is {reserved}, not 0")
+    if refine_bits not in REFINE_BIT_CHOICES:
+        raise FormatError(f"refinement bits {refine_bits} not in {REFINE_BIT_CHOICES}")
     if not width or not height:
         raise FormatError(f"empty image {width}x{height}")
     if max(width, height) > 0xFFFF:
@@ -207,10 +203,6 @@ def _parse(data: bytes) -> _Parsed:
     pos = _HEADER.size
     tmo_params = _stage("tmo-params", tmo.parse_tmo_params, data[pos : pos + tmo.TMO_PARAMS_SIZE])
     pos += tmo.TMO_PARAMS_SIZE
-    try:
-        params = CodecParams(mode=mode, tmo=tmo_params, q=q, refine_bits=refine_bits)
-    except ValueError as exc:
-        raise FormatError(f"invalid header: {exc}") from None
 
     def take_block(name: str) -> bytes:
         nonlocal pos
@@ -225,14 +217,14 @@ def _parse(data: bytes) -> _Parsed:
         return block
 
     base = take_block("base layer")
-    _stage("base-header", basejpeg.check_base, base, params.q, width, height)
+    _stage("base-header", basejpeg.check_base, base, width, height)
     payloads = tuple(take_block("refinement") for _ in range(3)) if refine_bits else ()
     residual = take_block("residual")
     if pos != len(data) - 4:
         raise FormatError(f"{len(data) - 4 - pos} unaccounted bytes in stream")
     return _Parsed(
-        params=params, width=width, height=height, pixel_crc=pixel_crc, base=base,
-        refinement_payloads=payloads, residual=residual,
+        tmo=tmo_params, refine_bits=refine_bits, width=width, height=height, pixel_crc=pixel_crc,
+        base=base, refinement_payloads=payloads, residual=residual,
     )
 
 
@@ -241,15 +233,14 @@ def decode(data: bytes) -> HdrImage:
     parsed = _parse(data)
     base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
     plane = basejpeg.RefinementPlane(
-        parsed.params.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
+        parsed.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
     )
     merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, plane)
     del base_dec
-    prediction = _stage("predict", tmo.predict_hdr, merged, parsed.params.tmo)
+    prediction = _stage("predict", tmo.predict_hdr, merged, parsed.tmo)
     del merged
     residual = _stage(
-        "decode-residual", rescodec.decode_residual,
-        parsed.residual, parsed.width, parsed.height, parsed.params.mode == CoderMode.HP,
+        "decode-residual", rescodec.decode_residual, parsed.residual, parsed.width, parsed.height
     )
     image = _stage("reconstruct", rescodec.apply_residual, prediction, residual)
     del prediction, residual
@@ -266,7 +257,7 @@ def extract_ldr(data: bytes) -> bytes:
 def measure(data: bytes) -> SizeReport:
     """Per-section byte breakdown and total bits per pixel of a valid stream."""
     parsed = _parse(data)
-    sections = rescodec.split_residual_sections(parsed.residual, parsed.params.mode == CoderMode.HP)
+    sections = rescodec.split_residual_sections(parsed.residual)
     refinement = sum(len(p) for p in parsed.refinement_payloads)
     tables = sum(s.table_bytes for s in sections)
     payload = sum(len(s.payload) for s in sections)

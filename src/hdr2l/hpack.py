@@ -80,9 +80,10 @@ _VARINT_BYTES = 4
 
 
 def serialize_table(table: PackTable) -> bytes:
-    """K as u32 LE, then per symbol the gap to its predecessor minus one as a
-    LEB128 varint (the first symbol's predecessor is taken to be -1).  A gap
-    is below 2^16, so its varint has one to three bytes."""
+    """Per symbol, the gap to its predecessor minus one as a LEB128 varint
+    (the first symbol's predecessor is taken to be -1).  A gap is below 2^16,
+    so its varint has one to three bytes.  The symbol count K is not written:
+    the residual plane header carries it."""
     gaps = np.diff(table.symbols.astype(np.int64), prepend=-1) - 1
     sizes = 1 + (gaps >= 1 << 7) + (gaps >= 1 << 14)
     starts = np.cumsum(sizes) - sizes
@@ -90,21 +91,19 @@ def serialize_table(table: PackTable) -> bytes:
     for j in range(3):  # byte j of every varint that has one
         has = sizes > j
         out[starts[has] + j] = ((gaps[has] >> 7 * j) & 0x7F) | np.where(sizes[has] > j + 1, 0x80, 0)
-    return int(table.count).to_bytes(4, "little") + out.tobytes()
+    return out.tobytes()
 
 
-def read_table(data: bytes, pos: int) -> tuple[PackTable, int]:
-    """Parse one serialized table starting at ``pos``; returns (table, end).
+def read_table(data: bytes, pos: int, count: int) -> tuple[PackTable, int]:
+    """Parse the ``count`` varints of one serialized table starting at
+    ``pos``; returns (table, end).
 
-    Errors carry the offset a byte-at-a-time reader stops at: the end of the
-    data for a truncated varint, the byte after the fourth for a varint that
-    does not end there, and the end of the table for a symbol past 0xFFFF."""
-    if len(data) - pos < 4:
-        raise ParseError("truncated pack table header", offset=pos)
-    count = int.from_bytes(data[pos : pos + 4], "little")
-    pos += 4
-    if count == 0 or count > 65536:
-        raise ParseError(f"pack table symbol count {count} out of range", offset=pos - 4)
+    Errors carry the offset a byte-at-a-time reader stops at: ``pos`` for a
+    count outside 1..65536, the end of the data for a truncated varint, the
+    byte after the fourth for a varint that does not end there, and the end
+    of the table for a symbol past 0xFFFF."""
+    if not 1 <= count <= 65536:
+        raise ParseError(f"pack table symbol count {count} out of range", offset=pos)
     # Only the first count * 4 bytes can hold the table.
     window = np.frombuffer(data, np.uint8, min(len(data) - pos, _VARINT_BYTES * count), pos)
     ends = np.flatnonzero(window < 0x80)[:count]  # the last byte of each varint

@@ -378,9 +378,15 @@ def write_ppm(image: LdrImage) -> bytes:
     return header + interleaved.tobytes()
 
 
+# Between the tokens of a Netpbm header: whitespace, and "#" comments that run
+# to the end of a line.  One whitespace byte ends the header.
+_PPM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6%s(\d+)%s(\d+)%s255\s" % (_PPM_GAP, _PPM_GAP, _PPM_GAP))
+
+
 def parse_ppm(data: bytes) -> LdrImage:
     """Parse a binary PPM (P6, maxval 255) stream."""
-    m = re.match(rb"P6\s+(\d+)\s+(\d+)\s+255\s", data)
+    m = _PPM_HEADER.match(data)
     if not m:
         raise ParseError("not an 8-bit binary PPM (P6) stream", offset=0)
     width, height = int(m.group(1)), int(m.group(2))

@@ -17,9 +17,25 @@ at a time in uint16, using MED(a, b, c) = a + b - clip(c, min(a, b),
 max(a, b)): the true MED lies in [min(a, b), max(a, b)], a subset of
 [0, 65535], so the sum taken mod 2^16 is exactly the prediction.
 
-Plane payload, format version 2.  The symbols u are the MED prediction
-errors mod 2^16 in raster order, folded to 0..65535 (e < 32768 gives 2e, else
-2(65536 - e) - 1), and cut into blocks of B = 48 (the last may be shorter).
+Residual block, format version 3: three planes, each written as
+
+====================  ==================================================
+field                 bytes
+====================  ==================================================
+K                     u32 little-endian: the pack table's symbol count,
+                      0 for a plane that is not histogram-packed
+payload length        u32 little-endian
+pack table            K varints of :func:`hpack.serialize_table`
+plane payload         the payload length, laid out as below
+====================  ==================================================
+
+K = 0 is legal on any plane: which planes are packed is the encoder's choice,
+and the stream records it in K alone.
+
+Plane payload, unchanged since format version 2.  The symbols u are the MED
+prediction errors mod 2^16 in raster order, folded to 0..65535 (e < 32768
+gives 2e, else 2(65536 - e) - 1), and cut into blocks of B = 48 (the last may
+be shorter).
 
 ====================  ==================================================
 field                 bits
@@ -57,7 +73,7 @@ RICE_ESCAPE_QUOTIENT = 6  # unary zeros before a symbol is sent whole (E)
 RICE_MAX_K = 14
 ZERO_BLOCK = 15  # k-table nibble of a block whose symbols are all 0
 _UNARY_LENGTH = struct.Struct("<I")
-PLANE_HEADER = struct.Struct("<II")  # pack-table K (0 = unpacked), payload length
+PLANE_HEADER = struct.Struct("<II")  # pack-table K (0 = not packed), payload length
 
 
 def compute_residual(hdr: HdrImage, prediction: HdrImage) -> np.ndarray:
@@ -409,7 +425,7 @@ def decode_planes(payloads: list[bytes] | tuple[bytes, ...], width: int, height:
 
 
 # ---------------------------------------------------------------------------
-# Residual bitstream (three planes, optional packing)
+# Residual bitstream (three planes, each packed or not)
 
 
 @dataclass(frozen=True)
@@ -422,53 +438,41 @@ class PlaneSection:
 
 
 def encode_residual(raw_planes: np.ndarray, use_packing: bool) -> bytes:
-    """Color transform, optional packing, and plane coding of a raw residual."""
+    """Color transform, optional packing, and plane coding of a raw residual
+    into the block laid out in this module's docstring."""
     raw = np.asarray(raw_planes, dtype=np.uint16)
     if raw.ndim != 3 or raw.shape[0] != 3:
         raise ParameterError(f"residual must have shape (3, h, w), got {raw.shape}")
     planes = color_transform_fwd(raw)
-    tables = [build_table(plane) for plane in planes] if use_packing else []
+    tables = [build_table(plane) if use_packing else None for plane in planes]
     for plane, table in zip(planes, tables):
-        plane[...] = pack(plane, table)
+        if table is not None:
+            plane[...] = pack(plane, table)
     out = bytearray()
-    for index, payload in enumerate(code_planes(planes)):
-        if use_packing:
-            out += PLANE_HEADER.pack(tables[index].count, len(payload))
-            out += serialize_table(tables[index])
-        else:
-            out += PLANE_HEADER.pack(0, len(payload))
+    for table, payload in zip(tables, code_planes(planes)):
+        out += PLANE_HEADER.pack(table.count if table else 0, len(payload))
+        out += serialize_table(table) if table else b""
         out += payload
     return bytes(out)
 
 
-def split_residual_sections(data: bytes, packed: bool) -> tuple[PlaneSection, ...]:
+def split_residual_sections(data: bytes) -> tuple[PlaneSection, ...]:
     """Walk a residual block: each plane's header, pack table and payload.
 
-    ``packed`` is the ``use_packing`` the block was encoded with: a packed
-    plane always has a table (K >= 1), an unpacked one never.  This is the
-    only reader of the block layout, so every bounds and count check on it
-    lives here.
+    This is the only reader of the block layout, so every bounds check on it
+    lives here.  A plane whose K is 0 has no table.
     """
     sections = []
     pos = 0
-    for index in range(3):
+    for _ in range(3):
         if len(data) - pos < PLANE_HEADER.size:
             raise CorruptStreamError("truncated residual plane header")
         count, payload_len = PLANE_HEADER.unpack_from(data, pos)
-        if bool(count) != packed:
-            raise CorruptStreamError(
-                f"residual plane {index} has pack-table count {count}, but the block is "
-                f"{'packed' if packed else 'unpacked'}"
-            )
         pos += PLANE_HEADER.size
         table_start = pos
         table = None
         if count:
-            table, pos = read_table(data, pos)
-            if table.count != count:
-                raise CorruptStreamError(
-                    f"pack table count {table.count} disagrees with header {count}"
-                )
+            table, pos = read_table(data, pos, count)
         if len(data) - pos < payload_len:
             raise CorruptStreamError("truncated residual plane payload")
         sections.append(PlaneSection(table, pos - table_start, data[pos : pos + payload_len]))
@@ -478,9 +482,9 @@ def split_residual_sections(data: bytes, packed: bool) -> tuple[PlaneSection, ..
     return tuple(sections)
 
 
-def decode_residual(data: bytes, width: int, height: int, packed: bool) -> np.ndarray:
+def decode_residual(data: bytes, width: int, height: int) -> np.ndarray:
     """Exact inverse of :func:`encode_residual`; returns (3, h, w) uint16."""
-    sections = split_residual_sections(data, packed)
+    sections = split_residual_sections(data)
     planes = decode_planes([section.payload for section in sections], width, height)
     for plane, section in zip(planes, sections):
         if section.table is not None:

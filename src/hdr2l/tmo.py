@@ -5,9 +5,11 @@ Three tone curves run at their published settings, the module constants
 :data:`LOCAL_THRESHOLD` and :data:`GAMMA`: the global photographic curve
 (Reinhard et al. 2002), its local dodge-and-burn variant, and the adaptive
 logarithmic operator (Drago et al. 2003).  ``default`` and ``reinhard-global``
-are one curve under two kind bytes.  The kind, the constants and two statistics
-of the source image (log-average and peak luminance) are serialized bit-exactly
-so that the encoder and decoder compute identical predictions.
+are one curve under two kind bytes.  The kind and two statistics of the source
+image (log-average and peak luminance) are serialized bit-exactly so that the
+encoder and decoder compute identical predictions.  The constants are not in
+the stream: a change to any of them changes what a stream decodes to, so it
+must come with a new container ``VERSION``.
 
 The local operator's widest Gaussians (sigma up to 1.6^8, about 43 pixels)
 run on a box pyramid after Burt and Adelson ("The Laplacian pyramid as a
@@ -41,8 +43,8 @@ from .imagio import HdrImage, LdrImage, half_decode_array, half_encode_array
 
 LOG_AVERAGE_DELTA = 1e-6
 
-# The operators' settings.  Every stream carries them, and a reader refuses
-# a block that holds any other value.
+# The operators' settings.  No stream carries them: changing one means
+# bumping the container VERSION.
 KEY = 0.18  # photographic key value a
 L_WHITE = math.inf  # burn-out luminance; inf turns burn-out off
 BIAS = 0.85  # logarithmic operator's bias b
@@ -83,20 +85,10 @@ TMO_NAMES = {
 }
 TMO_BY_NAME = {name: kind for kind, name in TMO_NAMES.items()}
 
-# The kind byte, then nine little-endian float64 fields: KEY, L_WHITE, BIAS,
-# LDMAX, LOCAL_SCALES, LOCAL_THRESHOLD, log_avg, l_max, GAMMA.  The two image
-# statistics sit at bytes 49-64; every other field is a constant.
-_PARAMS_STRUCT = struct.Struct("<B9d")
+# The kind byte, then the log-average and peak luminance as little-endian
+# float64.
+_PARAMS_STRUCT = struct.Struct("<B2d")
 TMO_PARAMS_SIZE = _PARAMS_STRUCT.size
-_STATS_AT = struct.calcsize("<B6d")
-
-
-def _pack(kind: int, log_avg: float, l_max: float) -> bytes:
-    constants = (KEY, L_WHITE, BIAS, LDMAX, LOCAL_SCALES, LOCAL_THRESHOLD)
-    return _PARAMS_STRUCT.pack(kind, *constants, log_avg, l_max, GAMMA)
-
-
-_CONSTANTS = _pack(0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,34 +118,28 @@ class TmoParams:
 
 
 def serialize_tmo_params(params: TmoParams) -> bytes:
-    """Fixed-order little-endian layout: kind byte plus nine float64 fields."""
+    """Fixed-order little-endian layout: kind byte, log_avg, l_max."""
     if not params.bound:
         raise ParameterError("cannot serialize unbound TmoParams (call bind_image_stats)")
-    return _pack(int(params.kind), params.log_avg, params.l_max)
+    return _PARAMS_STRUCT.pack(int(params.kind), params.log_avg, params.l_max)
 
 
 def parse_tmo_params(data: bytes) -> TmoParams:
-    """Exact inverse of :func:`serialize_tmo_params`.  Any constant byte that
-    differs raises :class:`ParseError` at its offset in the block."""
+    """Exact inverse of :func:`serialize_tmo_params`."""
     if len(data) != TMO_PARAMS_SIZE:
         raise ParseError(f"TMO parameter block must be {TMO_PARAMS_SIZE} bytes, got {len(data)}")
-    if data[0] not in TMO_NAMES:
-        raise ParseError(f"unknown TMO kind {data[0]}", offset=0)
-    stats_end = _STATS_AT + 16
-    expected = data[:1] + _CONSTANTS[1:_STATS_AT] + data[_STATS_AT:stats_end] + _CONSTANTS[stats_end:]
-    if data != expected:
-        at = next(i for i, (a, b) in enumerate(zip(data, expected)) if a != b)
-        raise ParseError("TMO parameter block does not hold the operator constants", offset=at)
-    log_avg, l_max = struct.unpack_from("<2d", data, _STATS_AT)
+    kind, log_avg, l_max = _PARAMS_STRUCT.unpack(data)
+    if kind not in TMO_NAMES:
+        raise ParseError(f"unknown TMO kind {kind}", offset=0)
     try:
-        params = TmoParams(TmoKind(data[0]), log_avg, l_max)
+        params = TmoParams(TmoKind(kind), log_avg, l_max)
     except ParameterError as exc:
         raise ParseError(f"invalid TMO parameter block: {exc}") from None
     # bind_image_stats never stores a log-average of 0, which the prediction
     # refuses, nor a peak below this floor; the logarithmic curve divides by
     # log10(1 + l_max).
     if params.log_avg == 0.0:
-        raise ParseError("TMO log-average luminance is 0", offset=_STATS_AT)
+        raise ParseError("TMO log-average luminance is 0", offset=1)
     if params.l_max < LOG_AVERAGE_DELTA:
         raise ParseError(f"TMO peak luminance {params.l_max} below {LOG_AVERAGE_DELTA}")
     return params

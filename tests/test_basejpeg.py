@@ -212,7 +212,7 @@ def test_decode_and_check_base_agree_on_scan_corruption_offsets():
         with pytest.raises(ParseError) as decoded:
             decode_base(data)
         with pytest.raises(ParseError) as checked:
-            basejpeg.check_base(data, 80, 32, 32)
+            basejpeg.check_base(data, 32, 32)
         assert decoded.value.offset == checked.value.offset == offset, name
 
 
@@ -551,13 +551,18 @@ def _ycbcr_to_rgb_whole(ycc: np.ndarray) -> np.ndarray:
 
 def _pixels_whole(levels: list[np.ndarray], tables, width: int, height: int) -> np.ndarray:
     """The pixel stage of the decoder on the (blocks, 64) zig-zag levels of
-    each component: all three inverse DCTs at once, then one transpose."""
+    each component: the inverse DCTs into one int32 stack, then one
+    transpose."""
     bh, bw = (height + 7) // 8, (width + 7) // 8
     natural = np.zeros((3, bh * bw, 64), dtype=np.int32)
     for comp in range(3):
         natural[comp][:, ZIGZAG] = levels[comp]
-    quant = np.stack([tables.natural(chroma=comp > 0).ravel() for comp in range(3)])
-    samples = basejpeg.idct_islow_blocks(np.ascontiguousarray(natural.transpose(0, 2, 1)), quant)
+    samples = np.stack([
+        basejpeg.idct_islow_blocks(
+            np.ascontiguousarray(natural[comp].T), tables.natural(chroma=comp > 0).ravel()
+        )
+        for comp in range(3)
+    ])
     ycc = samples.reshape(3, 8, 8, bh, bw).transpose(0, 3, 1, 4, 2).reshape(3, 8 * bh, 8 * bw)
     return _ycbcr_to_rgb_whole(ycc[:, :height, :width])
 
@@ -649,11 +654,11 @@ def test_idct_intermediates_fit_int32_at_the_level_limit():
 def test_idct_matches_oracle_on_the_worst_block_of_every_intermediate():
     signs = np.unique([np.where(form.coef < 0, -1, 1) for form in _idct_intermediates()], axis=0)
     blocks = basejpeg._LEVEL_LIMIT * np.concatenate([signs, -signs])  # (m, 64), natural order
-    samples = basejpeg.idct_islow_blocks(blocks.T[None].astype(np.int32), np.ones((1, 64)))
-    assert np.array_equal(samples[0].transpose(2, 0, 1), _oracle_idct(blocks.reshape(-1, 8, 8), np.ones((8, 8))))
+    samples = basejpeg.idct_islow_blocks(blocks.T.astype(np.int32), np.ones(64))
+    assert np.array_equal(samples.transpose(2, 0, 1), _oracle_idct(blocks.reshape(-1, 8, 8), np.ones((8, 8))))
     blocks[0, 0] = basejpeg._LEVEL_LIMIT + 1
     with pytest.raises(ParseError, match="exceeds 1151"):
-        basejpeg.idct_islow_blocks(blocks.T[None].astype(np.int32), np.ones((1, 64)))
+        basejpeg.idct_islow_blocks(blocks.T.astype(np.int32), np.ones(64))
 
 
 def test_block_at_the_level_limit_decodes_to_the_oracle():

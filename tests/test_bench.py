@@ -165,6 +165,53 @@ def test_cli_encode_decode_extract(tmp_path):
     assert jpeg.read_bytes()[:2] == b"\xFF\xD8"
 
 
+def test_cli_decode_of_a_truncated_stream_exits_1(tmp_path, capsys):
+    from hdr2l.cli import main
+
+    paths = write_corpus(tmp_path / "corpus", 1, size=24, seed=6)
+    out = tmp_path / "img.h2l"
+    assert main(["encode", str(paths[0]), "--out", str(out)]) == 0
+    out.write_bytes(out.read_bytes()[:-7])
+    capsys.readouterr()
+    assert main(["decode", str(out), "--out", str(tmp_path / "img.pfm")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hdr2l: ") and "CRC-32" in err
+    assert not (tmp_path / "img.pfm").exists()
+
+
+def test_cli_tmqi_scores_a_ppm_with_a_comment_line(tmp_path, capsys):
+    from hdr2l.cli import main
+    from hdr2l.imagio import luminance, write_ppm
+    from hdr2l.tmo import bind_image_stats, tonemap
+
+    (pfm,) = write_corpus(tmp_path / "corpus", 1, size=TMQI_MIN_SIDE, seed=6)
+    hdr = bench.load_hdr_file(pfm)
+    lum = luminance(hdr)
+    ldr = tonemap(hdr, lum, bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), lum))
+    ppm = write_ppm(ldr)
+    assert ppm.startswith(b"P6\n")
+    ldr_path = tmp_path / "ldr.ppm"
+    ldr_path.write_bytes(b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n" + ppm[3:])
+    assert main(["tmqi", str(pfm), str(ldr_path)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("Q=")
+    assert float(line.split()[0][2:]) == pytest.approx(tmqi(hdr, ldr).q_overall, abs=1e-6)
+
+
+def test_cli_bench_reads_a_directory(tmp_path, capsys):
+    from hdr2l.cli import main
+
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, 2, size=24)
+    assert main(["bench", str(corpus), "--tmo", "default", "--no-tmqi"]) == 0
+    out = capsys.readouterr().out
+    assert "synthetic corpus" not in out
+    assert "12 records over 2 images" in out
+    assert out.count("  hp < xt @ ") == 2
+    assert main(["bench", "--no-tmqi"]) == 1  # neither a directory nor --synthetic
+    assert "either an input directory or --synthetic N" in capsys.readouterr().err
+
+
 def test_cli_bench_synthetic_with_outputs(tmp_path):
     from hdr2l.cli import main
 

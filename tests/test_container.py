@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import struct
 import zlib
 
 import numpy as np
@@ -7,19 +9,25 @@ import pytest
 
 from hdr2l import basejpeg, tmo
 from hdr2l.container import (
+    _HEADER,
+    MAGIC,
     CodecParams,
     CoderMode,
+    _parse,
     decode,
     encode,
     extract_ldr,
     measure,
 )
-from hdr2l.errors import CorruptStreamError, FormatError, IntegrityError, ParameterError, ParseError
+from hdr2l.errors import FormatError, IntegrityError, ParameterError, ParseError
 from hdr2l.imagio import HdrImage, luminance
 from conftest import sparse_hdr_image, smooth_hdr_image
 
 
-PIXEL_CRC_OFFSET = 17  # after magic, five header bytes, width and height
+REFINE_OFFSET = len(MAGIC) + 1  # after the magic and the version byte
+WIDTH_OFFSET = _HEADER.size - 12  # u32 width, height, then the pixel CRC
+PIXEL_CRC_OFFSET = _HEADER.size - 4
+BASE_OFFSET = _HEADER.size + tmo.TMO_PARAMS_SIZE + 4  # the embedded JPEG, after its length
 
 
 def _params(mode=CoderMode.HP, kind=tmo.TmoKind.DEFAULT, q=80, refine=0):
@@ -45,19 +53,11 @@ def _edited(stream: bytes, offset: int, value: bytes) -> bytes:
     return bytes(out)
 
 
-def test_reserved_header_byte_must_be_zero():
-    stream = encode(sparse_hdr_image(8, 8), _params(mode=CoderMode.XT))
-    bad = _edited(stream, 8, bytes([1]))  # the byte after the refinement bits R
-    for reader in (decode, measure, extract_ldr):
-        with pytest.raises(FormatError, match="reserved"):
-            reader(bad)
-
-
 def test_zero_log_average_refused_by_every_reader():
     # Unbound statistics made decode fail only at the prediction, after the
     # base layer was decoded, while measure and extract_ldr accepted them.
     stream = encode(sparse_hdr_image(8, 8), _params())
-    bad = _edited(stream, PIXEL_CRC_OFFSET + 4 + 49, bytes(8))  # log_avg = 0.0
+    bad = _edited(stream, _HEADER.size + 1, bytes(8))  # log_avg = 0.0
     for reader in (decode, measure, extract_ldr):
         with pytest.raises(ParseError, match="log-average"):
             reader(bad)
@@ -65,29 +65,37 @@ def test_zero_log_average_refused_by_every_reader():
 
 def test_header_fields_checked_as_codec_params():
     stream = encode(sparse_hdr_image(8, 8), _params(mode=CoderMode.XT, refine=4))
-    # byte 5 mode, 6 quality, 7 refinement bits
-    for offset, value in ((5, 7), (6, 0), (6, 101), (7, 3)):
-        with pytest.raises(FormatError, match="invalid header"):
-            measure(_edited(stream, offset, bytes([value])))
-    with pytest.raises(FormatError, match="HP"):
-        decode(_edited(stream, 5, bytes([int(CoderMode.HP)])))
+    for value in (1, 3, 7, 255):
+        with pytest.raises(FormatError, match=f"refinement bits {value} not in"):
+            measure(_edited(stream, REFINE_OFFSET, bytes([value])))
     with pytest.raises(FormatError, match="empty image"):
-        measure(_edited(stream, 9, bytes(4)))  # width 0
+        measure(_edited(stream, WIDTH_OFFSET, bytes(4)))  # width 0
 
 
 def test_frame_size_must_match_container_size():
     stream = encode(sparse_hdr_image(12, 10), _params())
     for width, height in ((13, 10), (12, 9), (1, 120), (60000, 60000)):
-        bad = _edited(stream, 9, width.to_bytes(4, "little") + height.to_bytes(4, "little"))
-        with pytest.raises(ParseError, match=f"encode_base writes for q=80 at {width}x{height}"):
-            decode(bad)
+        bad = _edited(stream, WIDTH_OFFSET, width.to_bytes(4, "little") + height.to_bytes(4, "little"))
+        for reader in (decode, measure, extract_ldr):
+            with pytest.raises(ParseError, match=f"12x10 frame in a {width}x{height} image"):
+                reader(bad)
 
 
-def test_quality_byte_must_match_base_quant_tables():
-    stream = encode(sparse_hdr_image(8, 8), _params(q=100))
-    for q in (7, 99):
-        with pytest.raises(ParseError, match=f"encode_base writes for q={q} at 8x8"):
-            decode(_edited(stream, 6, bytes([q])))
+@pytest.mark.parametrize("entry", [basejpeg._LUMA_AT, basejpeg._LUMA_AT + 63, basejpeg._CHROMA_AT + 10])
+def test_zero_quantization_entry_refused_by_every_reader(entry):
+    # T.81 Table B.4 allows quantization values 1..255 only; a table of 0
+    # made decode_base multiply every level of that coefficient by 0.
+    stream = encode(smooth_hdr_image(16, 16), _params())
+    bad = _edited(stream, BASE_OFFSET + entry, bytes(1))
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(ParseError, match="quantization table entry of 0") as info:
+            reader(bad)
+        assert f"(byte offset {entry})" in str(info.value)
+    jpeg = bytearray(extract_ldr(stream))
+    jpeg[entry] = 0
+    with pytest.raises(ParseError, match="quantization table entry of 0") as info:
+        basejpeg.decode_base(bytes(jpeg))
+    assert info.value.offset == entry
 
 
 def test_bytes_after_the_base_layer_eoi_rejected():
@@ -105,20 +113,10 @@ def test_bytes_after_the_base_layer_eoi_rejected():
 @pytest.mark.parametrize("size", [65536, 0xFFFFFFFF])
 def test_sizes_beyond_a_jpeg_frame_rejected(size):
     stream = encode(sparse_hdr_image(8, 8), _params())
-    for offset in (9, 13):  # width, height
+    for offset in (WIDTH_OFFSET, WIDTH_OFFSET + 4):
         bad = _edited(stream, offset, size.to_bytes(4, "little"))
         for reader in (decode, measure, extract_ldr):
             with pytest.raises(FormatError, match="65535"):
-                reader(bad)
-
-
-def test_mode_byte_must_match_residual_packing():
-    for mode in CoderMode:
-        stream = encode(sparse_hdr_image(8, 8), _params(mode=mode))
-        other = CoderMode.XT if mode == CoderMode.HP else CoderMode.HP
-        bad = _edited(stream, 5, bytes([int(other)]))
-        for reader in (decode, measure):
-            with pytest.raises(CorruptStreamError, match="pack-table count"):
                 reader(bad)
 
 
@@ -168,7 +166,7 @@ def test_format_errors():
     with pytest.raises(FormatError):
         decode(stream[:10])
     version_bumped = bytearray(stream)
-    version_bumped[4] = 3
+    version_bumped[4] = 4
     with pytest.raises(FormatError):
         decode(bytes(version_bumped))
 
@@ -179,6 +177,30 @@ def test_version_1_stream_rejected():
     for reader in (decode, measure, extract_ldr):
         with pytest.raises(FormatError, match="unsupported version 1"):
             reader(stream)
+
+
+def test_version_2_stream_rejected():
+    # Version 2 stored the coder mode, the base quality, a reserved byte and
+    # the operator constants in the header, and a count ahead of every pack
+    # table.  An XT R=0 stream has no pack table, so its v2 form is the v3
+    # body behind the v2 header and 73-byte TMO block: the golden digest of
+    # format version 2 confirms it.
+    image = sparse_hdr_image(24, 24)
+    stream = encode(image, _params(mode=CoderMode.XT))
+    parsed = _parse(stream)
+    params = parsed.tmo
+    v2 = struct.pack("<4sBBBBBIII", MAGIC, 2, int(CoderMode.XT), 80, 0, 0, 24, 24, parsed.pixel_crc)
+    v2 += struct.pack(
+        "<B9d", int(params.kind), tmo.KEY, tmo.L_WHITE, tmo.BIAS, tmo.LDMAX, tmo.LOCAL_SCALES,
+        tmo.LOCAL_THRESHOLD, params.log_avg, params.l_max, tmo.GAMMA,
+    )
+    v2 += stream[_HEADER.size + tmo.TMO_PARAMS_SIZE : -4]
+    v2 += zlib.crc32(v2).to_bytes(4, "little")
+    v2_golden = "a6d52944655d4ee601be61391d3f381762b45b41d90fa8ddb4f21f1df4cdc278"
+    assert hashlib.sha256(v2).hexdigest() == v2_golden
+    for reader in (decode, measure, extract_ldr):
+        with pytest.raises(FormatError, match="unsupported version 2"):
+            reader(v2)
 
 
 def test_pixel_crc_catches_a_wrong_reconstruction(monkeypatch):

@@ -1,4 +1,4 @@
-"""Frozen stream format (container version 2): SHA-256 and section sizes of a
+"""Frozen stream format (container version 3): SHA-256 and section sizes of a
 fixed encode grid.
 
 Every tone-mapping operator on every arm (HP, XT R=0, XT R=4) for one sparse
@@ -23,100 +23,100 @@ ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode
 # (image, TMO, arm) -> (stream SHA-256, (base, refinement, tables, residual_payload, overhead))
 GOLDEN = {
     ("sparse", "default", "hp"): (
-        "db140a277511c38b82a5e0d5aa779b4cb8ece98f23d693dbe545c98e8657b458",
-        (1162, 0, 1706, 2171, 130),
+        "dcd9b810a05e1a399c9c5aa7c41394449aeb9d4e20fbcc6cf97c48bf48ea875e",
+        (1162, 0, 1694, 2171, 71),
     ),
     ("sparse", "default", "xt-r0"): (
-        "a6d52944655d4ee601be61391d3f381762b45b41d90fa8ddb4f21f1df4cdc278",
-        (1162, 0, 0, 3140, 130),
+        "b39557bb491a43a4635b48f602dac785aafaeaaf3f74fecad4bfebdc6c5bce65",
+        (1162, 0, 0, 3140, 71),
     ),
     ("sparse", "default", "xt-r4"): (
-        "89759a76565e276a1b45242844a46372ec9bbb1cee1ddf8ecec7411719e206b6",
-        (1163, 1076, 0, 3130, 142),
+        "05bf9be5ead8884740bc3a2e832809f52477e862041aa4f1f77a2bece4d48a6b",
+        (1163, 1076, 0, 3130, 83),
     ),
     ("sparse", "reinhard-global", "hp"): (
-        "5f31334d980e7ab6018448e01992cee6c7a1ced5bd2849f2c9d5be52a83df908",
-        (1162, 0, 1706, 2171, 130),
+        "f96e1b3df2c861efbf994b0f58ada4b84bcd2024539a7ea1e1d15a5efad024bf",
+        (1162, 0, 1694, 2171, 71),
     ),
     ("sparse", "reinhard-global", "xt-r0"): (
-        "03bffeda26436d309a81000cdf45c51c153fce7cdc397acf9b746bde915e5621",
-        (1162, 0, 0, 3140, 130),
+        "d3822b30bd502281c356b87af0c46e43370973f295ec64e4897d77df603be322",
+        (1162, 0, 0, 3140, 71),
     ),
     ("sparse", "reinhard-global", "xt-r4"): (
-        "5a4b2181b9e82beba185598ef3f0b888c4ac2ebc5619d21cf439bc6129ce4f63",
-        (1163, 1076, 0, 3130, 142),
+        "c6b087b9a3db9cd94b1ef0d1fe1c7e235fdf64290c6bb12f0aab988dd643f12e",
+        (1163, 1076, 0, 3130, 83),
     ),
     ("sparse", "reinhard-local", "hp"): (
-        "8dbb4c5a3a9c883c2ab455c48e638af19f1c0b3108309b37dbc8f1d3017ece4e",
-        (1161, 0, 1685, 2165, 130),
+        "9c4d414dd20b839d65d0a0c682bb764a8bfab4c0819f3acdf9cf6c8442c48960",
+        (1161, 0, 1673, 2165, 71),
     ),
     ("sparse", "reinhard-local", "xt-r0"): (
-        "bff9f14d719908089d7ecbcc82f3f22981311ac066c62f798dbdbfa2b8f4721e",
-        (1161, 0, 0, 3203, 130),
+        "6f03e0e36b47a4a62741dc1eb9edab761ddf282c937c9dcb080206451bd2ad21",
+        (1161, 0, 0, 3203, 71),
     ),
     ("sparse", "reinhard-local", "xt-r4"): (
-        "8995ced19f81d56c15fddc3fc8739e0239677d6d134e73741937783655290c6a",
-        (1160, 1113, 0, 3210, 142),
+        "2d369343e08ec7a956d789158f7d31c4403af9948e8a3e63af417e37f8913ded",
+        (1160, 1113, 0, 3210, 83),
     ),
     ("sparse", "drago", "hp"): (
-        "325c547d25fdfef0a1672bc70046149cb5564af2bdfa23958eb589839754bf73",
-        (1152, 0, 1655, 2172, 130),
+        "d2b2b91cadedecbb336d355324830d94ab881d39667178b53e34b2feb5b7d545",
+        (1152, 0, 1643, 2172, 71),
     ),
     ("sparse", "drago", "xt-r0"): (
-        "047085e440444df243802578c67b4d1958965e7a25b1782440b441bd545d1c49",
-        (1152, 0, 0, 3080, 130),
+        "2bb0f31a02313280e9addb857e37ef5488c728f51b6c71988e07e37749c0f057",
+        (1152, 0, 0, 3080, 71),
     ),
     ("sparse", "drago", "xt-r4"): (
-        "a50ea0904da63f7226c37f6134d0eddfc79de6ae2dd1c5df5f2fa10cc8089b3d",
-        (1152, 1054, 0, 3079, 142),
+        "a0791dd00bb4aea21fc054ba17b9a8f4e0f31f49ea82a3fe2052b192803b8dfb",
+        (1152, 1054, 0, 3079, 83),
     ),
     ("smooth", "default", "hp"): (
-        "ea5d56ee4d18526ae51adf5f858811c1c29fff6f380ece0ed4fedb94543b1017",
-        (717, 0, 547, 1805, 130),
+        "bd52b579a9d5ce0f17763c45afe91347eae7ee77f1f1bccb8b6c69c33f89ebeb",
+        (717, 0, 535, 1805, 71),
     ),
     ("smooth", "default", "xt-r0"): (
-        "8c5dd100b8ea3f8d820474ce62effe2fa7113bcd6d56d9420f35e12305ce41b9",
-        (717, 0, 0, 2318, 130),
+        "272a378fc6a23f982f6971a4a2869830ee3abe02cd541e2d13c338fc8383f8b4",
+        (717, 0, 0, 2318, 71),
     ),
     ("smooth", "default", "xt-r4"): (
-        "b46e0520ce9bab44626ef88b90beb9e33e2a9397bad194e6e0ca074e0e0d2002",
-        (718, 1073, 0, 2267, 142),
+        "4e0b56ebb27e1a42a725eacee2426b0caa8c20755c01f57b3da1247bff6d97d6",
+        (718, 1073, 0, 2267, 83),
     ),
     ("smooth", "reinhard-global", "hp"): (
-        "78523b3e0e16a298820712c31f673ac995304704c56380195634706be8f45d0e",
-        (717, 0, 547, 1805, 130),
+        "b59ff71536e0a02f66346d1176d554b29ceacd1390b0ae9d28da0874874ff997",
+        (717, 0, 535, 1805, 71),
     ),
     ("smooth", "reinhard-global", "xt-r0"): (
-        "4d847e11af1b9dc85b7f687d76408c838c34998e567b57dd5c1d601a332a5cfb",
-        (717, 0, 0, 2318, 130),
+        "d407e5edcd4a155847728e5c1b9faa8235a16c57e1d2c06aa77969110f8f401f",
+        (717, 0, 0, 2318, 71),
     ),
     ("smooth", "reinhard-global", "xt-r4"): (
-        "6a6f2a5fd5284f842a0d3e6087acf405ef1d5f0a5c52b34bc93ce1d7e424d110",
-        (718, 1073, 0, 2267, 142),
+        "a5e0c7ef9089e9d371e01dc3bc01205b603a7b6e076b185cd2810509da777305",
+        (718, 1073, 0, 2267, 83),
     ),
     ("smooth", "reinhard-local", "hp"): (
-        "885614841798f91a05a9907842aefa1aed0f60ab467597a3b0200e229957e42b",
-        (725, 0, 752, 1913, 130),
+        "3bbad9bc78526d2042918b61dce14bbf53e7055629bfa728c97d4b3902102455",
+        (725, 0, 740, 1913, 71),
     ),
     ("smooth", "reinhard-local", "xt-r0"): (
-        "abb93da91ce2eca41b7b6a4b2ab3a24092128ddff62a4061defb502966c74595",
-        (725, 0, 0, 2293, 130),
+        "4e968a08c18aad4d038098198cdda86eaab4c0e98a392db1bc14996a65eb9bc4",
+        (725, 0, 0, 2293, 71),
     ),
     ("smooth", "reinhard-local", "xt-r4"): (
-        "5f26223c01d11a3654c87c3c65262a7a4a0fa672534cafb30c382425e888249a",
-        (727, 1078, 0, 2369, 142),
+        "7a4b5924e39b2bd18b102637466724b27d348c5170d250464e00bd148c605dbb",
+        (727, 1078, 0, 2369, 83),
     ),
     ("smooth", "drago", "hp"): (
-        "6aec2bec06ad931ac949a1ae4b4e78a58eb06246baaa8aeddf3ea37fe7a90670",
-        (710, 0, 517, 1802, 130),
+        "4d996b0fe41735931259a251a606cdc80d4fef95d6325804a9602181b948d309",
+        (710, 0, 505, 1802, 71),
     ),
     ("smooth", "drago", "xt-r0"): (
-        "326833d600154972bbce83b17d4a48f00f7e14c36a58a6ba333268068bdfafd9",
-        (710, 0, 0, 2402, 130),
+        "db6c59258efa9f6d426c231b51d8c43169bf8cd803cbd307cc006ef050446461",
+        (710, 0, 0, 2402, 71),
     ),
     ("smooth", "drago", "xt-r4"): (
-        "72839af81b7c60664586e8ffe43ca6559e00650f10bb0b0169b0d46a6378f12e",
-        (712, 1086, 0, 2362, 142),
+        "a587b2f48be2b9f9e25e5ed66bdf9a85cc4f4d1b30c220aa218d56722343741d",
+        (712, 1086, 0, 2362, 83),
     ),
 }
 

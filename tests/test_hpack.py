@@ -103,16 +103,16 @@ def test_pack_preserves_order_and_histogram(rng):
 def test_serialize_table_golden():
     t = PackTable(np.array([0, 5, 1000], dtype=np.uint16))
     data = serialize_table(t)
-    # K=3 little-endian, then gap-1 varints 0, 4, 994 (994 = 0xE2 0x07)
-    assert data == bytes([3, 0, 0, 0, 0x00, 0x04, 0xE2, 0x07])
-    assert read_table(data, 0) == (t, len(data))
+    # gap-1 varints 0, 4, 994 (994 = 0xE2 0x07); the count K is not written
+    assert data == bytes([0x00, 0x04, 0xE2, 0x07])
+    assert read_table(data, 0, 3) == (t, len(data))
 
 
 def test_serialize_identity_table():
     t = PackTable(np.arange(65536, dtype=np.uint16))
     data = serialize_table(t)
-    assert len(data) == 4 + 65536  # every gap-1 is a single zero byte
-    assert read_table(data, 0) == (t, len(data))
+    assert len(data) == 65536  # every gap-1 is a single zero byte
+    assert read_table(data, 0, 65536) == (t, len(data))
 
 
 def test_table_round_trip_random(rng):
@@ -122,28 +122,27 @@ def test_table_round_trip_random(rng):
         t = PackTable(symbols)
         data = serialize_table(t)
         # a table read from inside a larger block ends where its bytes end
-        assert read_table(b"\xAA" + data + b"\x00", 1) == (t, 1 + len(data))
+        assert read_table(b"\xAA" + data + b"\x00", 1, k) == (t, 1 + len(data))
 
 
 def test_read_table_errors():
+    for count in (0, 65537):
+        with pytest.raises(ParseError, match=f"count {count} out of range"):
+            read_table(bytes(4), 0, count)
     with pytest.raises(ParseError):
-        read_table(bytes([0, 0, 0, 0]), 0)  # K == 0
-    with pytest.raises(ParseError):
-        read_table(bytes([2, 0, 0, 0, 0x01]), 0)  # truncated varints
-    with pytest.raises(ParseError):
-        read_table(bytes([1, 0, 0]), 0)  # truncated count
+        read_table(bytes([0x01]), 0, 2)  # truncated varints
     good = serialize_table(PackTable(np.array([1, 2], dtype=np.uint16)))
-    assert read_table(good + b"\x00", 0)[1] == len(good)  # trailing bytes are not read
-    overflow = bytes([2, 0, 0, 0]) + bytes([0xFF, 0xFF, 0x03]) + bytes([0x00])
+    assert read_table(good + b"\x00", 0, 2)[1] == len(good)  # trailing bytes are not read
+    overflow = bytes([0xFF, 0xFF, 0x03]) + bytes([0x00])
     with pytest.raises(ParseError):
-        read_table(overflow, 0)  # second symbol lands beyond 16 bits
+        read_table(overflow, 0, 2)  # second symbol lands beyond 16 bits
 
 
 # The byte-at-a-time table writer and reader that the numpy ones replaced:
 # the oracle of their bytes, their tables and their error offsets.
 def _serialize_table_loop(table: PackTable) -> bytes:
     gaps = np.diff(table.symbols.astype(np.int64), prepend=-1) - 1
-    out = bytearray(int(table.count).to_bytes(4, "little"))
+    out = bytearray()
     for g in gaps.tolist():
         while g >= 0x80:
             out.append((g & 0x7F) | 0x80)
@@ -152,13 +151,9 @@ def _serialize_table_loop(table: PackTable) -> bytes:
     return bytes(out)
 
 
-def _read_table_loop(data: bytes, pos: int) -> tuple[PackTable, int]:
-    if len(data) - pos < 4:
-        raise ParseError("truncated pack table header", offset=pos)
-    count = int.from_bytes(data[pos : pos + 4], "little")
-    pos += 4
+def _read_table_loop(data: bytes, pos: int, count: int) -> tuple[PackTable, int]:
     if count == 0 or count > 65536:
-        raise ParseError(f"pack table symbol count {count} out of range", offset=pos - 4)
+        raise ParseError(f"pack table symbol count {count} out of range", offset=pos)
     gaps = np.empty(count, dtype=np.int64)
     for i in range(count):
         value = 0
@@ -181,10 +176,10 @@ def _read_table_loop(data: bytes, pos: int) -> tuple[PackTable, int]:
     return PackTable(symbols.astype(np.uint16)), pos
 
 
-def _outcome(read, data: bytes, pos: int):
+def _outcome(read, data: bytes, pos: int, count: int):
     """(symbols, end) of a table read, or the message and offset of its error."""
     try:
-        table, end = read(data, pos)
+        table, end = read(data, pos, count)
     except ParseError as exc:
         return str(exc), exc.offset
     return table.symbols.tolist(), end
@@ -206,34 +201,35 @@ def test_serialize_table_matches_loop_oracle(rng):
     for table in _oracle_tables(rng) + [PackTable(np.arange(65536, dtype=np.uint16))]:
         data = serialize_table(table)
         assert data == _serialize_table_loop(table)
-        assert read_table(data, 0) == (table, len(data))
+        assert read_table(data, 0, table.count) == (table, len(data))
 
 
 def test_read_table_matches_loop_oracle_on_every_truncation(rng):
     for table in _oracle_tables(rng)[:5]:
         data = b"\x07\x80" + serialize_table(table)
         for cut in range(2, len(data) + 1):
-            assert _outcome(read_table, data[:cut], 2) == _outcome(_read_table_loop, data[:cut], 2), cut
+            read, loop = (_outcome(fn, data[:cut], 2, table.count) for fn in (read_table, _read_table_loop))
+            assert read == loop, cut
 
 
 def test_read_table_matches_loop_oracle_on_malformed_tables(rng):
-    count = (3).to_bytes(4, "little")
     cases = [
-        b"",
-        (0).to_bytes(4, "little"),
-        (65537).to_bytes(4, "little") + b"\x00",
-        (65536).to_bytes(4, "little"),
-        count + b"\x80\x80\x80\x00\x00\x00",  # four bytes, ends in the fourth
-        count + b"\x80\x80\x80\x80\x00\x00",  # no end in four bytes
-        count + b"\x00\x80\x80\x80\x80",
-        count + b"\x00\x00\xff\xff\xff\x7f",  # 28 bits
-        count + b"\x00\xff\xff\x03\x00",  # past 0xFFFF
-        count + b"\xff\xff\x03\x00",  # the last gap runs past 0xFFFF
-        count + b"\x00\x80\x80",
-        (2).to_bytes(4, "little") + b"\xff\xff\x03\x00",
+        (3, b""),
+        (0, b""),
+        (65537, b"\x00"),
+        (65536, b""),
+        (3, b"\x80\x80\x80\x00\x00\x00"),  # four bytes, ends in the fourth
+        (3, b"\x80\x80\x80\x80\x00\x00"),  # no end in four bytes
+        (3, b"\x00\x80\x80\x80\x80"),
+        (3, b"\x00\x00\xff\xff\xff\x7f"),  # 28 bits
+        (3, b"\x00\xff\xff\x03\x00"),  # past 0xFFFF
+        (3, b"\xff\xff\x03\x00"),  # the last gap runs past 0xFFFF
+        (3, b"\x00\x80\x80"),
+        (2, b"\xff\xff\x03\x00"),
     ]
-    for _ in range(300):  # random bytes after a random small count
+    for _ in range(300):  # random bytes for a random small count
         body = rng.choice([0x00, 0x01, 0x7F, 0x80, 0x81, 0xFF], size=int(rng.integers(0, 12)))
-        cases.append(int(rng.integers(1, 5)).to_bytes(4, "little") + body.astype(np.uint8).tobytes())
-    for data in cases:
-        assert _outcome(read_table, data, 0) == _outcome(_read_table_loop, data, 0), data
+        cases.append((int(rng.integers(1, 5)), body.astype(np.uint8).tobytes()))
+    for count, data in cases:
+        read, loop = (_outcome(fn, data, 0, count) for fn in (read_table, _read_table_loop))
+        assert read == loop, (count, data)

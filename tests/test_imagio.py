@@ -332,3 +332,24 @@ def test_ppm_round_trip(rng):
     samples = rng.integers(0, 256, size=(3, 5, 7)).astype(np.uint16)
     img = LdrImage(samples, bit_depth=8)
     assert parse_ppm(write_ppm(img)) == img
+
+
+@pytest.mark.parametrize("header", [
+    b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n2 1\n255\n",
+    b"P6 2#width\n1 #height\r255\n",
+    b"P6#\n#\n\n2\t1\n# maxval\n255 ",
+])
+def test_parse_ppm_skips_header_comments(header):
+    # Netpbm allows "#" comments, to the end of a line, between header tokens.
+    pixels = bytes(range(6))
+    assert parse_ppm(header + pixels) == parse_ppm(b"P6\n2 1\n255\n" + pixels)
+
+
+@pytest.mark.parametrize("data", [
+    b"P6\n2 1\n255#comment\n",  # one whitespace byte must follow the maxval
+    b"P6\n2 1 # no maxval",
+    b"P6 #2 1 255\n",  # a comment runs to the end of its line
+])
+def test_parse_ppm_comments_keep_the_header_rules(data):
+    with pytest.raises(ParseError, match="not an 8-bit binary PPM"):
+        parse_ppm(data + bytes(6))

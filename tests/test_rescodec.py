@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hdr2l import rescodec
-from hdr2l.errors import CorruptStreamError, Hdr2lError, ParameterError
+from hdr2l.errors import CorruptStreamError, Hdr2lError, ParameterError, ParseError
 from hdr2l.hpack import build_table, pack, serialize_table
 from hdr2l.imagio import HdrImage
 from hdr2l.rescodec import (
     MASK,
+    PLANE_HEADER,
     RICE_BLOCK,
     RICE_ESCAPE_QUOTIENT,
     RICE_MAX_K,
@@ -547,24 +549,24 @@ def test_decode_plane_truncation_raises():
 def test_encode_residual_zero_plane_packs_to_near_empty():
     zeros = np.zeros((3, 8, 8), dtype=np.uint16)
     packed = encode_residual(zeros, use_packing=True)
-    sections = split_residual_sections(packed, True)
+    sections = split_residual_sections(packed)
     table_bytes = len(serialize_table(build_table(np.zeros(1, dtype=np.uint16))))
     assert [s.table_bytes for s in sections] == [table_bytes] * 3
     assert sum(len(s.payload) for s in sections) < 40
-    assert np.array_equal(decode_residual(packed, 8, 8, True), zeros)
+    assert np.array_equal(decode_residual(packed, 8, 8), zeros)
 
 
 def test_residual_lossless_both_modes(rng):
     raw = rng.integers(0, 65536, size=(3, 12, 10)).astype(np.uint16)
     for use_packing in (True, False):
         data = encode_residual(raw, use_packing)
-        assert np.array_equal(decode_residual(data, 10, 12, use_packing), raw)
+        assert np.array_equal(decode_residual(data, 10, 12), raw)
 
 
 def test_packing_shrinks_sparse_payload(rng):
     sparse = rng.choice(np.arange(0, 65536, 256, dtype=np.uint16), size=(3, 64, 64))
-    packed = split_residual_sections(encode_residual(sparse, True), True)
-    unpacked = split_residual_sections(encode_residual(sparse, False), False)
+    packed = split_residual_sections(encode_residual(sparse, True))
+    unpacked = split_residual_sections(encode_residual(sparse, False))
     assert sum(len(s.payload) for s in packed) < sum(len(s.payload) for s in unpacked)
     assert all(s.table is None and s.table_bytes == 0 for s in unpacked)
 
@@ -573,20 +575,30 @@ def test_decode_residual_errors(rng):
     raw = rng.integers(0, 65536, size=(3, 6, 6)).astype(np.uint16)
     data = encode_residual(raw, True)
     with pytest.raises(CorruptStreamError):
-        decode_residual(data[:-3], 6, 6, True)
+        decode_residual(data[:-3], 6, 6)
     with pytest.raises(CorruptStreamError):
-        decode_residual(data + b"\x00", 6, 6, True)
+        decode_residual(data + b"\x00", 6, 6)
     bad_header = bytearray(data)
     bad_header[0] ^= 0xFF  # corrupt the table count
     with pytest.raises(Hdr2lError):
-        decode_residual(bytes(bad_header), 6, 6, True)
+        decode_residual(bytes(bad_header), 6, 6)
+    bad_header[0:4] = (65537).to_bytes(4, "little")
+    with pytest.raises(ParseError, match="count 65537 out of range"):
+        decode_residual(bytes(bad_header), 6, 6)
 
 
-def test_residual_sections_must_agree_with_packing(rng):
-    raw = rng.integers(0, 65536, size=(3, 6, 6)).astype(np.uint16)
-    for use_packing in (True, False):
-        data = encode_residual(raw, use_packing)
-        with pytest.raises(CorruptStreamError, match="pack-table count"):
-            split_residual_sections(data, not use_packing)
-        with pytest.raises(CorruptStreamError, match="pack-table count"):
-            decode_residual(data, 6, 6, not use_packing)
+def test_residual_block_mixing_packed_and_unpacked_planes_decodes(rng):
+    """K alone says whether a plane is packed, so every mix of packed and
+    unpacked planes in one block decodes exactly."""
+    raw = rng.choice(np.arange(0, 65536, 97, dtype=np.uint16), size=(3, 9, 11))
+    planes = color_transform_fwd(raw)
+    for mix in itertools.product((False, True), repeat=3):
+        tables = [build_table(plane) if packed else None for plane, packed in zip(planes, mix)]
+        payloads = code_planes([pack(plane, t) if t else plane for plane, t in zip(planes, tables)])
+        data = b"".join(
+            PLANE_HEADER.pack(t.count if t else 0, len(payload)) + (serialize_table(t) if t else b"") + payload
+            for t, payload in zip(tables, payloads)
+        )
+        sections = split_residual_sections(data)
+        assert [s.table is not None for s in sections] == list(mix)
+        assert np.array_equal(decode_residual(data, 11, 9), raw), mix

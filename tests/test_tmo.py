@@ -94,8 +94,8 @@ def test_params_serialization_round_trip():
     params = TmoParams(kind=TmoKind.DRAGO, log_avg=0.125, l_max=512.0)
     data = serialize_tmo_params(params)
     assert len(data) == TMO_PARAMS_SIZE
-    # The kind, then the seven constants with the statistics after LOCAL_THRESHOLD.
-    assert data == struct.pack("<B9d", 3, 0.18, math.inf, 0.85, 100.0, 8.0, 0.05, 0.125, 512.0, 2.2)
+    # The kind and the two statistics; the operator constants are not stored.
+    assert data == struct.pack("<B2d", 3, 0.125, 512.0)
     assert parse_tmo_params(data) == params
 
 
