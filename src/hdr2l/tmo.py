@@ -25,7 +25,12 @@ residual layer restores the original bit-exactly regardless.  Prediction
 quality affects bitrate only.  Everything in it that depends on one sample
 code alone (the gamma-linearized level and the inverse display curve at that
 level) is computed once per code into tables of 2^b entries, b the base
-depth, and gathered per pixel; the values are those of the per-pixel formula.
+depth.  On an 8-bit base, which HP and XT with R = 0 have, a predicted half
+code depends only on the pixel's top code and the channel's code, so the
+256 x 256 pair codes are computed once per call and each channel sample is
+one gather from that table.  The 12-bit base of XT with R = 4 would need 2^24
+pairs; it gathers the per-code tables and scales each channel as a float64
+plane.  Both give the values of the per-pixel formula.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ GAMMA = 2.2  # display gamma of the base layer
 LOCAL_SCALE_RATIO = 1.6
 LOCAL_SHARPEN = 2.0**8
 # Gaussians at least this wide run on a box pyramid (see _local_adaptation),
-# upsampled to full size in this many blocks of whole rows.
+# upsampled to full size in this many blocks of whole rows; the activity is
+# computed in the same blocks.
 PYRAMID_SIGMA = 6.0
 UPSAMPLE_BLOCKS = 32
 
@@ -271,14 +277,18 @@ def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
     decimated.  So the Gaussian on a level, which replicates edges like the
     full-size ones, sees the decimated extended image, and the interpolation
     between block centres reaches the border.  It fills the full-size
-    surround a block of rows at a time."""
+    surround a block of rows at a time.
+
+    The activity is computed in the same :data:`UPSAMPLE_BLOCKS` blocks of
+    rows, so the selection, the center, the surround and the mask are the
+    only full-size planes."""
     from scipy.ndimage import gaussian_filter  # slow to import; only this operator needs it
 
     level = (0, scaled)
     center = gaussian_filter(scaled, sigma=1.0, mode="nearest")
     selected = center
     passing = np.ones(scaled.shape, dtype=bool)
-    activity = np.empty_like(scaled)
+    step = -(-scaled.shape[0] // UPSAMPLE_BLOCKS)
     for i in range(LOCAL_SCALES):
         scale = LOCAL_SCALE_RATIO**i
         sigma = LOCAL_SCALE_RATIO ** (i + 1)
@@ -286,10 +296,14 @@ def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
             surround = gaussian_filter(scaled, sigma=sigma, mode="nearest")
         else:
             surround, level = _pyramid_surround(sigma, level, scaled.shape)
-        np.subtract(center, surround, out=activity)
-        activity /= LOCAL_SHARPEN * KEY / (scale * scale) + center
-        np.abs(activity, out=activity)
-        passing &= activity < LOCAL_THRESHOLD
+        # |center - surround| / (LOCAL_SHARPEN * KEY / scale^2 + center) < threshold,
+        # a block of rows at a time.
+        for start in range(0, scaled.shape[0], step):
+            rows = slice(start, start + step)
+            activity = center[rows] - surround[rows]
+            activity /= LOCAL_SHARPEN * KEY / (scale * scale) + center[rows]
+            np.abs(activity, out=activity)
+            passing[rows] &= activity < LOCAL_THRESHOLD
         if i:
             np.copyto(selected, center, where=passing)
         center = surround
@@ -380,6 +394,57 @@ def _top_codes(samples: np.ndarray, linearized) -> tuple[np.ndarray, np.ndarray]
     return top, proxy
 
 
+def _predict_by_pairs(samples: np.ndarray, levels: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Half codes of the prediction of an 8-bit base, one table gather per
+    channel sample.  Row r of the table holds the pixels whose largest
+    channel level is the r-th smallest level (a rank table, so ``levels``
+    need not be monotone) and column c the channel code, so a sample's index
+    is r << 8 | c.  Only rows some pixel takes are computed, and in them only
+    the columns whose level does not exceed the row's; the rest hold 0.  A
+    taken row's own top code has a non-finite value whenever another column
+    of the row has, so the domain check of :func:`half_encode_array` refuses
+    exactly the predictions the per-pixel path refuses."""
+    order = np.argsort(levels, kind="stable")
+    rank = np.empty(levels.size, dtype=np.uint16)
+    rank[order] = np.arange(levels.size)
+    top = np.take(rank, samples[0])
+    for plane in samples[1:]:
+        np.maximum(top, np.take(rank, plane), out=top)
+    taken = np.bincount(top.ravel(), minlength=levels.size) > 0
+    top_level = levels[order][:, None]
+    reach = (levels <= top_level) & taken[:, None]
+    # A top level of 0 has all three channels at level 0, divided by 1.
+    divisor = np.where(top_level > 0.0, top_level, 1.0)
+    table = np.divide(levels, divisor, out=np.zeros(reach.shape), where=reach)
+    np.multiply(table, inverse[order][:, None], out=table, where=reach)
+    table = half_encode_array(table).ravel()
+    top <<= 8
+    codes = np.empty(samples.shape, dtype=np.uint16)
+    for plane, out in zip(samples, codes):
+        np.take(table, top | plane, out=out)
+    return codes
+
+
+def _predict_per_pixel(samples: np.ndarray, levels: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Half codes of the prediction, evaluated per pixel: levels are gathered
+    one channel at a time, and each channel is scaled and half-encoded in one
+    float64 plane."""
+    top, proxy = _top_codes(samples, (levels[plane] for plane in samples))
+    lum_est = inverse[top]
+    del top
+    # Channel ratios; a zero proxy has all three channels at level 0, so they
+    # are divided by 1.  No level is negative or NaN: not > 0 is == 0.
+    proxy[proxy == 0.0] = 1.0
+    codes = np.empty(samples.shape, dtype=np.uint16)
+    for plane, out in zip(samples, codes):
+        scene = levels[plane]
+        scene /= proxy
+        scene *= lum_est
+        out[...] = half_encode_array(scene)
+        del scene  # before the next channel is gathered
+    return codes
+
+
 def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     """Deterministic approximate inverse of the tone mapping.
 
@@ -388,36 +453,34 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     ratios are rescaled by the recovered scene luminance.
 
     The linearized level and the inverse curve depend on one sample code
-    each, so both are tabulated over every code of the base depth; per pixel
-    only the table gathers, the channel maximum, the channel ratio and the
-    half encode remain.  The pixel's top code is one whose level is the
-    channel maximum, so every value equals the per-pixel evaluation of the
-    same formula.  Levels are gathered one channel at a time, and each
-    channel is scaled and half-encoded in one float64 plane.
+    each, so both are tabulated over every code of the base depth.  On an
+    8-bit base every predicted half code depends on the pair (top code,
+    channel code) alone, so the 256 x 256 pair values are computed and
+    half-encoded once per call into a uint16 table, and each channel of each
+    pixel is one gather from it.  A 12-bit base (XT with R = 4) would need
+    2^24 pairs; it keeps the per-pixel float path, gathering the per-code
+    tables and dividing, scaling and half-encoding each channel plane.  Both
+    paths run the same float64 operations in the same order on the same
+    operands, and the pixel's top code is one whose level is the channel
+    maximum, so every code equals the per-pixel evaluation of the formula.
+
+    Statistics from a crafted stream can overflow the inverse curve.  That
+    raises no floating-point warning: a non-finite value that some pixel
+    takes is refused by :func:`half_encode_array` with ``DomainError``.
     """
     if params.log_avg <= 0:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
     levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, GAMMA)
-    if params.kind == TmoKind.DRAGO:
-        if params.l_max <= 0:
-            raise ParameterError("Drago inverse requires bound l_max")
-        inverse = _drago_inverse(levels, params.l_max)
-    else:  # the local operator reuses the photographic inverse
-        capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
-        scaled = capped / (1.0 - capped)
-        inverse = scaled * params.log_avg / KEY
-    top, proxy = _top_codes(base.samples, (levels[plane] for plane in base.samples))
-    lum_est = inverse[top]
-    del top
-    # Channel ratios; a zero proxy has all three channels at level 0, so they
-    # are divided by 1.  No level is negative or NaN: not > 0 is == 0.
-    proxy[proxy == 0.0] = 1.0
-    codes = np.empty(base.samples.shape, dtype=np.uint16)
-    for plane, out in zip(base.samples, codes):
-        scene = levels[plane]
-        scene /= proxy
-        scene *= lum_est
-        out[...] = half_encode_array(scene)
-        del scene  # before the next channel is gathered
+    if params.kind == TmoKind.DRAGO and params.l_max <= 0:
+        raise ParameterError("Drago inverse requires bound l_max")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if params.kind == TmoKind.DRAGO:
+            inverse = _drago_inverse(levels, params.l_max)
+        else:  # the local operator reuses the photographic inverse
+            capped = np.minimum(levels, INVERSE_DISPLAY_CAP)
+            scaled = capped / (1.0 - capped)
+            inverse = scaled * params.log_avg / KEY
+        predict = _predict_by_pairs if base.bit_depth == 8 else _predict_per_pixel
+        codes = predict(base.samples, levels, inverse)
     return HdrImage(codes)

@@ -8,12 +8,16 @@ source image exactly.  Besides random sites, a share of the mutants rewrite
 the fields that readers size their work from: the container width and
 height, each residual plane's pack-table count K and payload length, and
 inside every plane payload (residual and refinement) the unary-stream length
-U and the k-table nibbles.
+U and the k-table nibbles.  One more mutant sets the TMO block's log-average
+to 1e308, where the inverse curve overflows; ``decode`` must raise a codec
+error, not a floating-point warning, with warnings raised as errors.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -127,3 +131,15 @@ def test_mutated_streams_raise_only_codec_errors(mode, refine, seed):
                 escapes.append((index, "decode", "returned an image that is not the source"))
     assert escapes == []
 
+
+@pytest.mark.parametrize("mode,refine", [(CoderMode.HP, 0), (CoderMode.XT, 4)])
+def test_overflowing_log_average_raises_a_codec_error_without_warnings(mode, refine):
+    """A CRC-valid TMO block whose log-average of 1e308 overflows the inverse
+    curve: ``decode`` raises a codec error, even with warnings as errors."""
+    params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=100, refine_bits=refine)
+    mutant = bytearray(encode(_patch_image(), params)[:-4])
+    mutant[_HEADER.size + 1 : _HEADER.size + 9] = struct.pack("<d", 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Hdr2lError):
+            decode(_with_crc(mutant))

@@ -21,11 +21,10 @@ from hdr2l.tmo import TmoKind, TmoParams
 
 SIDE = 256
 ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode.XT, 4)}
-# B/px: the largest peak of either image, plus about 15 %.  The local
-# operator's Gaussian planes set its own encode peak, 59.1 B/px, of which its
-# first box-pyramid level is 2.1 B/px.
+# B/px: the largest peak of either image, plus about 15 %.  One encode
+# ceiling covers every operator: the local operator's encode peak is
+# 46.6-47.0 B/px, its activity computed a block of rows at a time.
 ENCODE_CEILING = 55
-LOCAL_ENCODE_CEILING = 66
 DECODE_CEILING = 58
 
 
@@ -61,6 +60,5 @@ def test_encode_and_decode_stay_within_working_set(name, arm, kind, images):
     stream, encode_peak = _peak_per_pixel(encode, image, params)
     decoded, decode_peak = _peak_per_pixel(decode, stream)
     assert decoded == image
-    ceiling = LOCAL_ENCODE_CEILING if kind == TmoKind.REINHARD_LOCAL else ENCODE_CEILING
-    assert encode_peak <= ceiling, f"encode peak {encode_peak:.1f} B/px"
+    assert encode_peak <= ENCODE_CEILING, f"encode peak {encode_peak:.1f} B/px"
     assert decode_peak <= DECODE_CEILING, f"decode peak {decode_peak:.1f} B/px"

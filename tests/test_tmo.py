@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from hdr2l.errors import ParameterError, ParseError
+from hdr2l.errors import DomainError, Hdr2lError, ParameterError, ParseError
 from hdr2l import tmo
 from hdr2l.imagio import (
     HALF_MAX,
@@ -273,55 +275,71 @@ def test_predict_hdr_drago_inverts_its_own_curve():
     assert float(np.median(rel)) < 0.05
 
 
-# Reference: the per-pixel evaluation that predict_hdr's code tables must
+# Reference: the per-pixel evaluation that predict_hdr's tables must
 # reproduce bit for bit (the bisection runs on every pixel's proxy).  Returns
 # the float64 values that are half-encoded into the prediction.
 def _predict_hdr_per_pixel(base: LdrImage, params: TmoParams) -> np.ndarray:
     maxval = (1 << base.bit_depth) - 1
     linearized = np.power(base.samples.astype(np.float64) / maxval, GAMMA)
     proxy = linearized.max(axis=0)
-    if params.kind == TmoKind.DRAGO:
-        lum_est = tmo._drago_inverse(proxy, params.l_max)
-    else:
-        capped = np.minimum(proxy, INVERSE_DISPLAY_CAP)
-        scaled = capped / (1.0 - capped)
-        lum_est = scaled * params.log_avg / KEY
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if params.kind == TmoKind.DRAGO:
+            lum_est = tmo._drago_inverse(proxy, params.l_max)
+        else:
+            capped = np.minimum(proxy, INVERSE_DISPLAY_CAP)
+            scaled = capped / (1.0 - capped)
+            lum_est = scaled * params.log_avg / KEY
         ratio = np.where(proxy > 0.0, linearized / np.where(proxy > 0.0, proxy, 1.0), 0.0)
-    return ratio * lum_est
+        return ratio * lum_est
 
 
 def _prediction_bases(depth: int, rng) -> list[LdrImage]:
-    """One row holding every code in each channel, and random triples with
-    two- and three-way channel ties."""
+    """One row holding every code in each channel, random triples with two-
+    and three-way channel ties, and dark triples (every code below an eighth
+    of the range), whose inverse stays finite where the upper codes' does
+    not."""
     codes = np.arange(1 << depth, dtype=np.uint16)
     every = np.stack([codes, codes[::-1], rng.permutation(codes)])[:, None, :]
     triples = rng.integers(0, 1 << depth, size=(3, 24, 24)).astype(np.uint16)
     triples[1, ::2] = triples[0, ::2]
     triples[2, ::3] = triples[0, ::3]
-    return [LdrImage(every, bit_depth=depth), LdrImage(triples, bit_depth=depth)]
+    dark = triples >> 3
+    return [LdrImage(samples, bit_depth=depth) for samples in (every, triples, dark)]
+
+
+def _codes_or_error(predict) -> np.ndarray | type:
+    """The half codes ``predict()`` returns, or the class of the codec error
+    it raises."""
+    try:
+        return predict()
+    except Hdr2lError as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("depth", [8, 12])
 @pytest.mark.parametrize("kind", list(TmoKind))
-def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng, monkeypatch):
-    encoded = []
-
-    def recording_encode(values):
-        encoded.append(values)
-        return half_encode_array(values)
-
-    monkeypatch.setattr(tmo, "half_encode_array", recording_encode)
+def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng):
+    """Both paths, the pair table at depth 8 and the float planes at depth 12,
+    give the half-encoded per-pixel values, and raise the reference's error
+    class where a pixel takes a non-finite value: a log-average of 5e307
+    overflows the photographic inverse at the upper codes, which the dark
+    base never takes."""
     bases = _prediction_bases(depth, rng)
-    for l_max in (LOG_AVERAGE_DELTA, HALF_MAX):
-        params = TmoParams(kind=kind, log_avg=0.37, l_max=l_max)
-        for base in bases:
-            encoded.clear()
-            got = predict_hdr(base, params)
-            want = _predict_hdr_per_pixel(base, params)
-            # One half encode per channel plane.
-            assert np.array_equal(np.stack(encoded).view(np.uint64), want.view(np.uint64)), l_max
-            assert np.array_equal(got.samples, half_encode_array(want)), l_max
+    l_maxes = (LOG_AVERAGE_DELTA, HALF_MAX, sys.float_info.max)
+    outcomes = {}
+    for l_max, log_avg in itertools.product(l_maxes, (0.37, 1e-300, 5e307, 1.7e308)):
+        params = TmoParams(kind=kind, log_avg=log_avg, l_max=l_max)
+        for index, base in enumerate(bases):
+            want = _codes_or_error(lambda: half_encode_array(_predict_hdr_per_pixel(base, params)))
+            got = _codes_or_error(lambda: predict_hdr(base, params).samples)
+            if isinstance(want, type):
+                assert got is want, (l_max, log_avg, index)
+            else:
+                assert np.array_equal(got, want), (l_max, log_avg, index)
+            outcomes[index, log_avg, l_max] = want if isinstance(want, type) else None
+    assert all(outcomes[2, 5e307, l_max] is None for l_max in l_maxes)
+    if kind != TmoKind.DRAGO:  # log_avg does not enter the logarithmic inverse
+        assert outcomes[0, 5e307, HALF_MAX] is DomainError
 
 
 def test_top_codes_follow_a_non_monotone_level_table(rng):
@@ -332,6 +350,19 @@ def test_top_codes_follow_a_non_monotone_level_table(rng):
     top, proxy = tmo._top_codes(samples, linearized)
     assert np.array_equal(proxy, linearized.max(axis=0))
     assert np.array_equal(levels[top], proxy)
+    assert not np.array_equal(top, samples.max(axis=0))
+
+
+def test_pair_table_follows_a_non_monotone_level_table(rng):
+    """The pair table's rows are ranked by level, not by code, so it agrees
+    with the per-pixel path under a level table that is not monotone."""
+    levels = rng.permutation(256) / 255.0
+    inverse = levels * 3.0
+    samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
+    samples[1, ::2] = samples[0, ::2]
+    got = tmo._predict_by_pairs(samples, levels, inverse)
+    assert np.array_equal(got, tmo._predict_per_pixel(samples, levels, inverse))
+    top, _ = tmo._top_codes(samples, levels[samples])
     assert not np.array_equal(top, samples.max(axis=0))
 
 
