@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     except LosslessnessError as exc:
         print(f"hdr2l: {exc}", file=sys.stderr)
         return 2
-    except Hdr2lError as exc:
+    except (Hdr2lError, OSError) as exc:  # OSError: a missing or unwritable file
         print(f"hdr2l: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,19 @@ encoder and decoder compute identical predictions.  The constants are not in
 the stream: a change to any of them changes what a stream decodes to, so it
 must come with a new container ``VERSION``.
 
-The local operator's widest Gaussians (sigma up to 1.6^8, about 43 pixels)
-run on a box pyramid after Burt and Adelson ("The Laplacian pyramid as a
-compact image code", 1983).  A Gaussian of sigma >= :data:`PYRAMID_SIGMA` is
-filtered on the level of 2^k x 2^k block means where sigma / 2^k first falls
-below :data:`PYRAMID_SIGMA`, at sigma_k = sqrt(sigma^2 - (4^k - 1) / 12) / 2^k
-because the box adds a variance of (4^k - 1) / 12 pixels^2, and interpolated
-linearly back to full size.  Only the encoder evaluates this operator; its
-streams decode through the global inverse like any other.
+The local operator's Gaussians are :func:`_gaussian`, a numpy separable
+filter that repeats the arithmetic of ``scipy.ndimage.gaussian_filter`` with
+``mode="nearest"`` operation for operation.  Its planes are scipy's to the
+bit, yet the encoder imports no scipy, and its streams depend on the numpy
+arithmetic alone, not on the scipy version installed.  The widest Gaussians
+(sigma up to 1.6^8, about 43 pixels) run on a box pyramid after Burt and
+Adelson ("The Laplacian pyramid as a compact image code", 1983).  A Gaussian
+of sigma >= :data:`PYRAMID_SIGMA` is filtered on the level of 2^k x 2^k
+block means where sigma / 2^k first falls below :data:`PYRAMID_SIGMA`, at
+sigma_k = sqrt(sigma^2 - (4^k - 1) / 12) / 2^k because the box adds a
+variance of (4^k - 1) / 12 pixels^2, and interpolated linearly back to full
+size.  Only the encoder evaluates this operator; its streams decode through
+the global inverse like any other.
 
 The inverse prediction map only has to be deterministic, not accurate: the
 residual layer restores the original bit-exactly regardless.  Prediction
@@ -67,6 +72,8 @@ LOCAL_SHARPEN = 2.0**8
 # computed in the same blocks.
 PYRAMID_SIGMA = 6.0
 UPSAMPLE_BLOCKS = 32
+# _gaussian filters blocks of whole rows of at most about this many samples.
+GAUSSIAN_BLOCK = 1 << 14
 
 # Inverse map constants: the photographic inverse saturates just below 1, the
 # logarithmic inverse bisects its forward curve to float64 resolution.  The
@@ -189,6 +196,71 @@ def _drago_curve(lum: np.ndarray, l_max: float) -> np.ndarray:
     return curve
 
 
+def _gaussian_taps(src: np.ndarray, out: np.ndarray, weights: list[float], tmp: np.ndarray) -> None:
+    """One pass of the symmetric kernel along axis 0, in the order of scipy's
+    symmetric ``correlate1d`` loop: ``out`` = src[r] * w0, then
+    += (src[r - j] + src[r + j]) * wj for j from r down to 1, ``src`` having
+    r lines more than ``out`` on each side.  ``tmp`` is scratch shaped like
+    ``out``."""
+    radius = len(weights) - 1
+    lines = out.shape[0]
+    np.multiply(src[radius : radius + lines], weights[0], out=out)
+    for j in range(radius, 0, -1):
+        np.add(src[radius - j : radius - j + lines], src[radius + j : radius + j + lines], out=tmp)
+        tmp *= weights[j]
+        out += tmp
+
+
+def _gaussian_rows(plane: np.ndarray, start: int, rows: np.ndarray, weights: list[float]) -> None:
+    """Both passes of :func:`_gaussian` for the block ``rows`` of its output,
+    which starts at row ``start``.  Every temporary is freed on return."""
+    radius = len(weights) - 1
+    height, width = plane.shape
+    lines = rows.shape[0]
+    if radius <= start <= height - lines - radius:
+        src = plane[start - radius : start + lines + radius]
+    else:
+        src = plane[np.clip(np.arange(start - radius, start + lines + radius), 0, height - 1)]
+    spare = np.empty(rows.size)
+    _gaussian_taps(src, rows, weights, spare.reshape(rows.shape))
+    del src  # a gathered copy at the edges
+    cols = np.empty((width + 2 * radius, lines))
+    cols[radius : radius + width] = rows.T
+    cols[:radius] = cols[radius]
+    cols[radius + width :] = cols[radius + width - 1]
+    # Once copied, the block's rows are the axis-1 scratch and the spare
+    # buffer takes the transposed result.
+    flipped = spare.reshape(width, lines)
+    _gaussian_taps(cols, flipped, weights, rows.reshape(width, lines))
+    rows[...] = flipped.T
+
+
+def _gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(plane, sigma, mode="nearest")`` of a
+    2-D float64 plane, bit for bit.
+
+    The kernel is scipy's: exp(-0.5 / sigma^2 * x^2) over x = -r..r,
+    r = int(4 sigma + 0.5), divided by its sum; it is symmetric, so reversing
+    it for correlation changes nothing.  Axis 0 is filtered, then axis 1, each
+    by :func:`_gaussian_taps` with the edge value repeated.
+
+    Both passes run on a block of whole rows, about :data:`GAUSSIAN_BLOCK`
+    samples, at a time, so the output is the only full-size plane.  The axis-0
+    pass reads the block's rows and r more on each side straight from
+    ``plane``; only within r rows of an edge are they gathered.  The axis-1
+    pass runs on the transposed block framed by r copies of its first and
+    last column, so that every tap again reads whole lines."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
+    weights = (kernel / kernel.sum())[radius:].tolist()
+    out = np.empty(plane.shape)
+    step = -(-plane.shape[0] // -(-plane.size // GAUSSIAN_BLOCK))
+    for start in range(0, plane.shape[0], step):
+        _gaussian_rows(plane, start, out[start : start + step], weights)
+    return out
+
+
 def _halve_rows(inner: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
     """Means of row pairs of ``inner``, between the edge lines ``first`` and
     ``last``.  An odd last row is paired with ``last``, the next block of the
@@ -225,13 +297,10 @@ def _upsample_taps(size: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pyramid_surround(sigma: float, level: tuple, shape: tuple[int, int]) -> tuple[np.ndarray, tuple]:
-    """``gaussian_filter(scaled, sigma, mode="nearest")`` of the full-size
-    ``shape``, approximated on level k of the box pyramid, k the largest with
-    sigma / 2^k >= PYRAMID_SIGMA / 2, and upsampled linearly a block of rows
-    at a time.  ``level`` is (j, level j) for some j <= k, level 0 the
+    """``_gaussian(scaled, sigma)`` of the full-size ``shape``, approximated
+    on level k of the box pyramid, k the largest with sigma / 2^k >=
+    PYRAMID_SIGMA / 2, and upsampled linearly a block of rows at a time.  ``level`` is (j, level j) for some j <= k, level 0 the
     full-size plane; the surround is returned with (k, level k)."""
-    from scipy.ndimage import gaussian_filter
-
     k = 0
     while sigma / 2**k >= PYRAMID_SIGMA:
         k += 1
@@ -239,7 +308,7 @@ def _pyramid_surround(sigma: float, level: tuple, shape: tuple[int, int]) -> tup
         level = (level[0] + 1, _halve(level[1], padded=level[0] > 0))
     # A 2^k box has variance (4^k - 1) / 12 in pixels^2; the Gaussian on the
     # level supplies the rest.
-    coarse = gaussian_filter(level[1], math.sqrt(sigma * sigma - (4**k - 1) / 12) / 2**k, mode="nearest")
+    coarse = _gaussian(level[1], math.sqrt(sigma * sigma - (4**k - 1) / 12) / 2**k)
     row_at, row_weight = _upsample_taps(shape[0], k)
     col_at, col_weight = _upsample_taps(shape[1], k)
     col_next = col_at + 1
@@ -282,10 +351,8 @@ def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
     The activity is computed in the same :data:`UPSAMPLE_BLOCKS` blocks of
     rows, so the selection, the center, the surround and the mask are the
     only full-size planes."""
-    from scipy.ndimage import gaussian_filter  # slow to import; only this operator needs it
-
     level = (0, scaled)
-    center = gaussian_filter(scaled, sigma=1.0, mode="nearest")
+    center = _gaussian(scaled, 1.0)
     selected = center
     passing = np.ones(scaled.shape, dtype=bool)
     step = -(-scaled.shape[0] // UPSAMPLE_BLOCKS)
@@ -293,7 +360,7 @@ def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
         scale = LOCAL_SCALE_RATIO**i
         sigma = LOCAL_SCALE_RATIO ** (i + 1)
         if sigma < PYRAMID_SIGMA:
-            surround = gaussian_filter(scaled, sigma=sigma, mode="nearest")
+            surround = _gaussian(scaled, sigma)
         else:
             surround, level = _pyramid_surround(sigma, level, scaled.shape)
         # |center - surround| / (LOCAL_SHARPEN * KEY / scale^2 + center) < threshold,

@@ -179,6 +179,29 @@ def test_cli_decode_of_a_truncated_stream_exits_1(tmp_path, capsys):
     assert not (tmp_path / "img.pfm").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["decode", "{missing}.h2l", "--out", "{tmp}/img.pfm"],
+        ["extract-ldr", "{missing}.h2l", "--out", "{tmp}/img.jpg"],
+        ["encode", "{missing}.pfm", "--out", "{tmp}/img.h2l"],
+        ["encode", "{image}", "--out", "{missing}/img.h2l"],
+        ["bench", "{missing}", "--no-tmqi"],
+    ],
+    ids=["decode", "extract-ldr", "encode", "encode-unwritable", "bench"],
+)
+def test_cli_missing_or_unwritable_file_exits_1(command, tmp_path, capsys):
+    from hdr2l.cli import main
+
+    (image,) = write_corpus(tmp_path / "corpus", 1, size=24, seed=6)
+    missing = tmp_path / "missing"
+    args = [arg.format(missing=missing, tmp=tmp_path, image=image) for arg in command]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hdr2l: ") and str(missing) in err and "Traceback" not in err
+
+
 def test_cli_tmqi_scores_a_ppm_with_a_comment_line(tmp_path, capsys):
     from hdr2l.cli import main
     from hdr2l.imagio import luminance, write_ppm

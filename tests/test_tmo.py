@@ -499,6 +499,58 @@ def test_predict_hdr_matches_whole_image_oracle(kind, rng):
 
 
 # ---------------------------------------------------------------------------
+# tmo._gaussian repeats the arithmetic of scipy's gaussian_filter with
+# mode="nearest", the oracle here: every plane must match it bit for bit.
+
+
+def _scipy_gaussian(plane: np.ndarray, sigma: float) -> np.ndarray:
+    from scipy.ndimage import gaussian_filter
+
+    return gaussian_filter(plane, sigma, mode="nearest")
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (131, 67), (1, 97), (97, 1)])
+def test_gaussian_matches_scipy_at_every_sigma_of_the_local_operator(shape, rng, monkeypatch):
+    """Each call the local operator makes: the full-size sigmas on the image,
+    and each pyramid sigma_k on its own level."""
+    calls = []
+    gaussian = tmo._gaussian
+
+    def checked(plane, sigma):
+        out = gaussian(plane, sigma)
+        assert np.array_equal(out, _scipy_gaussian(plane, sigma)), (plane.shape, sigma)
+        calls.append((plane.shape, sigma))
+        return out
+
+    monkeypatch.setattr(tmo, "_gaussian", checked)
+    tmo._local_adaptation(np.exp(rng.uniform(-6.0, 6.0, size=shape)))
+    assert calls[:4] == [(shape, LOCAL_SCALE_RATIO**i) for i in range(4)]
+    # Level k holds the 2^k x 2^k block means framed by one line per side.
+    levels = [tuple(-(-side // 2**k) + 2 for side in shape) for k in (1, 1, 2, 3, 3)]
+    assert [plane_shape for plane_shape, _ in calls[4:]] == levels
+    np.testing.assert_allclose([sigma for _, sigma in calls[4:]], [3.267, 5.237, 4.185, 3.343, 5.361], atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 61), (97, 1), (2, 40), (37, 53), (5, 7000)])
+@pytest.mark.parametrize("sigma", [0.9, 1.0, 2.56, 5.36, 9.0])
+def test_gaussian_matches_scipy_on_thin_and_small_planes(shape, sigma, rng):
+    """1-px-thin planes, planes smaller than the kernel radius, and (5 x 7000)
+    blocks of fewer rows than the radius."""
+    plane = np.exp(rng.uniform(-6.0, 6.0, size=shape))
+    assert np.array_equal(tmo._gaussian(plane, sigma), _scipy_gaussian(plane, sigma))
+
+
+@pytest.mark.parametrize("block", [1, 40, 200])
+def test_gaussian_matches_scipy_in_blocks_of_any_height(block, rng, monkeypatch):
+    """Blocks of one row up to a few rows, so that most read their rows
+    straight from the plane and a few gather them at the edges."""
+    monkeypatch.setattr(tmo, "GAUSSIAN_BLOCK", block)
+    plane = np.exp(rng.uniform(-6.0, 6.0, size=(53, 37)))
+    for sigma in (1.0, 4.096, 5.36):
+        assert np.array_equal(tmo._gaussian(plane, sigma), _scipy_gaussian(plane, sigma)), sigma
+
+
+# ---------------------------------------------------------------------------
 # The local operator's box pyramid against scipy's Gaussian bank.  The bounds
 # hold with some margin on every image below; the per-pixel noise of the
 # 24 x 24 sparse image puts the most pixels near the activity threshold.
