@@ -20,6 +20,25 @@ rounding it to a multiple of q <= 255 adds at most 127, so every stream of
 :func:`encode_base` passes (its largest is 1135).  At 1151 no intermediate of
 either inverse DCT pass reaches 2**31.
 
+The scan is a sequence of units, one per component of each block (ITU-T T.81
+F.1.2).  Before each unit the decoder peeks at the next 16 bits of the
+unstuffed scan and looks them up in the unit table of its component class,
+luma or chroma.  A window that starts with a complete DC-only unit (the DC
+size code, its magnitude bits, then EOB, which fit 16 bits for a DC size of
+at most 7) gives the unit's bit length and DC difference, and the decoder
+steps over the unit at once.  Any other unit, a DC level past the limit, and
+any unit that starts within the last 16 bits of the scan are read by the
+per-bit reader from the same position, so every corruption is reported by
+the same code at the same offset.  A block whose AC levels are all 0 needs
+no inverse DCT either: both passes give a lone DC the flat value
+clip(((level * q0 + 4) >> 3) + 128, 0, 255).  On the benchmark's exposure
+ladders about 93 % of units are DC-only, on its noisy textures none.
+
+Lookahead per Huffman symbol (libjpeg's ``jdhuff``) would speed up blocks
+with AC levels as well, but it waits for the benchmark to stop keeping every
+cell's stream until it reads peak RSS: there a faster texture cell raises
+``peak_rss_mb`` past its bound with no change in the codec's memory.
+
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R
 least significant bits travel as a losslessly coded plane per channel, and
@@ -31,6 +50,7 @@ from __future__ import annotations
 
 import re
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +250,31 @@ def idct_islow_blocks(levels: np.ndarray, quant: np.ndarray) -> np.ndarray:
     out = np.stack(_islow_1d(*(ws[v] for v in range(8)), _CONST_BITS + _PASS1_BITS + 3), axis=1)
     out += 128
     return np.clip(out, 0, 255, out=out)
+
+
+def _component_samples(levels: np.ndarray, quant: np.ndarray) -> np.ndarray:
+    """(8, 8, n) samples of one component's (64, n) levels, equal to those of
+    :func:`idct_islow_blocks`.
+
+    A block whose 63 AC levels are all 0 is flat at clip(((level * q0 + 4)
+    >> 3) + 128, 0, 255), the value both passes give a lone DC, so only the
+    other blocks take the inverse DCT.  Gathering those and scattering their
+    samples costs about as much as their inverse DCT, so a component with
+    fewer than half its blocks flat takes it whole, as does one whose flat
+    blocks break the level limit, which keeps its checks and its error."""
+    flat = ~levels[1:].any(axis=0)
+    dc = levels[0] * quant[0]
+    if 2 * np.count_nonzero(flat) < flat.size or np.abs(dc[flat]).max() > _LEVEL_LIMIT:
+        return idct_islow_blocks(levels, quant)
+    dc += 4
+    dc >>= 3
+    dc += 128
+    samples = np.empty((8, 8, levels.shape[1]), dtype=np.uint8)
+    samples[...] = np.clip(dc, 0, 255, out=dc)
+    ac = np.flatnonzero(~flat)
+    if ac.size:
+        samples[:, :, ac] = idct_islow_blocks(levels.take(ac, axis=1), quant)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -578,6 +623,20 @@ class _JpegBitReader:
     def end_position(self) -> int:
         return self._offset(self._pos)
 
+    def tell(self) -> int:
+        """The count of scan bits read."""
+        return 8 * self._pos - self._nbits
+
+    def seek(self, bit: int) -> None:
+        """Put the reader in the state that reading ``bit`` bits from the
+        start of the scan leaves it in."""
+        self._pos, used = divmod(bit, 8)
+        self._nbits = 0
+        if used:
+            self._acc = self._data[self._pos]
+            self._pos += 1
+            self._nbits = 8 - used
+
     def check_end(self) -> None:
         """Require the scan to be read to its last byte, whose unread bits
         must be one-filled."""
@@ -613,8 +672,38 @@ def _decode_map(bits, values) -> dict[tuple[int, int], int]:
     return {(length, code): symbol for symbol, code, length in _canonical_codes(bits, values)}
 
 
-_LUMA_MAPS = (_decode_map(DC_LUMA_BITS, DC_LUMA_VALUES), _decode_map(AC_LUMA_BITS, AC_LUMA_VALUES))
-_CHROMA_MAPS = (_decode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES), _decode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES))
+def _dc_only_table(dc_bits, dc_values, ac_bits, ac_values) -> array:
+    """Unit table of one component class, indexed by the next 16 scan bits.
+
+    The entry of a window that starts with a complete DC-only unit (the DC
+    size code, its magnitude bits, then EOB) is 32 * difference + bit length
+    of that unit; every other window's entry is 0.  A unit fits in 16 bits
+    only for a DC size of at most 7, so every entry fits an int16."""
+    (eob_code, eob_length), = ((c, n) for s, c, n in _canonical_codes(ac_bits, ac_values) if s == _EOB)
+    table = np.zeros(1 << 16, dtype=np.int16)
+    for size, code, length in _canonical_codes(dc_bits, dc_values):
+        span = length + size + eob_length
+        if span > 16:
+            continue
+        bits = np.arange(1 << size)
+        difference = np.where(bits < (1 << size) >> 1, bits - (1 << size) + 1, bits)
+        prefix = (((code << size) | bits) << eob_length) | eob_code
+        table.reshape(-1, 1 << (16 - span))[prefix] = (32 * difference + span)[:, None]
+    return array("h", table.tobytes())
+
+
+def _windows(scan: bytes) -> array:
+    """The 24 scan bits from each byte of ``scan``, zero-filled past its end:
+    the 16-bit window at bit b is ``windows[b >> 3] >> (8 - (b & 7)) & 0xFFFF``."""
+    data = np.frombuffer(scan + b"\x00\x00", dtype=np.uint8).astype(np.uint32)
+    return array("I", ((data[:-2] << 16) | (data[1:-1] << 8) | data[2:]).tobytes())
+
+
+# Per component: the DC and AC decode maps and the DC-only unit table.
+_LUMA_MAPS = (_decode_map(DC_LUMA_BITS, DC_LUMA_VALUES), _decode_map(AC_LUMA_BITS, AC_LUMA_VALUES),
+              _dc_only_table(DC_LUMA_BITS, DC_LUMA_VALUES, AC_LUMA_BITS, AC_LUMA_VALUES))
+_CHROMA_MAPS = (_decode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES), _decode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES),
+                _dc_only_table(DC_CHROMA_BITS, DC_CHROMA_VALUES, AC_CHROMA_BITS, AC_CHROMA_VALUES))
 
 
 def decode_base(stream: bytes) -> LdrImage:
@@ -630,8 +719,26 @@ def decode_base(stream: bytes) -> LdrImage:
     # least one bit each: reject a frame the scan cannot fill before allocating.
     if 3 * bh * bw * 2 > 8 * (len(stream) - _HEADER_SIZE):
         raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=_HEADER_SIZE)
-    reader = _JpegBitReader(stream[_HEADER_SIZE : _scan_end(stream)].replace(b"\xFF\x00", b"\xFF"))
     n = bh * bw
+    levels = _scan_levels(stream[_HEADER_SIZE : _scan_end(stream)].replace(b"\xFF\x00", b"\xFF"), n)
+
+    # One component at a time: its (8, 8, n) samples go straight into the
+    # (component, block row, row, block column, column) uint8 image.
+    ycc = np.empty((3, bh, 8, bw, 8), dtype=np.uint8)
+    for comp in range(3):
+        samples = _component_samples(levels[comp], tables.natural(chroma=comp > 0).ravel())
+        ycc[comp] = samples.reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
+    ycc = ycc.reshape(3, 8 * bh, 8 * bw)
+    return LdrImage(ycbcr_to_rgb(ycc[:, :height, :width]), bit_depth=8)
+
+
+def _scan_levels(scan: bytes, n: int) -> np.ndarray:
+    """(3, 64, n) int16 levels, in natural order, of the ``n`` blocks of the
+    unstuffed ``scan``, which must end, pad bits aside, with the last unit."""
+    reader = _JpegBitReader(scan)
+    windows = _windows(scan)
+    last_window = 8 * len(scan) - 16
+    bit = read = 0  # bits decoded, and bits the per-bit reader has read
     # Laid out (component, natural coefficient index, block): a block's DC sits
     # at dc_at[component] + block, its zig-zag coefficient k step[k] further.
     # Every stored level is within +-1151, so int16 holds it.
@@ -640,8 +747,20 @@ def decode_base(stream: bytes) -> LdrImage:
     step = [int(z) * n for z in ZIGZAG]
     pred = [0, 0, 0]
     for block_index in range(n):
-        for comp, (dc_tbl, ac_tbl) in enumerate((_LUMA_MAPS, _CHROMA_MAPS, _CHROMA_MAPS)):
+        for comp, (dc_tbl, ac_tbl, dc_only) in enumerate((_LUMA_MAPS, _CHROMA_MAPS, _CHROMA_MAPS)):
             at = dc_at[comp] + block_index
+            # A DC-only unit in the next 16 bits takes one table step.  A
+            # level past the limit is left to the per-bit path, which rejects
+            # it at its own offset.
+            if bit <= last_window:
+                entry = dc_only[windows[bit >> 3] >> (8 - (bit & 7)) & 0xFFFF]
+                if entry and abs(pred[comp] + (entry >> 5)) <= _LEVEL_LIMIT:
+                    bit += entry & 31
+                    pred[comp] += entry >> 5
+                    levels[at] = pred[comp]
+                    continue
+            if read != bit:
+                reader.seek(bit)
             size = _read_huffman(reader, dc_tbl)
             pred[comp] += _extend(reader.read(size), size)
             # Checked before it is stored: DC differences add up without bound.
@@ -666,18 +785,11 @@ def decode_base(stream: bytes) -> LdrImage:
                 # An AC size is at most 10, so |level| < 1024.
                 levels[at + step[k]] = _extend(reader.read(size), size)
                 k += 1
+            bit = read = reader.tell()
 
+    reader.seek(bit)
     reader.check_end()
-
-    # One component at a time: its (8, 8, n) samples go straight into the
-    # (component, block row, row, block column, column) uint8 image.
-    levels = levels.reshape(3, 64, n)
-    ycc = np.empty((3, bh, 8, bw, 8), dtype=np.uint8)
-    for comp in range(3):
-        samples = idct_islow_blocks(levels[comp], tables.natural(chroma=comp > 0).ravel())
-        ycc[comp] = samples.reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
-    ycc = ycc.reshape(3, 8 * bh, 8 * bw)
-    return LdrImage(ycbcr_to_rgb(ycc[:, :height, :width]), bit_depth=8)
+    return levels.reshape(3, 64, n)
 
 
 # ---------------------------------------------------------------------------

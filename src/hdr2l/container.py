@@ -45,8 +45,9 @@ At full size on the first image of each benchmark workload, the traced peak
 of :func:`encode` is 45-48 B/px, set by the base-layer JPEG encode (46.4-46.5
 B/px under the local operator, set by the upsampling of its pyramid surrounds
 in the tone map; its row-blocked Gaussians peak below that).  That
-of :func:`decode` is 35-40 B/px on an 8-bit base, set by the base-layer and
-residual decodes, and 51 B/px on the 12-bit base of R = 4, set by the
+of :func:`decode` is 32-40 B/px on an 8-bit base, set by the base-layer
+decode (32 B/px) and the residual decode, and 51 B/px on the 12-bit base of
+R = 4, set by the
 per-pixel prediction; the half-float input itself is 6 B/px.
 """
 

@@ -727,6 +727,225 @@ def test_levels_beyond_the_limit_rejected_before_any_narrow_store():
 
 
 # ---------------------------------------------------------------------------
+# unit table and flat blocks against the per-bit decoder
+
+
+_PER_BIT_MAPS = (basejpeg._LUMA_MAPS[:2], basejpeg._CHROMA_MAPS[:2], basejpeg._CHROMA_MAPS[:2])
+
+
+def _per_bit_decode_base(stream: bytes) -> np.ndarray:
+    """The decoder before the unit table and the flat-block shortcut: every
+    unit is read a bit at a time and every component takes the whole inverse
+    DCT.  Returns the RGB samples."""
+    tables, width, height = basejpeg._read_header(stream)
+    if not width or not height:
+        raise ParseError(f"empty {width}x{height} frame", offset=basejpeg._SIZE_AT)
+    bh = (height + 7) // 8
+    bw = (width + 7) // 8
+    if 3 * bh * bw * 2 > 8 * (len(stream) - basejpeg._HEADER_SIZE):
+        raise ParseError(f"{width}x{height} frame is larger than its scan data", offset=basejpeg._HEADER_SIZE)
+    scan = stream[basejpeg._HEADER_SIZE : basejpeg._scan_end(stream)].replace(b"\xFF\x00", b"\xFF")
+    reader = basejpeg._JpegBitReader(scan)
+    n = bh * bw
+    levels = np.zeros((3, 64, n), dtype=np.int16)
+    pred = [0, 0, 0]
+    for block in range(n):
+        for comp, (dc_tbl, ac_tbl) in enumerate(_PER_BIT_MAPS):
+            size = basejpeg._read_huffman(reader, dc_tbl)
+            pred[comp] += basejpeg._extend(reader.read(size), size)
+            if abs(pred[comp]) > basejpeg._LEVEL_LIMIT:
+                raise ParseError(f"DC level {pred[comp]} out of range", offset=reader.end_position())
+            levels[comp, 0, block] = pred[comp]
+            k = 1
+            while k < 64:
+                symbol = basejpeg._read_huffman(reader, ac_tbl)
+                if symbol == 0x00:
+                    break
+                size = symbol & 0x0F
+                if size == 0:
+                    k += 16
+                    if k > 63:
+                        raise ParseError("ZRL runs past coefficient 63", offset=reader.end_position())
+                    continue
+                k += symbol >> 4
+                if k > 63:
+                    raise ParseError("AC coefficient index overflow", offset=reader.end_position())
+                levels[comp, ZIGZAG[k], block] = basejpeg._extend(reader.read(size), size)
+                k += 1
+    reader.check_end()
+    ycc = np.empty((3, bh, 8, bw, 8), dtype=np.uint8)
+    for comp in range(3):
+        samples = basejpeg.idct_islow_blocks(levels[comp], tables.natural(chroma=comp > 0).ravel())
+        ycc[comp] = samples.reshape(8, 8, bh, bw).transpose(2, 0, 3, 1)
+    return ycbcr_to_rgb(ycc.reshape(3, 8 * bh, 8 * bw)[:, :height, :width])
+
+
+def _outcome(decode, stream: bytes) -> tuple:
+    """The samples ``decode`` gives ``stream``, or the type, message and
+    offset of the ParseError it raises."""
+    try:
+        samples = decode(stream)
+    except ParseError as err:
+        return type(err), str(err), err.offset
+    return samples.shape, samples.tobytes()
+
+
+def _assert_decodes_as_per_bit(stream: bytes) -> tuple:
+    outcome = _outcome(lambda data: decode_base(data).samples, stream)
+    assert outcome == _outcome(_per_bit_decode_base, stream)
+    return outcome
+
+
+def _per_bit_unit(window: int, maps) -> int:
+    """Bit length and DC difference of the DC-only unit that starts the
+    16-bit ``window``, packed as the unit table packs them, or 0 when the
+    per-bit reader finds no complete DC-only unit there."""
+    reader = basejpeg._JpegBitReader(window.to_bytes(2, "big"))
+    try:
+        size = basejpeg._read_huffman(reader, maps[0])
+        difference = basejpeg._extend(reader.read(size), size)
+        if basejpeg._read_huffman(reader, maps[1]) != 0x00:
+            return 0
+    except ParseError:
+        return 0
+    return 32 * difference + reader.tell()
+
+
+@pytest.mark.parametrize("maps", [basejpeg._LUMA_MAPS, basejpeg._CHROMA_MAPS], ids=["luma", "chroma"])
+def test_unit_table_agrees_with_the_per_bit_decode_of_every_window(maps):
+    table = maps[2]
+    assert len(table) == 1 << 16 and table.itemsize == 2
+    expected = [_per_bit_unit(window, maps) for window in range(1 << 16)]
+    assert table.tolist() == expected
+    # DC sizes 0..7 fit in 16 bits with the EOB, so every difference up to 127.
+    assert {entry >> 5 for entry in expected if entry} == set(range(-127, 128))
+
+
+def test_unit_tables_fit_half_a_megabyte():
+    tables = (basejpeg._LUMA_MAPS[2], basejpeg._CHROMA_MAPS[2])
+    assert sum(table.itemsize * len(table) for table in tables) <= 1 << 19
+
+
+def _dc_only_levels(dcs: list[int]) -> list[np.ndarray]:
+    """Levels of blocks with the DC levels ``dcs`` and no AC level, rotated
+    per component as :func:`_crafted_levels` does."""
+    return _crafted_levels([{0: dc} for dc in dcs])
+
+
+def _dc_walk(sizes) -> list[int]:
+    """DC levels whose differences take every size in ``sizes`` at its least
+    and its largest magnitude, both signs, each undone at once: every level
+    stays within the decoder's limit."""
+    dcs = [0]
+    for size in sizes:
+        for step in sorted({1 << size >> 1, min((1 << size) - 1, basejpeg._LEVEL_LIMIT)}):
+            dcs += [step, 0, -step, 0]
+    return dcs
+
+
+@pytest.mark.parametrize("q", [100, 80, 1])
+def test_dc_only_units_of_every_dc_size_decode_as_per_bit(q):
+    # At q = 100 every level dequantizes within the limit; at q = 80 and
+    # q = 1 the larger ones do not, and both decoders must refuse alike.
+    tables = quality_to_tables(q)
+    dcs = _dc_walk(range(12))
+    levels = _dc_only_levels(dcs)
+    stream = _stream(tables, 8 * len(dcs), 8, levels)
+    outcome = _assert_decodes_as_per_bit(stream)
+    if q == 100:
+        assert outcome[1] == _oracle_decode(levels, tables, 8 * len(dcs), 8).tobytes()
+    else:
+        assert outcome[0] is ParseError and "exceeds 1151" in outcome[1]
+
+
+def test_dc_drift_past_the_limit_in_table_units_rejected_at_the_per_bit_offset():
+    # Differences of 127 fit a table step in both classes; the tenth takes
+    # the level to 1270.
+    levels = np.zeros((12, 64), dtype=np.int16)
+    levels[:, 0] = 127 * np.arange(12)
+    stream = _stream(quality_to_tables(100), 8 * 12, 8, [levels] * 3)
+    kind, message, offset = _assert_decodes_as_per_bit(stream)
+    assert (kind, message.split(" (")[0]) == (ParseError, "DC level 1270 out of range")
+    assert basejpeg._HEADER_SIZE < offset < len(stream)
+
+
+@pytest.mark.parametrize("q", [1, 50, 80, 100])
+@pytest.mark.parametrize("flat_share", [0.1, 0.6, 0.95, 1.0])
+def test_mixed_dc_only_and_ac_units_decode_as_per_bit_and_oracle(q, flat_share, rng):
+    tables = quality_to_tables(q)
+    for height, width in ((8, 8), (13, 21), (40, 48), (64, 72)):
+        blocks = ((width + 7) // 8) * ((height + 7) // 8)
+        levels = _random_levels(rng, tables, blocks)
+        for comp_levels in levels:
+            comp_levels[rng.random(blocks) < flat_share, 1:] = 0
+        stream = _stream(tables, width, height, levels)
+        _assert_decodes_as_per_bit(stream)
+        assert np.array_equal(decode_base(stream).samples, _oracle_decode(levels, tables, width, height))
+
+
+def test_dc_only_unit_in_the_last_two_scan_bytes_decodes_as_per_bit():
+    # A final DC-only unit with at least 16 scan bits from its start takes
+    # the table step; one with fewer falls back to the per-bit reader.
+    tables = quality_to_tables(100)
+    tail_starts = set()
+    for dcs in ([0], [5], [0, 127], [100, -27], [3, 3, 60], [0, 0, 0, 1], [90, -37, 0, 127, 1000]):
+        levels = _dc_only_levels(dcs)
+        fields = basejpeg._scan_fields(levels)
+        unit_bits = fields[:-1, 1].reshape(-1, 3).sum(axis=1)  # DC code, DC bits, EOB per unit
+        tail_starts.add(int(unit_bits[-1] + fields[-1, 1]) >= 16)  # the last unit and the pad bits
+        stream = _stream(tables, 8 * len(dcs), 8, levels)
+        assert _assert_decodes_as_per_bit(stream)[1] == _oracle_decode(levels, tables, 8 * len(dcs), 8).tobytes()
+    assert tail_starts == {True, False}
+
+
+def test_every_bit_flip_and_truncation_decodes_as_per_bit():
+    # DC-only units of several sizes, units with AC levels, and a DC-only
+    # unit last.
+    blocks = [{0: 3}, {0: 60, 1: 2, 9: -1}, {0: -60}, {0: 1000}, {0: 7, 63: 1}, {0: -120}, {}, {0: 1}]
+    stream = _stream(quality_to_tables(100), 8 * len(blocks), 8, _crafted_levels(blocks))
+    bad = [stream[:at] for at in range(len(stream))]
+    bad += [stream[:at] + bytes([stream[at] ^ (1 << bit)]) + stream[at + 1 :]
+            for at in range(len(stream)) for bit in range(8)]
+    # Scans cut short before the EOI marker, among them one of zero bits,
+    # which end inside a unit the window past their end would complete.
+    zeros = _stream(quality_to_tables(100), 8 * 16, 8, _dc_only_levels([0] * 16))
+    for full in (stream, zeros):
+        bad += [full[:at] + basejpeg._EOI for at in range(basejpeg._HEADER_SIZE, len(full) - 2)]
+    outcomes = {_assert_decodes_as_per_bit(data) for data in bad}
+    messages = {outcome[1].split(" (byte offset")[0] for outcome in outcomes if outcome[0] is ParseError}
+    assert {"truncated header", "missing EOI marker after scan", "entropy data exhausted",
+            "invalid Huffman code in scan", "scan pad bits are not all ones"} <= messages
+    assert any(outcome[0] is not ParseError for outcome in outcomes)  # some flips still decode
+
+
+def test_flat_block_closed_form_equals_the_inverse_dct_at_every_dc():
+    dc = np.arange(-basejpeg._LEVEL_LIMIT, basejpeg._LEVEL_LIMIT + 1)
+    levels = np.zeros((64, dc.size), dtype=np.int32)
+    levels[0] = dc
+    closed = np.clip(((dc + 4) >> 3) + 128, 0, 255)
+    assert np.array_equal(basejpeg.idct_islow_blocks(levels, np.ones(64)), np.broadcast_to(closed, (8, 8, dc.size)))
+    # The same through the shortcut, with a DC step that is not 1.
+    levels[0] = np.clip(dc // 3, -383, 383)  # 3 * 384 = 1152
+    samples = basejpeg._component_samples(levels.astype(np.int16), np.full(64, 3))
+    assert samples.dtype == np.uint8
+    assert np.array_equal(samples, basejpeg.idct_islow_blocks(levels, np.full(64, 3)))
+
+
+@pytest.mark.parametrize("ac_worst", [0, 1148, 1160, 1300])
+def test_flat_block_past_the_limit_raises_as_the_whole_inverse_dct(ac_worst):
+    # q = 50: luma DC step 16 and first AC step 11.  One flat block
+    # dequantizes to 1152 in a mostly flat component; an AC block may be
+    # worse, and the error names the worst coefficient of the component.
+    tables = quality_to_tables(50)
+    assert (tables.luma[0], tables.luma[1]) == (16, 11)
+    blocks = [{0: 72}] + [{0: 1}] * 6 + [{0: 1, 1: ac_worst // 11}]
+    stream = _stream(tables, 8 * len(blocks), 8, _crafted_levels(blocks))
+    kind, message, offset = _assert_decodes_as_per_bit(stream)
+    worst = max(72 * 16, ac_worst // 11 * 11)
+    assert (kind, message, offset) == (ParseError, f"dequantized coefficient of magnitude {worst} exceeds 1151", None)
+
+
+# ---------------------------------------------------------------------------
 # refinement plane
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hdr2l import imagio
 from hdr2l.errors import DomainError, ParameterError, ParseError
 from hdr2l.imagio import (
     HALF_MAX,
@@ -113,6 +114,26 @@ def test_hdr_image_validates_codes():
         HdrImage(bad)
     with pytest.raises(ParameterError):
         HdrImage(np.zeros((2, 2, 2), dtype=np.uint16))
+
+
+def _valid_half_codes_two_masks(codes: np.ndarray) -> bool:
+    """The check the single reduction replaced: sign bit clear, exponent not
+    all ones."""
+    return bool(((codes & 0x8000) == 0).all() and ((codes & 0x7C00) != 0x7C00).all())
+
+
+def test_valid_half_codes_equals_the_two_mask_check_on_every_code():
+    codes = np.arange(1 << 16, dtype=np.uint16)
+    valid = np.array([imagio._valid_half_codes(codes[i : i + 1]) for i in range(1 << 16)])
+    assert np.array_equal(valid, [_valid_half_codes_two_masks(codes[i : i + 1]) for i in range(1 << 16)])
+    assert np.array_equal(np.flatnonzero(valid), np.arange(0x7C00))
+    # One bad code among valid ones decides the whole array either way.
+    grid = np.arange(0x7C00, dtype=np.uint16).reshape(31, 32, 32)
+    for bad in (0x7C00, 0x7E00, 0x8000, 0xFBFF, 0xFFFF):
+        mixed = grid.copy()
+        mixed[1, 10, 20] = bad
+        assert imagio._valid_half_codes(mixed) is _valid_half_codes_two_masks(mixed) is False
+    assert imagio._valid_half_codes(grid) is _valid_half_codes_two_masks(grid) is True
 
 
 def test_hdr_image_equality_and_immutability():
