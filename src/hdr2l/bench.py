@@ -1,5 +1,6 @@
-"""Benchmark harness: sweep tone mappers, qualities, and coder arms over an
-HDR directory, verify losslessness, and collect bitrates and quality scores.
+"""Benchmark harness: sweep tone mappers, qualities, and coder arms over a set
+of HDR images, verify losslessness, collect bitrates and quality scores, and
+print the paper's two findings for ``hdr2l bench`` and ``tools/format_sizes.py``.
 
 The grid per image is {configured TMOs} x {q values} x {HP, XT(R=0), XT(R=4)}.
 By default each distinct tone curve runs once (:data:`DISTINCT_TMOS`):
@@ -20,7 +21,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,7 @@ class RunRecord:
     lossless_ok: bool
     encode_s: float
     decode_s: float
+    sections: dict[str, int] = field(default_factory=dict)  # container.measure bytes
 
 
 @dataclass(frozen=True)
@@ -252,6 +254,7 @@ def run_image(image_id: str, hdr: HdrImage, config: BenchConfig) -> list[RunReco
                     lossless_ok=lossless,
                     encode_s=t1 - t0,
                     decode_s=t2 - t1,
+                    sections=report.sections(),
                 ))
     return records
 
@@ -291,7 +294,8 @@ def arm_label(tmo: str, mode: str, q: int, refine: int) -> str:
 
 
 def summarize(records: list[RunRecord]) -> dict:
-    """Per-arm boxplot stats plus the two cross-coder findings."""
+    """Per-arm boxplot stats plus the two cross-coder findings (HP below every
+    XT arm and HP - XT R=0 per curve; each arm's cross-TMO CoV per quality)."""
     ok = [r for r in records if r.lossless_ok]  # never report failed streams
     arms: dict[tuple[str, str, int, int], list[float]] = {}
     for r in ok:
@@ -301,37 +305,35 @@ def summarize(records: list[RunRecord]) -> dict:
 
     tmos = sorted({r.tmo for r in ok})
     qs = sorted({r.q for r in ok})
-    hp_beats_xt = {}
+    hp_beats_xt, hp_minus_xt_r0 = {}, {}
     for tmo_name in tmos:
         for q in qs:
+            key = f"{tmo_name}/q{q}"
             hp = mean_bpp.get((tmo_name, "hp", q, 0))
-            xt0 = mean_bpp.get((tmo_name, "xt", q, 0))
-            xt4 = mean_bpp.get((tmo_name, "xt", q, 4))
-            checks = [hp < other for other in (xt0, xt4) if other is not None and hp is not None]
-            if checks:
-                hp_beats_xt[f"{tmo_name}/q{q}"] = all(checks)
-
-    def cross_tmo_cov(mode: str, refine: int, q: int) -> float | None:
-        means = [
-            mean_bpp[(t, mode, q, refine)]
-            for t in tmos
-            if (t, mode, q, refine) in mean_bpp
-        ]
-        if len(means) < 2:
-            return None
-        return float(np.std(means) / np.mean(means))
+            xt = {r: mean_bpp[(tmo_name, "xt", q, r)] for r in (0, 4) if (tmo_name, "xt", q, r) in mean_bpp}
+            if hp is not None and xt:
+                hp_beats_xt[key] = hp < min(xt.values())
+            if hp is not None and 0 in xt:
+                hp_minus_xt_r0[key] = hp - xt[0]
 
     cov = {}
     for q in qs:
-        hp_cov = cross_tmo_cov("hp", 0, q)
-        xt_cov = cross_tmo_cov("xt", 0, q)
-        if hp_cov is not None and xt_cov is not None:
-            cov[f"q{q}"] = {"hp": hp_cov, "xt_r0": xt_cov, "hp_smaller": hp_cov < xt_cov}
+        spread = {}
+        for mode, refine in ARMS:
+            name = MODE_NAMES[mode]
+            means = [mean_bpp[(t, name, q, refine)] for t in tmos if (t, name, q, refine) in mean_bpp]
+            if len(means) >= 2:
+                arm = name if mode is CoderMode.HP else f"{name}_r{refine}"
+                spread[arm] = float(np.std(means) / np.mean(means))
+        if "hp" in spread and len(spread) > 1:
+            spread["hp_smaller"] = all(spread["hp"] < v for k, v in spread.items() if k != "hp")
+            cov[f"q{q}"] = spread
 
     return {
         "arm_stats": arm_stats,
         "mean_bpp": {arm_label(*k): v for k, v in sorted(mean_bpp.items())},
         "hp_beats_xt": hp_beats_xt,
+        "hp_minus_xt_r0": hp_minus_xt_r0,
         "cross_tmo_cov": cov,
         "lossless_failures": [
             (r.image_id, arm_label(r.tmo, r.mode, r.q, r.refine))
@@ -340,6 +342,19 @@ def summarize(records: list[RunRecord]) -> dict:
         "tmqi_unscored": sum(r.tmqi_decoded is None for r in ok),
         "quartile_method": QUARTILE_METHOD_NOTE,
     }
+
+
+def print_findings(summary: dict) -> None:
+    """Print each arm's mean bpp and the two findings of :func:`summarize`."""
+    for label, mean in summary["mean_bpp"].items():
+        print(f"  mean bpp {label}: {mean:.4f}")
+    for key, ok in summary["hp_beats_xt"].items():
+        print(f"  hp < xt @ {key}: {'yes' if ok else 'NO'}")
+    for key, diff in summary["hp_minus_xt_r0"].items():
+        print(f"  hp - xt_r0 @ {key}: {diff:+.4f} bpp")
+    for key, spread in summary["cross_tmo_cov"].items():
+        covs = " ".join(f"{arm}={cov:.4f}" for arm, cov in spread.items() if arm != "hp_smaller")
+        print(f"  cross-TMO cov @ {key}: {covs} (hp {'smaller' if spread['hp_smaller'] else 'NOT smaller'})")
 
 
 # ---------------------------------------------------------------------------

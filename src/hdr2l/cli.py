@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from . import bench, container
@@ -58,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tone-mapping operator; 'all' runs each distinct curve once: "
                         "default, reinhard-local, drago (reinhard-global is default's curve)")
     p.add_argument("--q", type=int, action="append", metavar="1..100",
-                   help="quality value (repeatable; default 80 and 90)")
+                   help=f"quality value (repeatable; default {bench.BenchConfig.qs})")
     p.add_argument("--no-tmqi", action="store_true", help="skip quality scoring")
     p.add_argument("--csv", type=Path, help="write per-cell records here")
     p.add_argument("--svg", type=Path, help="write a bitrate boxplot here")
@@ -106,14 +105,13 @@ def _cmd_bench(args) -> int:
     tmos = bench.DISTINCT_TMOS if args.tmo == "all" else (TMO_BY_NAME[args.tmo],)
     config = bench.BenchConfig(
         tmos=tmos,
-        qs=tuple(args.q) if args.q else (80, 90),
+        qs=tuple(args.q or bench.BenchConfig.qs),
         compute_tmqi=not args.no_tmqi,
     )
     if args.synthetic:
-        workdir = args.input or Path(tempfile.mkdtemp(prefix="hdr2l_corpus_"))
-        bench.write_corpus(workdir, args.synthetic, size=args.size)
-        print(f"synthetic corpus: {args.synthetic} images in {workdir}")
-        result = bench.run_grid(workdir, config)
+        if args.input:  # the files are a copy: the run below uses the images in memory
+            bench.write_corpus(args.input, args.synthetic, size=args.size)
+        result = bench.run_images(bench.synthetic_corpus(args.synthetic, size=args.size), config)
     elif args.input:
         result = bench.run_grid(args.input, config)
     else:
@@ -130,15 +128,7 @@ def _cmd_bench(args) -> int:
     summary = result.summary
     print(f"{len(result.records)} records over {len({r.image_id for r in result.records})} images")
     print(summary["quartile_method"])
-    for label, mean in summary["mean_bpp"].items():
-        print(f"  mean bpp {label}: {mean:.4f}")
-    for key, ok in summary["hp_beats_xt"].items():
-        print(f"  hp < xt @ {key}: {'yes' if ok else 'NO'}")
-    for key, entry in summary["cross_tmo_cov"].items():
-        print(
-            f"  cross-TMO cov @ {key}: hp={entry['hp']:.4f} xt_r0={entry['xt_r0']:.4f} "
-            f"{'(hp smaller)' if entry['hp_smaller'] else '(hp NOT smaller)'}"
-        )
+    bench.print_findings(summary)
     if config.compute_tmqi and summary["tmqi_unscored"]:
         print(
             f"tmqi: {summary['tmqi_unscored']} of {len(result.records)} cells unscored "

@@ -114,6 +114,47 @@ def test_summary_never_reports_failed_streams():
     assert summary["tmqi_unscored"] == 1  # the failed cell is reported as a failure instead
 
 
+def test_records_carry_the_measured_section_bytes():
+    (image_id, hdr), = synthetic_corpus(1, size=24, seed=1)
+    config = BenchConfig(tmos=(TmoKind.DEFAULT,), qs=(80,), compute_tmqi=False)
+    for r in run_image(image_id, hdr, config):
+        params = CodecParams(mode=CoderMode[r.mode.upper()], tmo=TmoParams(kind=TmoKind.DEFAULT),
+                             q=80, refine_bits=r.refine)
+        assert r.sections == container.measure(container.encode(hdr, params)).sections()
+        assert 8 * sum(r.sections.values()) / (24 * 24) == r.bpp
+
+
+def test_summary_cross_tmo_cov_covers_every_arm():
+    result = run_images(synthetic_corpus(2, size=24, seed=1), BenchConfig(qs=(80,), compute_tmqi=False))
+    (key, spread), = result.summary["cross_tmo_cov"].items()
+    assert key == "q80"
+    assert list(spread) == ["hp", "xt_r0", "xt_r4", "hp_smaller"]
+    for arm, mode, refine in (("hp", "hp", 0), ("xt_r0", "xt", 0), ("xt_r4", "xt", 4)):
+        means = [
+            np.mean([r.bpp for r in result.records if (r.tmo, r.mode, r.refine) == (tmo, mode, refine)])
+            for tmo in ("default", "drago", "reinhard-local")
+        ]
+        assert spread[arm] == pytest.approx(np.std(means) / np.mean(means), rel=1e-12)
+    assert spread["hp_smaller"] == (spread["hp"] < min(spread["xt_r0"], spread["xt_r4"]))
+
+
+def test_print_findings_lines(capsys):
+    bpp = {("default", "hp", 0): 4.0, ("default", "xt", 0): 5.0, ("default", "xt", 4): 6.0,
+           ("drago", "hp", 0): 6.0, ("drago", "xt", 0): 5.5, ("drago", "xt", 4): 7.0}
+    records = [RunRecord("a", tmo, mode, 80, refine, v, None, None, True, 0.1, 0.1)
+               for (tmo, mode, refine), v in bpp.items()]
+    summary = summarize(records)
+    assert summary["hp_minus_xt_r0"] == {"default/q80": -1.0, "drago/q80": 0.5}
+    bench.print_findings(summary)
+    assert capsys.readouterr().out.splitlines()[6:] == [
+        "  hp < xt @ default/q80: yes",
+        "  hp < xt @ drago/q80: NO",
+        "  hp - xt_r0 @ default/q80: -1.0000 bpp",
+        "  hp - xt_r0 @ drago/q80: +0.5000 bpp",
+        "  cross-TMO cov @ q80: hp=0.2000 xt_r0=0.0476 xt_r4=0.0769 (hp NOT smaller)",
+    ]
+
+
 def test_summary_contains_quartile_method_note():
     corpus = synthetic_corpus(1, size=24, seed=1)
     result = run_images(corpus, SINGLE_TMO)
@@ -251,6 +292,27 @@ def test_cli_bench_synthetic_with_outputs(tmp_path):
     assert header == ",".join(bench.CSV_FIELDS)
     assert len(rows) == 12
     ET.fromstring(svg_path.read_text())
+
+
+def test_cli_bench_synthetic_without_a_directory_writes_no_files(tmp_path, monkeypatch):
+    import tempfile
+
+    from hdr2l.cli import main
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    grid = ["--size", "24", "--tmo", "default", "--no-tmqi"]
+    assert main(["bench", "--synthetic", "2", *grid, "--csv", str(tmp_path / "memory.csv")]) == 0
+    assert list(scratch.iterdir()) == []
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, 2, size=24)
+    assert main(["bench", str(corpus), *grid, "--csv", str(tmp_path / "directory.csv")]) == 0
+
+    def without_timings(path):
+        return [line.split(",")[:-2] for line in path.read_text().splitlines()]
+
+    assert without_timings(tmp_path / "memory.csv") == without_timings(tmp_path / "directory.csv")
 
 
 def test_cli_bench_reports_unscored_tmqi_cells(tmp_path, capsys):

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Stream sizes per coder arm on the benchmark's inputs, and what packing only
-the residual planes that gain would save.
+"""Stream sizes per coder arm on the benchmark's inputs, the paper's two
+findings per workload, and what packing only the residual planes that gain
+would save.
 
 Run from the repository root:
 
@@ -10,10 +11,10 @@ Run from the repository root:
 The codec comes from the checkout's ``src/`` and the seeded images from
 ``perfbench/workloads.py``, so the same command measures any checkout.
 
-The per-arm table takes the first image of each workload through every arm
-(HP, XT R=0, XT R=4) under each distinct tone curve (default,
-reinhard-local, drago) at q = 80, and reports stream bpp and the section
-bytes of ``container.measure``.
+The per-arm table runs the first image of each workload through
+``hdr2l.bench.run_images``: every arm (HP, XT R=0, XT R=4) under each
+distinct tone curve at q = 80.  It prints ``bench.print_findings`` per
+workload; its JSON rows hold stream bpp and the section bytes.
 
 ``--per-plane`` (format version 3 and later) takes the first six cells of
 each workload and re-codes their residual block with each plane packed only
@@ -39,31 +40,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from hdr2l import container, rescodec  # noqa: E402
-from hdr2l.container import CodecParams, CoderMode  # noqa: E402
+from hdr2l import bench, container, rescodec  # noqa: E402
 from hdr2l.hpack import build_table, pack, serialize_table  # noqa: E402
-from hdr2l.tmo import TMO_NAMES, TmoKind, TmoParams  # noqa: E402
 
-CURVES = (TmoKind.DEFAULT, TmoKind.REINHARD_LOCAL, TmoKind.DRAGO)
-ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode.XT, 4)}
 PER_PLANE_CELLS = 6
 
 
 def arm_table(seed: int) -> tuple[list[dict], int]:
+    config = bench.BenchConfig(qs=(workloads.QUALITY,), compute_tmqi=False)
     rows, mismatches = [], 0
     for name in workloads.WORKLOADS:
-        image = workloads.build(name, seed).images[0]
-        for kind in CURVES:
-            for arm, (mode, refine) in ARMS.items():
-                params = CodecParams(mode, TmoParams(kind=kind), q=workloads.QUALITY, refine_bits=refine)
-                stream = container.encode(image, params)
-                mismatches += container.decode(stream) != image
-                report = container.measure(stream)
-                rows.append({
-                    "workload": name, "tmo": TMO_NAMES[kind], "arm": arm,
-                    "bpp": round(report.bits_per_pixel, 6), **report.sections(),
-                })
-                print(f"{name:<12} {TMO_NAMES[kind]:<15} {arm:<6} {report.bits_per_pixel:10.4f} bpp")
+        result = bench.run_images([(name, workloads.build(name, seed).images[0])], config)
+        print(f"workload {name}")
+        bench.print_findings(result.summary)
+        mismatches += len(result.summary["lossless_failures"])
+        rows += [{
+            "workload": name, "tmo": r.tmo, "arm": r.mode if r.mode == "hp" else f"xt-r{r.refine}",
+            "bpp": round(r.bpp, 6), **r.sections,
+        } for r in result.records]
     return rows, mismatches
 
 
