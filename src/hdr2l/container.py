@@ -44,11 +44,19 @@ component, into its output before it reads the next, and :func:`encode` and
 At full size on the first image of each benchmark workload, the traced peak
 of :func:`encode` is 45-48 B/px, set by the base-layer JPEG encode (46.4-46.5
 B/px under the local operator, set by the upsampling of its pyramid surrounds
-in the tone map; its row-blocked Gaussians peak below that).  That
-of :func:`decode` is 32-40 B/px on an 8-bit base, set by the base-layer
-decode (32 B/px) and the residual decode, and 51 B/px on the 12-bit base of
-R = 4, set by the
-per-pixel prediction; the half-float input itself is 6 B/px.
+in the tone map).  That of :func:`decode` is 32.1-40.2 B/px on an 8-bit base,
+set by the base-layer decode (32.0 B/px) and the residual decode, and 50.7
+B/px on the 12-bit base of R = 4, set by the per-pixel prediction; the
+half-float input itself is 6 B/px.
+
+Cost per input byte: :func:`decode` peaks at most C0 + C1 * len(stream).
+C0, 0.94 MB, is the 8-bit pair table of :func:`tmo.predict_hdr`.  The base
+is decoded before the residual is read, and a base that decodes spends at
+least 14 bits per 8 x 8 block (36.6 px/B), so at 32 B/px C1 is 1,170 B.  A
+frame larger than its scan is refused at 85 px/B, before its 6 B/px level
+array exists.  A stream that decodes also holds k tables of 1 byte per 32 px,
+17.1 px/B at most in all, so its C1 is 550 B (a flat 1024 x 1024 stream: 541
+B per input byte on HP, 455 on XT with R = 4).
 """
 
 from __future__ import annotations
@@ -89,15 +97,17 @@ class CodecParams:
     refine_bits: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.mode, CoderMode):
+        try:
             object.__setattr__(self, "mode", CoderMode(self.mode))
-        if not 1 <= int(self.q) <= 100:
+            object.__setattr__(self, "q", int(self.q))
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"invalid codec parameter: {exc}") from None
+        if not 1 <= self.q <= 100:
             raise ParameterError(f"quality must lie in [1, 100], got {self.q}")
         if self.refine_bits not in REFINE_BIT_CHOICES:
             raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
         if self.mode == CoderMode.HP and self.refine_bits != 0:
             raise ParameterError("the HP coder never carries a refinement scan (R must be 0)")
-        object.__setattr__(self, "q", int(self.q))
 
 
 @dataclass(frozen=True)
@@ -129,12 +139,11 @@ class SizeReport:
 @dataclass(frozen=True)
 class _Parsed:
     tmo: tmo.TmoParams
-    refine_bits: int
     width: int
     height: int
     pixel_crc: int
     base: bytes
-    refinement_payloads: tuple[bytes, ...]
+    refinement: basejpeg.RefinementPlane
     residual: bytes
 
 
@@ -146,6 +155,16 @@ def _stage(name: str, fn, *args):
         if exc.args and isinstance(exc.args[0], str):
             exc.args = (f"[{name}] {exc.args[0]}",) + exc.args[1:]
         raise
+
+
+def _predict(base: bytes, refinement: basejpeg.RefinementPlane, params: tmo.TmoParams) -> HdrImage:
+    """The inverse-tone-map prediction from the stream's base layer and
+    refinement plane: the one path :func:`encode` and :func:`decode` share,
+    so the encoder's prediction is the decoder's by construction."""
+    base_dec = _stage("decode-base", basejpeg.decode_base, base)
+    merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, refinement)
+    del base_dec
+    return _stage("predict", tmo.predict_hdr, merged, params)
 
 
 def _pixel_crc(image: HdrImage) -> int:
@@ -162,11 +181,7 @@ def encode(hdr: HdrImage, params: CodecParams) -> bytes:
     del ldr_hr
     base = _stage("encode-base", basejpeg.encode_base, ldr8, params.q)
     del ldr8
-    base_dec = _stage("decode-base", basejpeg.decode_base, base)
-    merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, refinement)
-    del base_dec
-    prediction = _stage("predict", tmo.predict_hdr, merged, bound)
-    del merged
+    prediction = _predict(base, refinement, bound)
     residual = _stage("residual", rescodec.compute_residual, hdr, prediction)
     del prediction
     res_bytes = _stage(
@@ -226,22 +241,15 @@ def _parse(data: bytes) -> _Parsed:
     if pos != len(data) - 4:
         raise FormatError(f"{len(data) - 4 - pos} unaccounted bytes in stream")
     return _Parsed(
-        tmo=tmo_params, refine_bits=refine_bits, width=width, height=height, pixel_crc=pixel_crc,
-        base=base, refinement_payloads=payloads, residual=residual,
+        tmo=tmo_params, width=width, height=height, pixel_crc=pixel_crc, base=base,
+        refinement=basejpeg.RefinementPlane(refine_bits, payloads, width, height), residual=residual,
     )
 
 
 def decode(data: bytes) -> HdrImage:
     """Bit-exact inverse of :func:`encode`."""
     parsed = _parse(data)
-    base_dec = _stage("decode-base", basejpeg.decode_base, parsed.base)
-    plane = basejpeg.RefinementPlane(
-        parsed.refine_bits, parsed.refinement_payloads, parsed.width, parsed.height
-    )
-    merged = _stage("merge-refinement", basejpeg.merge_refinement, base_dec, plane)
-    del base_dec
-    prediction = _stage("predict", tmo.predict_hdr, merged, parsed.tmo)
-    del merged
+    prediction = _predict(parsed.base, parsed.refinement, parsed.tmo)
     residual = _stage(
         "decode-residual", rescodec.decode_residual, parsed.residual, parsed.width, parsed.height
     )
@@ -261,7 +269,7 @@ def measure(data: bytes) -> SizeReport:
     """Per-section byte breakdown and total bits per pixel of a valid stream."""
     parsed = _parse(data)
     sections = rescodec.split_residual_sections(parsed.residual)
-    refinement = sum(len(p) for p in parsed.refinement_payloads)
+    refinement = sum(len(p) for p in parsed.refinement.payloads)
     tables = sum(s.table_bytes for s in sections)
     payload = sum(len(s.payload) for s in sections)
     return SizeReport(

@@ -1,15 +1,15 @@
 """Tone-mapping operators and the decoder-side inverse prediction map.
 
 Three tone curves run at their published settings, the module constants
-:data:`KEY`, :data:`L_WHITE`, :data:`BIAS`, :data:`LDMAX`, :data:`LOCAL_SCALES`,
+:data:`KEY`, :data:`BIAS`, :data:`LDMAX`, :data:`LOCAL_SCALES`,
 :data:`LOCAL_THRESHOLD` and :data:`GAMMA`: the global photographic curve
-(Reinhard et al. 2002), its local dodge-and-burn variant, and the adaptive
-logarithmic operator (Drago et al. 2003).  ``default`` and ``reinhard-global``
-are one curve under two kind bytes.  The kind and two statistics of the source
-image (log-average and peak luminance) are serialized bit-exactly so that the
-encoder and decoder compute identical predictions.  The constants are not in
-the stream: a change to any of them changes what a stream decodes to, so it
-must come with a new container ``VERSION``.
+(Reinhard et al. 2002) with burn-out off, its local dodge-and-burn variant,
+and the adaptive logarithmic operator (Drago et al. 2003).  ``default`` and
+``reinhard-global`` are one curve under two kind bytes.  The kind and two
+statistics of the source image (log-average and peak luminance) are serialized
+bit-exactly so that the encoder and decoder compute identical predictions.
+The constants are not in the stream: a change to any of them changes what a
+stream decodes to, so it must come with a new container ``VERSION``.
 
 The local operator's Gaussians are :func:`_gaussian`, a numpy separable
 filter that repeats the arithmetic of ``scipy.ndimage.gaussian_filter`` with
@@ -30,12 +30,14 @@ residual layer restores the original bit-exactly regardless.  Prediction
 quality affects bitrate only.  Everything in it that depends on one sample
 code alone (the gamma-linearized level and the inverse display curve at that
 level) is computed once per code into tables of 2^b entries, b the base
-depth.  On an 8-bit base, which HP and XT with R = 0 have, a predicted half
-code depends only on the pixel's top code and the channel's code, so the
-256 x 256 pair codes are computed once per call and each channel sample is
-one gather from that table.  The 12-bit base of XT with R = 4 would need 2^24
-pairs; it gathers the per-code tables and scales each channel as a float64
-plane.  Both give the values of the per-pixel formula.
+depth.  Both base depths take as a pixel's top the largest rank of its
+channels' codes in the stable level order; two tails follow.  On an 8-bit
+base, which HP and XT with R = 0 have, a predicted half code depends only on
+the pixel's top rank and the channel's code, so the 256 x 256 pair codes are
+computed once per call and each channel sample is one gather from that
+table.  The 12-bit base of XT with R = 4 would need 2^24 pairs; it maps the
+top rank back to a code, gathers the per-code tables and scales each channel
+as a float64 plane.  Both give the values of the per-pixel formula.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ LOG_AVERAGE_DELTA = 1e-6
 # The operators' settings.  No stream carries them: changing one means
 # bumping the container VERSION.
 KEY = 0.18  # photographic key value a
-L_WHITE = math.inf  # burn-out luminance; inf turns burn-out off
 BIAS = 0.85  # logarithmic operator's bias b
 LDMAX = 100.0  # display peak in cd/m^2; the logarithmic curve reaches LDMAX / 100
 LOCAL_SCALES = 8  # center/surround scale pairs the local operator probes
@@ -118,8 +119,10 @@ class TmoParams:
     l_max: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, TmoKind):
+        try:
             object.__setattr__(self, "kind", TmoKind(self.kind))
+        except ValueError:
+            raise ParameterError(f"unknown TMO kind {self.kind!r}") from None
         if not (self.log_avg >= 0 and math.isfinite(self.log_avg)):
             raise ParameterError(f"log_avg must be finite and non-negative, got {self.log_avg}")
         if not (self.l_max >= 0 and math.isfinite(self.l_max)):
@@ -447,18 +450,17 @@ def _drago_inverse(target: np.ndarray, l_max: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _top_codes(samples: np.ndarray, linearized) -> tuple[np.ndarray, np.ndarray]:
-    """Per pixel, the channel maximum of ``linearized`` and a code whose level
-    it is.  A later channel takes over only when its level is larger, so any
-    level table works (np.power need not be monotone in its base).
-    ``linearized`` holds or yields one level plane per channel, so a caller
-    can gather them one at a time."""
-    pairs = zip(samples, linearized)
-    top, proxy = next(pairs)
-    for code, level in pairs:
-        top = np.where(level > proxy, code, top)
-        proxy = np.maximum(proxy, level)
-    return top, proxy
+def _top_ranks(samples: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The codes in stable level order and, per pixel, the largest rank of its
+    channels in it: ``order[top]`` has the channel maximum of ``levels``, which
+    need not be monotone.  Both are uint16; no base has over 2^16 codes."""
+    order = np.argsort(levels, kind="stable").astype(np.uint16)
+    rank = np.empty(levels.size, dtype=np.uint16)
+    rank[order] = np.arange(levels.size)
+    top = np.take(rank, samples[0])
+    for plane in samples[1:]:
+        np.maximum(top, np.take(rank, plane), out=top)
+    return order, top
 
 
 def _predict_by_pairs(samples: np.ndarray, levels: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -471,12 +473,7 @@ def _predict_by_pairs(samples: np.ndarray, levels: np.ndarray, inverse: np.ndarr
     taken row's own top code has a non-finite value whenever another column
     of the row has, so the domain check of :func:`half_encode_array` refuses
     exactly the predictions the per-pixel path refuses."""
-    order = np.argsort(levels, kind="stable")
-    rank = np.empty(levels.size, dtype=np.uint16)
-    rank[order] = np.arange(levels.size)
-    top = np.take(rank, samples[0])
-    for plane in samples[1:]:
-        np.maximum(top, np.take(rank, plane), out=top)
+    order, top = _top_ranks(samples, levels)
     taken = np.bincount(top.ravel(), minlength=levels.size) > 0
     top_level = levels[order][:, None]
     reach = (levels <= top_level) & taken[:, None]
@@ -496,7 +493,8 @@ def _predict_per_pixel(samples: np.ndarray, levels: np.ndarray, inverse: np.ndar
     """Half codes of the prediction, evaluated per pixel: levels are gathered
     one channel at a time, and each channel is scaled and half-encoded in one
     float64 plane."""
-    top, proxy = _top_codes(samples, (levels[plane] for plane in samples))
+    top = np.take(*_top_ranks(samples, levels))
+    proxy = levels[top]
     lum_est = inverse[top]
     del top
     # Channel ratios; a zero proxy has all three channels at level 0, so they
@@ -519,17 +517,10 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     their maximum, the global curve is inverted at the proxy, and channel
     ratios are rescaled by the recovered scene luminance.
 
-    The linearized level and the inverse curve depend on one sample code
-    each, so both are tabulated over every code of the base depth.  On an
-    8-bit base every predicted half code depends on the pair (top code,
-    channel code) alone, so the 256 x 256 pair values are computed and
-    half-encoded once per call into a uint16 table, and each channel of each
-    pixel is one gather from it.  A 12-bit base (XT with R = 4) would need
-    2^24 pairs; it keeps the per-pixel float path, gathering the per-code
-    tables and dividing, scaling and half-encoding each channel plane.  Both
-    paths run the same float64 operations in the same order on the same
-    operands, and the pixel's top code is one whose level is the channel
-    maximum, so every code equals the per-pixel evaluation of the formula.
+    The tables, the rank rule (:func:`_top_ranks`) and its two tails are
+    those of the module docstring.  Both tails run the same float64
+    operations in the same order on the same operands, so every code equals
+    the per-pixel evaluation of the formula.
 
     Statistics from a crafted stream can overflow the inverse curve.  That
     raises no floating-point warning: a non-finite value that some pixel

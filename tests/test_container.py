@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 import zlib
 
@@ -43,6 +44,19 @@ def test_single_black_pixel_round_trip():
 def test_hp_mode_rejects_refinement():
     with pytest.raises(ParameterError):
         CodecParams(mode=CoderMode.HP, tmo=tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), refine_bits=4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _params(mode=7), lambda: _params(kind=9), lambda: _params(q="x")],
+    ids=["coder-mode", "tmo-kind", "quality"],
+)
+def test_bad_enum_or_quality_raises_parameter_error(build):
+    """A value no enum member has, or a quality that is not a number, raises
+    the package's ParameterError, not the bare ValueError of the enum or
+    int()."""
+    with pytest.raises(ParameterError):
+        build()
 
 
 def _edited(stream: bytes, offset: int, value: bytes) -> bytes:
@@ -191,7 +205,7 @@ def test_version_2_stream_rejected():
     params = parsed.tmo
     v2 = struct.pack("<4sBBBBBIII", MAGIC, 2, int(CoderMode.XT), 80, 0, 0, 24, 24, parsed.pixel_crc)
     v2 += struct.pack(
-        "<B9d", int(params.kind), tmo.KEY, tmo.L_WHITE, tmo.BIAS, tmo.LDMAX, tmo.LOCAL_SCALES,
+        "<B9d", int(params.kind), tmo.KEY, math.inf, tmo.BIAS, tmo.LDMAX, tmo.LOCAL_SCALES,
         tmo.LOCAL_THRESHOLD, params.log_avg, params.l_max, tmo.GAMMA,
     )
     v2 += stream[_HEADER.size + tmo.TMO_PARAMS_SIZE : -4]

@@ -343,27 +343,35 @@ def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng):
 
 
 def test_top_codes_follow_a_non_monotone_level_table(rng):
+    """A pixel's top is its largest channel rank in the stable level order,
+    so the code it maps back to has the channel maximum of the levels, which
+    is not the largest code when the level table is not monotone."""
     levels = rng.permutation(256) / 255.0
     samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
     samples[1, ::2] = samples[0, ::2]
-    linearized = levels[samples]
-    top, proxy = tmo._top_codes(samples, linearized)
-    assert np.array_equal(proxy, linearized.max(axis=0))
-    assert np.array_equal(levels[top], proxy)
-    assert not np.array_equal(top, samples.max(axis=0))
+    order, top = tmo._top_ranks(samples, levels)
+    assert np.all(np.diff(levels[order]) >= 0)
+    assert np.array_equal(levels[order[top]], levels[samples].max(axis=0))
+    assert not np.array_equal(order[top], samples.max(axis=0))
 
 
 def test_pair_table_follows_a_non_monotone_level_table(rng):
     """The pair table's rows are ranked by level, not by code, so it agrees
-    with the per-pixel path under a level table that is not monotone."""
+    with the per-pixel path, and with the formula evaluated directly, under a
+    level table that is not monotone."""
     levels = rng.permutation(256) / 255.0
     inverse = levels * 3.0
     samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
     samples[1, ::2] = samples[0, ::2]
     got = tmo._predict_by_pairs(samples, levels, inverse)
     assert np.array_equal(got, tmo._predict_per_pixel(samples, levels, inverse))
-    top, _ = tmo._top_codes(samples, levels[samples])
-    assert not np.array_equal(top, samples.max(axis=0))
+    linearized = levels[samples]
+    proxy = linearized.max(axis=0)
+    lum_est = inverse[np.take_along_axis(samples, linearized.argmax(axis=0)[None], axis=0)[0]]
+    want = half_encode_array(linearized / np.where(proxy > 0.0, proxy, 1.0) * lum_est)
+    assert np.array_equal(got, want)
+    order, top = tmo._top_ranks(samples, levels)
+    assert not np.array_equal(order[top], samples.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
