@@ -42,12 +42,15 @@ channel at a time.  It maps, converts or predicts one channel, or one YCbCr
 component, into its output before it reads the next, and :func:`encode` and
 :func:`decode` release each intermediate image once the next stage has run.
 At full size on the first image of each benchmark workload, the traced peak
-of :func:`encode` is 45-48 B/px, set by the base-layer JPEG encode (46.4-46.5
-B/px under the local operator, set by the upsampling of its pyramid surrounds
-in the tone map).  That of :func:`decode` is 32.1-40.2 B/px on an 8-bit base,
-set by the base-layer decode (32.0 B/px) and the residual decode, and 50.7
-B/px on the 12-bit base of R = 4, set by the per-pixel prediction; the
-half-float input itself is 6 B/px.
+of :func:`encode` is 45-48 B/px under the workload's own operator, set by the
+base-layer JPEG encode (46.4-46.5 B/px under the local operator on the photo
+and ladder images, set by the upsampling of its pyramid surrounds in the tone
+map).  The JPEG encode's peak grows with its scan: on the XT R = 4 texture
+image it is 51.6 B/px under the local operator and 54.0 under drago.  That of
+:func:`decode` is 32.1-40.2 B/px on an 8-bit base, set by the base-layer
+decode (32.0 B/px) and the residual decode, and 50.7 B/px on the 12-bit base
+of R = 4, set by the per-pixel prediction; the half-float input itself is 6
+B/px.
 
 Cost per input byte: :func:`decode` peaks at most C0 + C1 * len(stream).
 C0, 0.94 MB, is the 8-bit pair table of :func:`tmo.predict_hdr`.  The base
@@ -61,6 +64,7 @@ B per input byte on HP, 455 on XT with R = 4).
 
 from __future__ import annotations
 
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -99,7 +103,9 @@ class CodecParams:
     def __post_init__(self):
         try:
             object.__setattr__(self, "mode", CoderMode(self.mode))
-            object.__setattr__(self, "q", int(self.q))
+            # operator.index takes ints and NumPy integers, and refuses 80.7 and 4.0.
+            object.__setattr__(self, "q", operator.index(self.q))
+            object.__setattr__(self, "refine_bits", operator.index(self.refine_bits))
         except (TypeError, ValueError) as exc:
             raise ParameterError(f"invalid codec parameter: {exc}") from None
         if not 1 <= self.q <= 100:

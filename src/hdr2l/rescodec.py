@@ -52,8 +52,9 @@ remainder stream      the rest: per symbol of a coded block, the low k bits
 
 Both streams are MSB-first and zero-padded to a byte; a block of zeros puts
 no bits in either.  The encoder gives each block the k of fewest bits (the
-least on a tie).  A decoder rejects any other length, nonzero pad bits, a
-run of more than E zeros, an escaped u with u >> k < E, and u > 65535.
+least on a tie), and searches k only in blocks that hold a nonzero symbol.
+A decoder rejects any other length, nonzero pad bits, a run of more than E
+zeros, an escaped u with u >> k < E, and u > 65535.
 """
 
 from __future__ import annotations
@@ -162,9 +163,9 @@ _LOW_BITS = ((1 << np.arange(17)) - 1).astype(np.uint16)  # indexed by a width o
 
 
 def _block_parameters(u: np.ndarray) -> np.ndarray:
-    """The k-table nibble of every block: ZERO_BLOCK when all its symbols are
-    0, else the k in 0..14 that codes it in the fewest bits (the least such k
-    on a tie).
+    """The Rice parameter of every block of ``u``: the k in 0..14 that codes
+    it in the fewest bits (the least such k on a tie).  :func:`code_plane`
+    passes only the blocks that hold a nonzero symbol.
 
     Under k, a block of m symbols takes m (1 + k) bits of stop bits and
     remainders, sum_j #{u >= j << k} unary zeros (j = 1..E), and 16 - k more
@@ -184,9 +185,7 @@ def _block_parameters(u: np.ndarray) -> np.ndarray:
     lengths = at_least[:, _THRESHOLD_COLUMNS].sum(axis=2, dtype=np.int32)
     lengths += at_least[:, :1] * (1 + k)
     lengths += at_least[:, _THRESHOLD_COLUMNS[:, -1]] * (16 - k)
-    ks = lengths.argmin(axis=1).astype(np.uint8)
-    ks[at_least[:, 1] == 0] = ZERO_BLOCK
-    return ks
+    return lengths.argmin(axis=1).astype(np.uint8)
 
 
 def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
@@ -235,18 +234,25 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
 def code_plane(errors: np.ndarray) -> bytes:
     """Rice-code one 2D plane of MED prediction errors mod 2^16 into the
     plane payload laid out in this module's docstring.  :func:`code_planes`
-    computes the errors; :func:`decode_plane` accepts only this payload."""
+    computes the errors; :func:`decode_plane` accepts only this payload.
+
+    A block of zeros is ZERO_BLOCK, so the k search and both streams are
+    built from the live blocks alone, the ones with a nonzero symbol.  When
+    every block is live the symbols are used as they are, without a copy.
+    """
     x = np.asarray(errors, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
         raise ParameterError(f"plane must be a non-empty 2D array, got shape {x.shape}")
     error = x.ravel()
     u = error << 1  # uint16 arithmetic folds: 2e, or 2(65536 - e) - 1 from e = 32768 up
     u ^= -(error >> 15)
-    ks = _block_parameters(u)
-    k = np.repeat(ks, RICE_BLOCK)[: u.size]
-    coded = k != ZERO_BLOCK
-    u = u[coded]
-    k = k[coded]
+    live = np.logical_or.reduceat(u, np.arange(0, u.size, RICE_BLOCK))  # the short last block too
+    if not live.all():
+        u = u[np.repeat(live, RICE_BLOCK)[: u.size]]  # a live short last block stays short
+    live_ks = _block_parameters(u)
+    ks = np.full(live.size, ZERO_BLOCK, dtype=np.uint8)
+    ks[live] = live_ks
+    k = np.repeat(live_ks, RICE_BLOCK)[: u.size]
     q = u >> k
     escape = q >= RICE_ESCAPE_QUOTIENT
     np.minimum(q, RICE_ESCAPE_QUOTIENT, out=q)
@@ -362,7 +368,7 @@ def code_planes(planes: np.ndarray) -> tuple[bytes, ...]:
     """Losslessly encode a (p, h, w) stack of 16-bit planes: one
     :func:`code_plane` payload of each plane's MED errors mod 2^16."""
     stack = np.asarray(planes, dtype=np.uint16)
-    return tuple(code_plane((plane - med_predict(plane)).astype(np.uint16)) for plane in stack)
+    return tuple(code_plane(plane - med_predict(plane)) for plane in stack)  # uint16, wraps mod 2^16
 
 
 def _med_reconstruct_stack(errors: np.ndarray) -> np.ndarray:
@@ -378,12 +384,16 @@ def _med_reconstruct_stack(errors: np.ndarray) -> np.ndarray:
     min(a, b), max(a, b)); its true value lies in [min(a, b), max(a, b)],
     so uint16 arithmetic, which wraps mod 2^16, gives it exactly.  MED is
     symmetric in left and above, so a tall stack is reconstructed
-    transposed, which keeps the skewed array near 2x the stack.
+    transposed, which keeps the skewed array near 2x the stack.  On row 0
+    MED predicts the left neighbour, so a stack one row high is the running
+    sum of its errors, taken in uint16.
     """
     planes, height, width = errors.shape
     if height > width:
         flipped = _med_reconstruct_stack(errors.transpose(0, 2, 1))
         return np.ascontiguousarray(flipped.transpose(0, 2, 1))
+    if height == 1:
+        return np.cumsum(errors, axis=2, dtype=np.uint16)
     stride = height + 1
     skew = np.zeros((height + width + 1, stride, planes), dtype=np.uint16)
     item = skew.itemsize

@@ -43,6 +43,7 @@ as a float64 plane.  Both give the values of the per-pixel formula.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -123,10 +124,10 @@ class TmoParams:
             object.__setattr__(self, "kind", TmoKind(self.kind))
         except ValueError:
             raise ParameterError(f"unknown TMO kind {self.kind!r}") from None
-        if not (self.log_avg >= 0 and math.isfinite(self.log_avg)):
-            raise ParameterError(f"log_avg must be finite and non-negative, got {self.log_avg}")
-        if not (self.l_max >= 0 and math.isfinite(self.l_max)):
-            raise ParameterError(f"l_max must be finite and non-negative, got {self.l_max}")
+        for name in ("log_avg", "l_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value >= 0 and math.isfinite(value)):
+                raise ParameterError(f"{name} must be a finite, non-negative real number, got {value!r}")
 
     @property
     def bound(self) -> bool:

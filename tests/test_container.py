@@ -59,6 +59,28 @@ def test_bad_enum_or_quality_raises_parameter_error(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _params(q=80.7),
+        lambda: _params(q=80.0),
+        lambda: _params(mode=CoderMode.XT, refine=4.0),
+    ],
+    ids=["fractional-quality", "float-quality", "float-refine-bits"],
+)
+def test_non_integral_codec_parameter_raises_parameter_error(build):
+    """q and refine_bits must be integers: 80.7 is not truncated to 80, and
+    4.0 is refused here rather than failing later in a shift."""
+    with pytest.raises(ParameterError):
+        build()
+
+
+def test_numpy_integer_codec_parameters_accepted():
+    params = _params(mode=CoderMode.XT, q=np.int64(80), refine=np.uint8(4))
+    assert (params.q, params.refine_bits) == (80, 4)
+    assert type(params.q) is int and type(params.refine_bits) is int
+
+
 def _edited(stream: bytes, offset: int, value: bytes) -> bytes:
     """``stream`` with ``value`` written at ``offset`` and the CRC recomputed."""
     out = bytearray(stream)

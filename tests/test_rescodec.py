@@ -261,6 +261,8 @@ def _reference_planes() -> dict[str, np.ndarray]:
     mixed = np.zeros((16, 40), dtype=np.uint16)
     mixed[4:6] = rng.integers(0, 300, size=(2, 40))
     mixed[12, 17] = 9
+    last_live = np.zeros((12, 12), dtype=np.uint16)  # 3 whole blocks
+    last_live[11, 11] = 5  # the last sample in raster order
     return {
         "1x1": np.array([[40000]], dtype=np.uint16),
         "1xN": rng.integers(0, 65536, size=(1, 37)).astype(np.uint16),
@@ -282,6 +284,14 @@ def _reference_planes() -> dict[str, np.ndarray]:
         # is the largest q that is not escaped.
         "escape-at-E": _row_of_symbols([0] * 9 + [E] + [0] * (B - 10) + [E - 1] + [0] * (B - 1)),
         "k-14": _row_of_symbols((3 << 14) + rng.integers(0, 1 << 14, size=70)),
+        # Live and zero blocks at the plane's block boundaries.
+        "live-short-last-block": _row_of_symbols([0] * (2 * B) + [0, 3, 0, 0, 1]),
+        "zero-short-last-block": _row_of_symbols(list(rng.integers(1, 90, size=2 * B)) + [0] * 5),
+        "one-live-block": _row_of_symbols([0] * (2 * B - 1) + [2] + [0] * B),
+        "last-whole-block-live": last_live,
+        # Every sample wraps the running sum that reconstructs a 1xN stack.
+        "1xN-wrap-heavy": rng.choice(np.array([0, 1, 0x7FFF, 0x8000, 0xFFFE, 0xFFFF], dtype=np.uint16),
+                                     size=(1, 3 * B + 5)),
     }
 
 
@@ -312,6 +322,38 @@ def test_reference_planes_reach_the_format_corners():
     assert _reference_planes()["short-last-block"].size % B == 7
     assert k_table("escape-at-E") == [0, 0]
     assert set(k_table("k-14")) == {RICE_MAX_K}
+    def zero_blocks(name):
+        return [n == ZERO_BLOCK for n in k_table(name)]
+
+    assert zero_blocks("live-short-last-block") == [True, True, False]
+    assert zero_blocks("zero-short-last-block") == [False, False, True]
+    assert zero_blocks("one-live-block") == [True, False, True]
+    assert zero_blocks("last-whole-block-live") == [True, True, False]
+    assert _reference_planes()["last-whole-block-live"].size == 3 * B
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zero", "random", "mixed-zero-blocks", "live-short-last-block", "zero-short-last-block",
+     "one-live-block", "last-whole-block-live"],
+)
+def test_block_search_sees_only_live_blocks(monkeypatch, name):
+    """The k search gets the symbols of the blocks that hold a nonzero
+    symbol, in order, a live short last block at its own length."""
+    seen = []
+    search = rescodec._block_parameters
+
+    def spy(u):
+        seen.append(u.copy())
+        return search(u)
+
+    monkeypatch.setattr(rescodec, "_block_parameters", spy)
+    plane = _reference_planes()[name]
+    code_plane(plane - med_predict(plane))
+    symbols = np.array(_ref_symbols(plane), dtype=np.uint16)
+    live = [symbols[i : i + B] for i in range(0, symbols.size, B) if symbols[i : i + B].any()]
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], np.concatenate(live) if live else symbols[:0])
 
 
 def test_code_plane_all_zero_plane_is_header_and_k_table():

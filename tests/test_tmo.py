@@ -92,6 +92,20 @@ def test_params_validation():
         TmoParams(kind=TmoKind.REINHARD_LOCAL, l_max=math.inf)
 
 
+@pytest.mark.parametrize("field", ["log_avg", "l_max"])
+@pytest.mark.parametrize("value", ["x", None, b"1", 1j])
+def test_params_non_numeric_statistic_raises_parameter_error(field, value):
+    """A statistic that is not a real number raises ParameterError, not the
+    bare TypeError of a comparison."""
+    with pytest.raises(ParameterError, match=field):
+        TmoParams(TmoKind.DEFAULT, **{field: value})
+
+
+def test_params_accept_numpy_and_integer_statistics():
+    params = TmoParams(TmoKind.DRAGO, log_avg=np.float64(0.25), l_max=np.int64(3))
+    assert params.bound
+
+
 def test_params_serialization_round_trip():
     params = TmoParams(kind=TmoKind.DRAGO, log_avg=0.125, l_max=512.0)
     data = serialize_tmo_params(params)
