@@ -22,22 +22,25 @@ either inverse DCT pass reaches 2**31.
 
 The scan is a sequence of units, one per component of each block (ITU-T T.81
 F.1.2).  Before each unit the decoder peeks at the next 16 bits of the
-unstuffed scan and looks them up in the unit table of its component class,
-luma or chroma.  A window that starts with a complete DC-only unit (the DC
-size code, its magnitude bits, then EOB, which fit 16 bits for a DC size of
-at most 7) gives the unit's bit length and DC difference, and the decoder
-steps over the unit at once.  Any other unit, a DC level past the limit, and
-any unit that starts within the last 16 bits of the scan are read by the
-per-bit reader from the same position, so every corruption is reported by
-the same code at the same offset.  A block whose AC levels are all 0 needs
-no inverse DCT either: both passes give a lone DC the flat value
+unstuffed scan, read from the 32-bit byte windows of
+:func:`rescodec._byte_windows` that the Rice decoder reads too, and looks
+them up in the unit table of its component class, luma or chroma.  A window
+that starts with a complete DC-only unit (the DC size code, its magnitude
+bits, then EOB, which fit 16 bits for a DC size of at most 7) gives the
+unit's bit length and DC difference, and the decoder steps over the unit at
+once.  Any other unit, a DC level past the limit, and any unit that starts
+within the last 16 bits of the scan are read by the per-bit reader from the
+same position, so every corruption is reported by the same code at the same
+offset.  A block whose AC levels are all 0 needs no inverse DCT either: both
+passes give a lone DC the flat value
 clip(((level * q0 + 4) >> 3) + 128, 0, 255).  On the benchmark's exposure
 ladders about 93 % of units are DC-only, on its noisy textures none.
 
-Lookahead per Huffman symbol (libjpeg's ``jdhuff``) would speed up blocks
-with AC levels as well, but it waits for the benchmark to stop keeping every
-cell's stream until it reads peak RSS: there a faster texture cell raises
-``peak_rss_mb`` past its bound with no change in the codec's memory.
+``_JpegBitReader`` is the one bit reader left beside the windows.  Reading
+every Huffman symbol from the windows (libjpeg's ``jdhuff`` lookahead) waits
+for the benchmark to stop keeping every cell's stream until it reads peak
+RSS: there a faster texture cell raises ``peak_rss_mb`` past its bound with
+no change in the codec's memory.
 
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .imagio import LdrImage
-from .rescodec import _LOW_BITS, _pack_fields, code_planes, decode_planes
+from .imagio import MAX_DIMENSION, LdrImage
+from .rescodec import _LOW_BITS, _byte_windows, _pack_fields, code_planes, decode_planes
 
 # Zig-zag scan: natural (row-major) index of each scan position.
 ZIGZAG = np.array([
@@ -485,7 +488,7 @@ def encode_base(image: LdrImage, q: int) -> bytes:
     """Encode an 8-bit image as a baseline sequential JFIF stream."""
     if image.bit_depth != 8:
         raise ParameterError(f"base layer must be 8-bit, got {image.bit_depth}-bit")
-    if not (1 <= image.width <= 65535 and 1 <= image.height <= 65535):
+    if not (1 <= image.width <= MAX_DIMENSION and 1 <= image.height <= MAX_DIMENSION):
         raise ParameterError(f"unencodable dimensions {image.width}x{image.height}")
     tables = quality_to_tables(q)
     ycc = rgb_to_ycbcr(image.samples)
@@ -692,13 +695,6 @@ def _dc_only_table(dc_bits, dc_values, ac_bits, ac_values) -> array:
     return array("h", table.tobytes())
 
 
-def _windows(scan: bytes) -> array:
-    """The 24 scan bits from each byte of ``scan``, zero-filled past its end:
-    the 16-bit window at bit b is ``windows[b >> 3] >> (8 - (b & 7)) & 0xFFFF``."""
-    data = np.frombuffer(scan + b"\x00\x00", dtype=np.uint8).astype(np.uint32)
-    return array("I", ((data[:-2] << 16) | (data[1:-1] << 8) | data[2:]).tobytes())
-
-
 # Per component: the DC and AC decode maps and the DC-only unit table.
 _LUMA_MAPS = (_decode_map(DC_LUMA_BITS, DC_LUMA_VALUES), _decode_map(AC_LUMA_BITS, AC_LUMA_VALUES),
               _dc_only_table(DC_LUMA_BITS, DC_LUMA_VALUES, AC_LUMA_BITS, AC_LUMA_VALUES))
@@ -736,7 +732,7 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
     """(3, 64, n) int16 levels, in natural order, of the ``n`` blocks of the
     unstuffed ``scan``, which must end, pad bits aside, with the last unit."""
     reader = _JpegBitReader(scan)
-    windows = _windows(scan)
+    windows = array("I", _byte_windows(scan).astype(np.uint32).tobytes())  # ints for the peek
     last_window = 8 * len(scan) - 16
     bit = read = 0  # bits decoded, and bits the per-bit reader has read
     # Laid out (component, natural coefficient index, block): a block's DC sits
@@ -753,7 +749,7 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
             # level past the limit is left to the per-bit path, which rejects
             # it at its own offset.
             if bit <= last_window:
-                entry = dc_only[windows[bit >> 3] >> (8 - (bit & 7)) & 0xFFFF]
+                entry = dc_only[windows[bit >> 3] >> (16 - (bit & 7)) & 0xFFFF]
                 if entry and abs(pred[comp] + (entry >> 5)) <= _LEVEL_LIMIT:
                     bit += entry & 31
                     pred[comp] += entry >> 5

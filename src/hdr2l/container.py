@@ -75,7 +75,7 @@ import numpy as np
 from . import basejpeg, rescodec, tmo
 from .basejpeg import REFINE_BIT_CHOICES
 from .errors import FormatError, Hdr2lError, IntegrityError, ParameterError
-from .imagio import HdrImage, luminance
+from .imagio import MAX_DIMENSION, HdrImage, luminance
 
 MAGIC = b"H2L1"
 VERSION = 3
@@ -221,8 +221,8 @@ def _parse(data: bytes) -> _Parsed:
         raise FormatError(f"refinement bits {refine_bits} not in {REFINE_BIT_CHOICES}")
     if not width or not height:
         raise FormatError(f"empty image {width}x{height}")
-    if max(width, height) > 0xFFFF:
-        raise FormatError(f"image {width}x{height} is larger than a JPEG frame (65535 x 65535)")
+    if max(width, height) > MAX_DIMENSION:
+        raise FormatError(f"image {width}x{height} is larger than a JPEG frame ({MAX_DIMENSION} x {MAX_DIMENSION})")
 
     pos = _HEADER.size
     tmo_params = _stage("tmo-params", tmo.parse_tmo_params, data[pos : pos + tmo.TMO_PARAMS_SIZE])

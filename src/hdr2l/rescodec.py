@@ -41,17 +41,18 @@ be shorter).
 field                 bits
 ====================  ==================================================
 U                     u32 little-endian: byte length of the unary stream
-k table               a nibble per block, high nibble first, one zero pad
-                      nibble if the count of blocks is odd: 15 marks a
-                      block of zeros, 0..14 is the block's Rice parameter k
+k table               a 4-bit field per block: 15 marks a block of
+                      zeros, 0..14 is the block's Rice parameter k
 unary stream          U bytes: per symbol of a coded block, with
                       q = u >> k, min(q, E) zeros then a one (E = 6)
 remainder stream      the rest: per symbol of a coded block, the low k bits
                       of u, or all 16 bits of u when q >= E
 ====================  ==================================================
 
-Both streams are MSB-first and zero-padded to a byte; a block of zeros puts
-no bits in either.  The encoder gives each block the k of fewest bits (the
+The k table, unary stream and remainder stream are each MSB-first fields
+zero-padded to a byte, written by :func:`_pack_fields` (so an odd count of
+blocks ends in one zero pad nibble); a block of zeros puts no bits in either
+of the last two.  The encoder gives each block the k of fewest bits (the
 least on a tie), and searches k only in blocks that hold a nonzero symbol.
 A decoder rejects any other length, nonzero pad bits, a run of more than E
 zeros, an escaped u with u >> k < E, and u > 65535.
@@ -188,8 +189,9 @@ def _block_parameters(u: np.ndarray) -> np.ndarray:
     return lengths.argmin(axis=1).astype(np.uint8)
 
 
-def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
-    """Concatenate fields of 0 to 16 bits MSB-first, zero-padded to a byte."""
+def _pack_fields(values: np.ndarray, widths: np.ndarray | int) -> bytes:
+    """The codec's only bit writer: fields of 0 to 16 bits (``widths`` per
+    field, or one int for all) concatenated MSB-first, zero-padded to a byte."""
     # Join fields two at a time into items of at most 32 bits, then those two
     # at a time into items of at most 64 bits.
     size = -(-values.size // 4) * 4
@@ -231,6 +233,15 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
     return words.astype(">u8").view(np.uint8)[: (nbits + 7) >> 3].tobytes()
 
 
+def _byte_windows(data) -> np.ndarray:
+    """The codec's only window builder: a zero-copy big-endian uint32 view of
+    the 32 bits from each byte of ``data`` and from its end, zero-filled past
+    it, so a field of up to 16 bits at bit b is in ``windows[b >> 3]``."""
+    padded = np.zeros(len(data) + 4, dtype=np.uint8)
+    padded[:-4] = np.frombuffer(data, np.uint8)
+    return np.ndarray((len(data) + 1,), dtype=">u4", buffer=padded, strides=(1,))
+
+
 def code_plane(errors: np.ndarray) -> bytes:
     """Rice-code one 2D plane of MED prediction errors mod 2^16 into the
     plane payload laid out in this module's docstring.  :func:`code_planes`
@@ -239,6 +250,8 @@ def code_plane(errors: np.ndarray) -> bytes:
     A block of zeros is ZERO_BLOCK, so the k search and both streams are
     built from the live blocks alone, the ones with a nonzero symbol.  When
     every block is live the symbols are used as they are, without a copy.
+    The k table, unary stream and remainder stream are each one field stream
+    of :func:`_pack_fields`; a unary field is min(q, E) + 1 bits holding 1.
     """
     x = np.asarray(errors, dtype=np.uint16)
     if x.ndim != 2 or x.size == 0:
@@ -256,21 +269,13 @@ def code_plane(errors: np.ndarray) -> bytes:
     q = u >> k
     escape = q >= RICE_ESCAPE_QUOTIENT
     np.minimum(q, RICE_ESCAPE_QUOTIENT, out=q)
-    q += 1
-    stops = np.cumsum(q, dtype=np.int64)
+    q += 1  # now the width of each unary field, whose value is its stop bit
+    unary = _pack_fields(np.ones_like(q), q)
     del q
-    stops -= 1
-    unary = np.zeros(int(stops[-1]) + 1 if stops.size else 0, dtype=np.uint8)
-    unary[stops] = 1
-    del stops
-    unary = np.packbits(unary).tobytes()
     k[escape] = 16  # now the width of each remainder field
     u &= _LOW_BITS[k]
     remainder = _pack_fields(u, k)
-    nibbles = np.zeros(-(-ks.size // 2) * 2, dtype=np.uint8)
-    nibbles[: ks.size] = ks
-    table = (nibbles[0::2] << 4) | nibbles[1::2]
-    return _UNARY_LENGTH.pack(len(unary)) + table.tobytes() + unary + remainder
+    return _UNARY_LENGTH.pack(len(unary)) + _pack_fields(ks, 4) + unary + remainder
 
 
 def _decode_symbols(data: bytes, count: int) -> np.ndarray:
@@ -325,12 +330,7 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
         raise CorruptStreamError(f"payload is {len(data)} bytes, its fields imply {expected}")
     if remainder_bits % 8 and data[-1] & (0xFF >> remainder_bits % 8):
         raise CorruptStreamError("nonzero pad bits after the remainder stream")
-    # A field of at most 16 bits lies in the 32 bits from its first byte.
-    # One window starts at every byte, and at the end of the stream, where
-    # fields of no bits may start.
-    remainder = np.zeros(len(data) - remainder_start + 4, dtype=np.uint8)
-    remainder[:-4] = np.frombuffer(data, np.uint8, offset=remainder_start)
-    windows = np.ndarray((remainder.size - 3,), dtype=">u4", buffer=remainder, strides=(1,))
+    windows = _byte_windows(memoryview(data)[remainder_start:])
     shift = (starts & 7).astype(np.uint8)
     np.subtract(32 - width, shift, out=shift)
     starts >>= 3
