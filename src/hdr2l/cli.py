@@ -108,7 +108,7 @@ def _cmd_bench(args) -> int:
         qs=tuple(args.q or bench.BenchConfig.qs),
         compute_tmqi=not args.no_tmqi,
     )
-    if args.synthetic:
+    if args.synthetic is not None:  # 0 reaches synthetic_corpus, which refuses it
         if args.input:  # the files are a copy: the run below uses the images in memory
             bench.write_corpus(args.input, args.synthetic, size=args.size)
         result = bench.run_images(bench.synthetic_corpus(args.synthetic, size=args.size), config)
@@ -118,14 +118,10 @@ def _cmd_bench(args) -> int:
         print("bench: either an input directory or --synthetic N is required", file=sys.stderr)
         return 1
 
-    if args.csv:
+    summary = result.summary
+    if args.csv:  # it records lossless_ok per cell, so a failed run writes it too
         args.csv.write_text(bench.records_to_csv(result.records))
         print(f"records: {args.csv}")
-    if args.svg:
-        args.svg.write_text(bench.emit_boxplot_svg(result.summary["arm_stats"]))
-        print(f"boxplot: {args.svg}")
-
-    summary = result.summary
     print(f"{len(result.records)} records over {len({r.image_id for r in result.records})} images")
     print(summary["quartile_method"])
     bench.print_findings(summary)
@@ -139,6 +135,9 @@ def _cmd_bench(args) -> int:
 
     if summary["lossless_failures"]:
         raise LosslessnessError(f"lossless round trip failed for {summary['lossless_failures']}")
+    if args.svg:  # plots only exact round trips, so it is drawn only when every cell is exact
+        args.svg.write_text(bench.emit_boxplot_svg(summary["arm_stats"]))
+        print(f"boxplot: {args.svg}")
     return 0
 
 

@@ -13,7 +13,8 @@ File formats:
   ``-Y height +X width`` with the first scanline as the top row.
 * PFM (``.pfm``), read and write, color ``PF`` only.  Scanlines are stored
   bottom-to-top; the sign of the scale line selects endianness.
-* PPM ``P6`` (8-bit), write-only, for tone-mapped output.
+* PPM ``P6`` (8-bit), read and write, for tone-mapped renderings: ``hdr2l
+  tmqi`` reads one to score it.
 
 Ingestion normalizes out-of-domain samples: negatives clamp to 0, +inf clamps
 to the half maximum, NaN is rejected.

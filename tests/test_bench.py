@@ -326,7 +326,9 @@ def test_cli_bench_reports_unscored_tmqi_cells(tmp_path, capsys):
     assert "unscored" not in capsys.readouterr().out
 
 
-def test_cli_bench_exit_code_on_lossless_failure(tmp_path, monkeypatch):
+def test_cli_bench_exit_code_on_lossless_failure(tmp_path, monkeypatch, capsys):
+    """Every cell fails, so the boxplot has no arm to draw: the run still exits
+    2 and names the failures, and the CSV records each cell's lossless_ok."""
     from hdr2l import cli
 
     real_decode = container.decode
@@ -339,6 +341,26 @@ def test_cli_bench_exit_code_on_lossless_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench.container, "decode", corrupt_decode)
     corpus = tmp_path / "corpus"
-    code = cli.main(["bench", str(corpus), "--synthetic", "1", "--size", "24",
-                     "--tmo", "default", "--no-tmqi"])
-    assert code == 2
+    csv_path, svg_path = tmp_path / "records.csv", tmp_path / "boxes.svg"
+    for outputs in ([], ["--csv", str(csv_path), "--svg", str(svg_path)]):
+        code = cli.main(["bench", str(corpus), "--synthetic", "1", "--size", "24",
+                         "--tmo", "default", "--no-tmqi", *outputs])
+        assert code == 2
+        assert "lossless round trip failed for" in capsys.readouterr().err
+    header, *rows = csv_path.read_text().splitlines()
+    column = header.split(",").index("lossless_ok")
+    assert [row.split(",")[column] for row in rows] == ["false"] * 6
+    assert not svg_path.exists()
+
+
+def test_cli_bench_synthetic_zero_is_refused(tmp_path, capsys):
+    """``--synthetic 0`` asks for an empty corpus, not for the directory."""
+    from hdr2l.cli import main
+
+    corpus = tmp_path / "corpus"
+    write_corpus(corpus, 1, size=24)
+    for args in (["--synthetic", "0"], [str(corpus), "--synthetic", "0"]):
+        assert main(["bench", *args, "--size", "24", "--tmo", "default", "--no-tmqi"]) == 1
+        captured = capsys.readouterr()
+        assert "corpus needs at least one image" in captured.err
+        assert "records over" not in captured.out

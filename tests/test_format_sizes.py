@@ -1,6 +1,5 @@
-"""``tools/format_sizes.py``: the per-arm table and the per-plane packing
-choice on small stand-in images, their rows, and the exit code on an inexact
-decode."""
+"""``tools/format_sizes.py``: the per-arm table on small stand-in images, its
+rows and findings, and the exit code on an inexact decode."""
 
 from __future__ import annotations
 
@@ -13,8 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from hdr2l import container
-from hdr2l.bench import ARMS, synthetic_corpus
-from hdr2l.tmo import TmoKind, TmoParams
+from hdr2l.bench import synthetic_corpus
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "format_sizes.py"
 SECTIONS = ["base", "refinement", "tables", "residual_payload", "overhead"]
@@ -22,21 +20,14 @@ SECTIONS = ["base", "refinement", "tables", "residual_payload", "overhead"]
 
 @pytest.fixture
 def format_sizes(monkeypatch):
-    """The tool as a module, its workloads replaced by one 24 x 24 image each,
-    coded once per arm."""
+    """The tool as a module, its workloads replaced by one 24 x 24 image each."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and perfbench/
     spec = importlib.util.spec_from_file_location("format_sizes", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     names = tool.workloads.WORKLOADS
     images = dict(zip(names, (image for _, image in synthetic_corpus(len(names), size=24, seed=5))))
-    cells = tuple(
-        tool.workloads.Cell(0, container.CodecParams(mode, TmoParams(TmoKind.DEFAULT), refine_bits=refine))
-        for mode, refine in ARMS
-    )
-    monkeypatch.setattr(
-        tool.workloads, "build", lambda name, seed: SimpleNamespace(images=(images[name],), cells=cells)
-    )
+    monkeypatch.setattr(tool.workloads, "build", lambda name, seed: SimpleNamespace(images=(images[name],)))
     return tool
 
 
@@ -77,33 +68,3 @@ def test_one_flipped_sample_exits_1(format_sizes, monkeypatch, capsys):
     _flip_one_sample(monkeypatch)
     assert format_sizes.main(["--seed", "1"]) == 1
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["mismatches"] == 27
-
-
-def test_per_plane_rows(format_sizes, capsys):
-    """One row per workload; every re-coded stream decodes exactly.  The
-    noise stand-in packs some of its planes and not others, so the reader
-    meets a plane with pack-table count K = 0 next to packed ones."""
-    assert format_sizes.main(["--per-plane", "--seed", "1"]) == 0
-    *lines, last = capsys.readouterr().out.splitlines()
-    result = json.loads(last)
-    assert result["mismatches"] == 0
-    rows = result["rows"]
-    assert [r["workload"] for r in rows] == list(format_sizes.workloads.WORKLOADS)
-    assert len(lines) == len(rows)
-    packed = []
-    for r in rows:
-        assert list(r) == [
-            "workload", "cells", "residual_bpp_as_encoded", "residual_bpp_per_plane_choice", "planes_packed",
-        ]
-        assert r["cells"] == len(ARMS)
-        assert r["residual_bpp_per_plane_choice"] <= r["residual_bpp_as_encoded"]
-        count, total = map(int, r["planes_packed"].split(" of "))
-        assert total == 3 * len(ARMS)
-        packed.append(count)
-    assert any(0 < count < 3 * len(ARMS) for count in packed)
-
-
-def test_per_plane_one_flipped_sample_exits_1(format_sizes, monkeypatch, capsys):
-    _flip_one_sample(monkeypatch)
-    assert format_sizes.main(["--per-plane", "--seed", "1"]) == 1
-    assert json.loads(capsys.readouterr().out.splitlines()[-1])["mismatches"] == 3 * len(ARMS)
