@@ -2,14 +2,16 @@
 of HDR images, verify losslessness, collect bitrates and quality scores, and
 print the paper's two findings for ``hdr2l bench`` and ``tools/format_sizes.py``.
 
-The grid per image is {configured TMOs} x {q values} x {HP, XT(R=0), XT(R=4)}.
+The grid per image is {configured TMOs} x {q values} x {hp, xt-r0, xt-r4}, the
+coder arms of :data:`container.ARMS`.
 By default each distinct tone curve runs once (:data:`DISTINCT_TMOS`):
 ``reinhard-global`` is the ``default`` curve under another kind byte, so it
 would repeat those cells and count that curve twice in the cross-TMO spread.
 Every cell is round-tripped and compared bit-exactly; a failed cell fails the
 whole run.  Two tone-mapped images are scored per cell when quality scoring is
 on: the pre-compression 8-bit image and the decoded base layer (columns
-``tmqi_pre`` and ``tmqi_decoded``).
+``tmqi_pre`` and ``tmqi_decoded``).  The pre-compression image depends only on
+the operator and R, so it is scored once per image, operator and R.
 
 A deterministic synthetic corpus generator (gradients, sparse-exponent block
 scenes, palette noise) is bundled so the harness runs without external data.
@@ -27,10 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .basejpeg import decode_base, split_refinement
-from .container import CodecParams, CoderMode, MODE_NAMES
+from .basejpeg import decode_base
+from .container import ARMS, CodecParams
 from .errors import BenchError, Hdr2lError, ParameterError
-from .imagio import HdrImage, half_encode_array, luminance, parse_pfm, parse_rgbe, write_pfm
+from .imagio import HdrImage, LdrImage, half_encode_array, luminance, parse_pfm, parse_rgbe, write_pfm
 from .tmo import TMO_NAMES, TmoKind, TmoParams, bind_image_stats, tonemap
 from .tmqi import MIN_SIDE as TMQI_MIN_SIDE
 from .tmqi import BoxStats, boxstats
@@ -38,10 +40,11 @@ from .tmqi import tmqi as score_tmqi
 
 DEFAULT_SEED = 20180814
 CSV_FIELDS = (
-    "image_id", "tmo", "mode", "q", "refine", "bpp",
+    "image_id", "tmo", "arm", "q", "bpp",
     "tmqi_pre", "tmqi_decoded", "lossless_ok", "encode_s", "decode_s",
 )
-ARMS = ((CoderMode.HP, 0), (CoderMode.XT, 0), (CoderMode.XT, 4))
+# The findings compare the packed arm with both XT arms, and with XT R=0 alone.
+HP, XT_R0, _ = ARMS
 DISTINCT_TMOS = (TmoKind.DEFAULT, TmoKind.REINHARD_LOCAL, TmoKind.DRAGO)
 QUARTILE_METHOD_NOTE = (
     "quartiles: linear interpolation at p*(n+1) (median-exclusive convention)"
@@ -54,9 +57,8 @@ class RunRecord:
 
     image_id: str
     tmo: str
-    mode: str
+    arm: str  # a key of container.ARMS
     q: int
-    refine: int
     bpp: float
     tmqi_pre: float | None
     tmqi_decoded: float | None
@@ -113,10 +115,11 @@ def synthetic_corpus(count: int, size: int = 96, seed: int = DEFAULT_SEED) -> li
 
 
 def write_corpus(directory: Path, count: int, size: int = 96, seed: int = DEFAULT_SEED) -> list[Path]:
+    corpus = synthetic_corpus(count, size, seed)  # first, so a refused count makes no directory
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, image in synthetic_corpus(count, size, seed):
+    for name, image in corpus:
         path = directory / f"{name}.pfm"
         path.write_bytes(write_pfm(image))
         paths.append(path)
@@ -211,26 +214,23 @@ def _step_wedge_scene(size: int, rng: np.random.Generator) -> HdrImage:
 # Grid execution
 
 
-def _score_pair(hdr: HdrImage, params, refine_bits: int, stream: bytes) -> tuple[float | None, float | None]:
-    if min(hdr.width, hdr.height) < TMQI_MIN_SIDE:
-        return None, None
-    lum = luminance(hdr)
-    bound = bind_image_stats(params, lum)
-    pre8, _ = split_refinement(tonemap(hdr, lum, bound, refine_bits))
-    decoded8 = decode_base(container.extract_ldr(stream))
-    return (
-        score_tmqi(hdr, pre8).q_overall,
-        score_tmqi(hdr, decoded8).q_overall,
-    )
+def _score_pre(hdr: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: int) -> float:
+    """TMQI of the 8-bit image the base layer compresses: the top 8 bits of
+    the (8 + R)-bit tone map, as ``split_refinement`` keeps them."""
+    mapped = tonemap(hdr, lum, bind_image_stats(params, lum), refine_bits)
+    return score_tmqi(hdr, LdrImage(mapped.samples >> refine_bits)).q_overall
 
 
 def run_image(image_id: str, hdr: HdrImage, config: BenchConfig) -> list[RunRecord]:
     """All grid cells for one image, in deterministic arm order."""
+    scored = config.compute_tmqi and min(hdr.width, hdr.height) >= TMQI_MIN_SIDE
+    lum = luminance(hdr) if scored else None
     records = []
     for kind in config.tmos:
         tmo_params = TmoParams(kind=kind)
+        tmqi_pre = {}  # per R, scored when a lossless cell first needs it
         for q in config.qs:
-            for mode, refine in ARMS:
+            for arm, (mode, refine) in ARMS.items():
                 params = CodecParams(mode=mode, tmo=tmo_params, q=q, refine_bits=refine)
                 t0 = time.perf_counter()
                 stream = container.encode(hdr, params)
@@ -239,18 +239,20 @@ def run_image(image_id: str, hdr: HdrImage, config: BenchConfig) -> list[RunReco
                 t2 = time.perf_counter()
                 lossless = decoded == hdr
                 report = container.measure(stream)
-                scores = (None, None)
-                if config.compute_tmqi and lossless:
-                    scores = _score_pair(hdr, tmo_params, refine, stream)
+                pre = decoded_score = None
+                if scored and lossless:
+                    if refine not in tmqi_pre:
+                        tmqi_pre[refine] = _score_pre(hdr, lum, tmo_params, refine)
+                    pre = tmqi_pre[refine]
+                    decoded_score = score_tmqi(hdr, decode_base(container.extract_ldr(stream))).q_overall
                 records.append(RunRecord(
                     image_id=image_id,
                     tmo=TMO_NAMES[kind],
-                    mode=MODE_NAMES[mode],
+                    arm=arm,
                     q=q,
-                    refine=refine,
                     bpp=report.bits_per_pixel,
-                    tmqi_pre=scores[0],
-                    tmqi_decoded=scores[1],
+                    tmqi_pre=pre,
+                    tmqi_decoded=decoded_score,
                     lossless_ok=lossless,
                     encode_s=t1 - t0,
                     decode_s=t2 - t1,
@@ -280,7 +282,7 @@ def run_grid(input_dir: Path, config: BenchConfig | None = None) -> GridResult:
 
 def run_images(images: list[tuple[str, HdrImage]], config: BenchConfig) -> GridResult:
     records = [r for image_id, hdr in images for r in run_image(image_id, hdr, config)]
-    records.sort(key=lambda r: (r.image_id, r.tmo, r.mode, r.q, r.refine))
+    records.sort(key=lambda r: (r.image_id, r.tmo, r.arm, r.q))
     return GridResult(records=records, skipped=[], summary=summarize(records))
 
 
@@ -288,18 +290,17 @@ def run_images(images: list[tuple[str, HdrImage]], config: BenchConfig) -> GridR
 # Summaries
 
 
-def arm_label(tmo: str, mode: str, q: int, refine: int) -> str:
-    suffix = f"R{refine}" if mode == "xt" else ""
-    return f"{tmo}/{mode.upper()}{suffix}/q{q}"
+def arm_label(tmo: str, arm: str, q: int) -> str:
+    return f"{tmo}/{arm}/q{q}"
 
 
 def summarize(records: list[RunRecord]) -> dict:
     """Per-arm boxplot stats plus the two cross-coder findings (HP below every
     XT arm and HP - XT R=0 per curve; each arm's cross-TMO CoV per quality)."""
     ok = [r for r in records if r.lossless_ok]  # never report failed streams
-    arms: dict[tuple[str, str, int, int], list[float]] = {}
+    arms: dict[tuple[str, str, int], list[float]] = {}
     for r in ok:
-        arms.setdefault((r.tmo, r.mode, r.q, r.refine), []).append(r.bpp)
+        arms.setdefault((r.tmo, r.arm, r.q), []).append(r.bpp)
     arm_stats = dict(sorted((arm_label(*k), boxstats(v)) for k, v in arms.items()))
     mean_bpp = {k: float(np.mean(v)) for k, v in arms.items()}
 
@@ -309,24 +310,22 @@ def summarize(records: list[RunRecord]) -> dict:
     for tmo_name in tmos:
         for q in qs:
             key = f"{tmo_name}/q{q}"
-            hp = mean_bpp.get((tmo_name, "hp", q, 0))
-            xt = {r: mean_bpp[(tmo_name, "xt", q, r)] for r in (0, 4) if (tmo_name, "xt", q, r) in mean_bpp}
+            hp = mean_bpp.get((tmo_name, HP, q))
+            xt = {a: mean_bpp[(tmo_name, a, q)] for a in ARMS if a != HP and (tmo_name, a, q) in mean_bpp}
             if hp is not None and xt:
                 hp_beats_xt[key] = hp < min(xt.values())
-            if hp is not None and 0 in xt:
-                hp_minus_xt_r0[key] = hp - xt[0]
+            if hp is not None and XT_R0 in xt:
+                hp_minus_xt_r0[key] = hp - xt[XT_R0]
 
     cov = {}
     for q in qs:
         spread = {}
-        for mode, refine in ARMS:
-            name = MODE_NAMES[mode]
-            means = [mean_bpp[(t, name, q, refine)] for t in tmos if (t, name, q, refine) in mean_bpp]
+        for arm in ARMS:
+            means = [mean_bpp[(t, arm, q)] for t in tmos if (t, arm, q) in mean_bpp]
             if len(means) >= 2:
-                arm = name if mode is CoderMode.HP else f"{name}_r{refine}"
                 spread[arm] = float(np.std(means) / np.mean(means))
-        if "hp" in spread and len(spread) > 1:
-            spread["hp_smaller"] = all(spread["hp"] < v for k, v in spread.items() if k != "hp")
+        if HP in spread and len(spread) > 1:
+            spread["hp_smaller"] = all(spread[HP] < v for k, v in spread.items() if k != HP)
             cov[f"q{q}"] = spread
 
     return {
@@ -336,7 +335,7 @@ def summarize(records: list[RunRecord]) -> dict:
         "hp_minus_xt_r0": hp_minus_xt_r0,
         "cross_tmo_cov": cov,
         "lossless_failures": [
-            (r.image_id, arm_label(r.tmo, r.mode, r.q, r.refine))
+            (r.image_id, arm_label(r.tmo, r.arm, r.q))
             for r in records if not r.lossless_ok
         ],
         "tmqi_unscored": sum(r.tmqi_decoded is None for r in ok),
@@ -351,7 +350,7 @@ def print_findings(summary: dict) -> None:
     for key, ok in summary["hp_beats_xt"].items():
         print(f"  hp < xt @ {key}: {'yes' if ok else 'NO'}")
     for key, diff in summary["hp_minus_xt_r0"].items():
-        print(f"  hp - xt_r0 @ {key}: {diff:+.4f} bpp")
+        print(f"  {HP} - {XT_R0} @ {key}: {diff:+.4f} bpp")
     for key, spread in summary["cross_tmo_cov"].items():
         covs = " ".join(f"{arm}={cov:.4f}" for arm, cov in spread.items() if arm != "hp_smaller")
         print(f"  cross-TMO cov @ {key}: {covs} (hp {'smaller' if spread['hp_smaller'] else 'NOT smaller'})")
@@ -367,7 +366,7 @@ def _format_field(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a NumPy float's repr names its type
     return str(value)
 
 

@@ -7,24 +7,12 @@ import sys
 from pathlib import Path
 
 from . import bench, container
-from .basejpeg import REFINE_BIT_CHOICES
-from .container import CodecParams, MODE_BY_NAME
+from .container import ARMS, CodecParams
 from .errors import Hdr2lError, LosslessnessError
 from .imagio import parse_ppm, write_pfm
 from .tmo import TMO_BY_NAME, TmoParams
 from .tmqi import MIN_SIDE as TMQI_MIN_SIDE
 from .tmqi import tmqi as tmqi_score
-
-
-def _add_codec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tmo", choices=sorted(TMO_BY_NAME), default="default",
-                        help="tone-mapping operator for the base layer")
-    parser.add_argument("--q", type=int, default=80, metavar="1..100",
-                        help="base layer JPEG quality")
-    parser.add_argument("--mode", choices=sorted(MODE_BY_NAME), default="hp",
-                        help="coder arm: histogram-packed (hp) or plain (xt)")
-    parser.add_argument("--refine", type=int, choices=REFINE_BIT_CHOICES, default=0,
-                        help="refinement bits (xt mode only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +22,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode an HDR image to a two-layer stream")
     p.add_argument("input", type=Path, help=".hdr or .pfm source image")
     p.add_argument("--out", type=Path, required=True)
-    _add_codec_flags(p)
+    p.add_argument("--tmo", choices=sorted(TMO_BY_NAME), default="default",
+                   help="tone-mapping operator for the base layer")
+    p.add_argument("--q", type=int, default=80, metavar="1..100", help="base layer JPEG quality")
+    p.add_argument("--arm", choices=list(ARMS), default="hp",
+                   help="coder arm: histogram-packed (hp), or plain with R = 0 or 4 refinement bits")
 
     p = sub.add_parser("decode", help="restore the original HDR image (PFM output)")
     p.add_argument("input", type=Path)
@@ -66,12 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_encode(args) -> int:
     hdr = bench.load_hdr_file(args.input)
-    params = CodecParams(
-        mode=MODE_BY_NAME[args.mode],
-        tmo=TmoParams(kind=TMO_BY_NAME[args.tmo]),
-        q=args.q,
-        refine_bits=args.refine,
-    )
+    mode, refine_bits = ARMS[args.arm]
+    params = CodecParams(mode=mode, tmo=TmoParams(kind=TMO_BY_NAME[args.tmo]), q=args.q,
+                         refine_bits=refine_bits)
     stream = container.encode(hdr, params)
     args.out.write_bytes(stream)
     report = container.measure(stream)

@@ -87,8 +87,8 @@ class CoderMode(IntEnum):
     XT = 1  # plain residual, optional refinement scan
 
 
-MODE_NAMES = {CoderMode.HP: "hp", CoderMode.XT: "xt"}
-MODE_BY_NAME = {name: mode for mode, name in MODE_NAMES.items()}
+# The paper's coder arms by name: (coder mode, refinement bits R).
+ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode.XT, 4)}
 
 
 @dataclass(frozen=True)

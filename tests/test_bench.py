@@ -20,7 +20,7 @@ from hdr2l.bench import (
     write_corpus,
 )
 from hdr2l.basejpeg import decode_base
-from hdr2l.container import CodecParams, CoderMode
+from hdr2l.container import ARMS, CodecParams
 from hdr2l.errors import BenchError
 from hdr2l.imagio import write_pfm
 from hdr2l.tmo import TmoKind, TmoParams
@@ -36,10 +36,10 @@ def test_grid_arm_counting_matches_contract():
     corpus = synthetic_corpus(3, size=24, seed=1)
     result = run_images(corpus, SINGLE_TMO)
     assert len(result.records) == 3 * (2 + 4)
-    arms = {(r.mode, r.q, r.refine) for r in result.records}
+    arms = {(r.arm, r.q) for r in result.records}
     assert arms == {
-        ("hp", 80, 0), ("hp", 90, 0),
-        ("xt", 80, 0), ("xt", 90, 0), ("xt", 80, 4), ("xt", 90, 4),
+        ("hp", 80), ("hp", 90),
+        ("xt-r0", 80), ("xt-r0", 90), ("xt-r4", 80), ("xt-r4", 90),
     }
     assert result.summary["lossless_failures"] == []
 
@@ -48,16 +48,41 @@ def test_run_image_scores_tmqi_columns():
     (image_id, hdr), = synthetic_corpus(1, size=TMQI_MIN_SIDE, seed=1)
     config = BenchConfig(tmos=(TmoKind.DEFAULT,), qs=(80,))
     records = run_image(image_id, hdr, config)
-    assert [(r.mode, r.refine) for r in records] == [("hp", 0), ("xt", 0), ("xt", 4)]
+    assert [r.arm for r in records] == ["hp", "xt-r0", "xt-r4"]
     for r in records:
         assert r.lossless_ok
         assert 0.0 < r.tmqi_pre <= 1.0 and 0.0 < r.tmqi_decoded <= 1.0
     hp, xt0, xt4 = records
     assert hp.tmqi_decoded == xt0.tmqi_decoded  # one base layer
-    for r, mode in ((hp, CoderMode.HP), (xt4, CoderMode.XT)):
-        params = CodecParams(mode=mode, tmo=TmoParams(kind=TmoKind.DEFAULT), q=80, refine_bits=r.refine)
+    for r in (hp, xt4):
+        mode, refine = ARMS[r.arm]
+        params = CodecParams(mode=mode, tmo=TmoParams(kind=TmoKind.DEFAULT), q=80, refine_bits=refine)
         base = decode_base(container.extract_ldr(container.encode(hdr, params)))
         assert r.tmqi_decoded == tmqi(hdr, base).q_overall
+
+
+def test_run_image_scores_each_pre_compression_image_once(monkeypatch):
+    """One image, one operator, two qualities: the pre-compression image is
+    scored once per R (2 calls) and each decoded base once per cell (6)."""
+    from hdr2l.basejpeg import split_refinement
+    from hdr2l.imagio import luminance
+    from hdr2l.tmo import bind_image_stats, tonemap
+
+    (image_id, hdr), = synthetic_corpus(1, size=TMQI_MIN_SIDE, seed=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tmqi(*args)
+
+    monkeypatch.setattr(bench, "score_tmqi", counted)
+    records = run_image(image_id, hdr, BenchConfig(tmos=(TmoKind.DEFAULT,), qs=(80, 90)))
+    assert len(records) == 6 and len(calls) == 8
+    lum = luminance(hdr)
+    bound = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), lum)
+    for r in records:
+        pre8, _ = split_refinement(tonemap(hdr, lum, bound, ARMS[r.arm][1]))
+        assert r.tmqi_pre == tmqi(hdr, pre8).q_overall
 
 
 def test_synthetic_corpus_deterministic_per_seed():
@@ -92,25 +117,30 @@ def test_run_grid_empty_directory_errors(tmp_path):
 
 def test_csv_round_trip():
     records = [
-        RunRecord("img_a", "default", "hp", 80, 0, 6.25, 0.8123456789, 0.7999,
+        RunRecord("img_a", "default", "hp", 80, 6.25, 0.8123456789, 0.7999,
                   True, 0.125, 0.0625),
-        RunRecord("img_b", "drago", "xt", 90, 4, 17.5, None, None, False, 0.5, 0.25),
+        RunRecord("img_b", "drago", "xt-r4", 90, 17.5, None, None, False, 0.5, 0.25),
     ]
     assert records_to_csv(records) == (
-        "image_id,tmo,mode,q,refine,bpp,tmqi_pre,tmqi_decoded,lossless_ok,encode_s,decode_s\n"
-        "img_a,default,hp,80,0,6.25,0.8123456789,0.7999,true,0.125,0.0625\n"
-        "img_b,drago,xt,90,4,17.5,,,false,0.5,0.25\n"
+        "image_id,tmo,arm,q,bpp,tmqi_pre,tmqi_decoded,lossless_ok,encode_s,decode_s\n"
+        "img_a,default,hp,80,6.25,0.8123456789,0.7999,true,0.125,0.0625\n"
+        "img_b,drago,xt-r4,90,17.5,,,false,0.5,0.25\n"
     )
 
 
+def test_csv_writes_numpy_scores_as_plain_numbers():
+    record = RunRecord("img_a", "default", "hp", 80, 6.25, np.float64(0.5), np.float64(0.25), True, 0.125, 0.0625)
+    assert records_to_csv([record]).splitlines()[1] == "img_a,default,hp,80,6.25,0.5,0.25,true,0.125,0.0625"
+
+
 def test_summary_never_reports_failed_streams():
-    good = RunRecord("a", "default", "hp", 80, 0, 5.0, None, None, True, 0.1, 0.1)
-    bad = RunRecord("b", "default", "hp", 80, 0, 9.0, None, None, False, 0.1, 0.1)
-    scored = RunRecord("c", "default", "hp", 80, 0, 5.0, 0.8, 0.7, True, 0.1, 0.1)
+    good = RunRecord("a", "default", "hp", 80, 5.0, None, None, True, 0.1, 0.1)
+    bad = RunRecord("b", "default", "hp", 80, 9.0, None, None, False, 0.1, 0.1)
+    scored = RunRecord("c", "default", "hp", 80, 5.0, 0.8, 0.7, True, 0.1, 0.1)
     summary = summarize([good, bad, scored])
-    stats = summary["arm_stats"]["default/HP/q80"]
+    stats = summary["arm_stats"]["default/hp/q80"]
     assert stats.median == 5.0  # the failed record's bitrate is excluded
-    assert summary["lossless_failures"] == [("b", "default/HP/q80")]
+    assert summary["lossless_failures"] == [("b", "default/hp/q80")]
     assert summary["tmqi_unscored"] == 1  # the failed cell is reported as a failure instead
 
 
@@ -118,8 +148,8 @@ def test_records_carry_the_measured_section_bytes():
     (image_id, hdr), = synthetic_corpus(1, size=24, seed=1)
     config = BenchConfig(tmos=(TmoKind.DEFAULT,), qs=(80,), compute_tmqi=False)
     for r in run_image(image_id, hdr, config):
-        params = CodecParams(mode=CoderMode[r.mode.upper()], tmo=TmoParams(kind=TmoKind.DEFAULT),
-                             q=80, refine_bits=r.refine)
+        mode, refine = ARMS[r.arm]
+        params = CodecParams(mode=mode, tmo=TmoParams(kind=TmoKind.DEFAULT), q=80, refine_bits=refine)
         assert r.sections == container.measure(container.encode(hdr, params)).sections()
         assert 8 * sum(r.sections.values()) / (24 * 24) == r.bpp
 
@@ -128,30 +158,30 @@ def test_summary_cross_tmo_cov_covers_every_arm():
     result = run_images(synthetic_corpus(2, size=24, seed=1), BenchConfig(qs=(80,), compute_tmqi=False))
     (key, spread), = result.summary["cross_tmo_cov"].items()
     assert key == "q80"
-    assert list(spread) == ["hp", "xt_r0", "xt_r4", "hp_smaller"]
-    for arm, mode, refine in (("hp", "hp", 0), ("xt_r0", "xt", 0), ("xt_r4", "xt", 4)):
+    assert list(spread) == ["hp", "xt-r0", "xt-r4", "hp_smaller"]
+    for arm in ("hp", "xt-r0", "xt-r4"):
         means = [
-            np.mean([r.bpp for r in result.records if (r.tmo, r.mode, r.refine) == (tmo, mode, refine)])
+            np.mean([r.bpp for r in result.records if (r.tmo, r.arm) == (tmo, arm)])
             for tmo in ("default", "drago", "reinhard-local")
         ]
         assert spread[arm] == pytest.approx(np.std(means) / np.mean(means), rel=1e-12)
-    assert spread["hp_smaller"] == (spread["hp"] < min(spread["xt_r0"], spread["xt_r4"]))
+    assert spread["hp_smaller"] == (spread["hp"] < min(spread["xt-r0"], spread["xt-r4"]))
 
 
 def test_print_findings_lines(capsys):
-    bpp = {("default", "hp", 0): 4.0, ("default", "xt", 0): 5.0, ("default", "xt", 4): 6.0,
-           ("drago", "hp", 0): 6.0, ("drago", "xt", 0): 5.5, ("drago", "xt", 4): 7.0}
-    records = [RunRecord("a", tmo, mode, 80, refine, v, None, None, True, 0.1, 0.1)
-               for (tmo, mode, refine), v in bpp.items()]
+    bpp = {("default", "hp"): 4.0, ("default", "xt-r0"): 5.0, ("default", "xt-r4"): 6.0,
+           ("drago", "hp"): 6.0, ("drago", "xt-r0"): 5.5, ("drago", "xt-r4"): 7.0}
+    records = [RunRecord("a", tmo, arm, 80, v, None, None, True, 0.1, 0.1)
+               for (tmo, arm), v in bpp.items()]
     summary = summarize(records)
     assert summary["hp_minus_xt_r0"] == {"default/q80": -1.0, "drago/q80": 0.5}
     bench.print_findings(summary)
     assert capsys.readouterr().out.splitlines()[6:] == [
         "  hp < xt @ default/q80: yes",
         "  hp < xt @ drago/q80: NO",
-        "  hp - xt_r0 @ default/q80: -1.0000 bpp",
-        "  hp - xt_r0 @ drago/q80: +0.5000 bpp",
-        "  cross-TMO cov @ q80: hp=0.2000 xt_r0=0.0476 xt_r4=0.0769 (hp NOT smaller)",
+        "  hp - xt-r0 @ default/q80: -1.0000 bpp",
+        "  hp - xt-r0 @ drago/q80: +0.5000 bpp",
+        "  cross-TMO cov @ q80: hp=0.2000 xt-r0=0.0476 xt-r4=0.0769 (hp NOT smaller)",
     ]
 
 
@@ -204,6 +234,33 @@ def test_cli_encode_decode_extract(tmp_path):
     jpeg = tmp_path / "img.jpg"
     assert main(["extract-ldr", str(out), "--out", str(jpeg)]) == 0
     assert jpeg.read_bytes()[:2] == b"\xFF\xD8"
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_cli_encode_arm_round_trips(arm, tmp_path):
+    from hdr2l.cli import main
+
+    (source,) = write_corpus(tmp_path / "corpus", 1, size=24, seed=6)
+    out, restored = tmp_path / "img.h2l", tmp_path / "img.pfm"
+    assert main(["encode", str(source), "--out", str(out), "--arm", arm]) == 0
+    assert main(["decode", str(out), "--out", str(restored)]) == 0
+    assert restored.read_bytes() == source.read_bytes()
+    mode, refine = ARMS[arm]
+    params = CodecParams(mode=mode, tmo=TmoParams(kind=TmoKind.DEFAULT), q=80, refine_bits=refine)
+    assert out.read_bytes() == container.encode(bench.load_hdr_file(source), params)
+    assert (container.measure(out.read_bytes()).refinement > 0) == (arm == "xt-r4")
+
+
+@pytest.mark.parametrize("flags", [["--mode", "hp"], ["--refine", "0"], ["--mode", "hp", "--refine", "4"]])
+def test_cli_encode_refuses_mode_and_refine(flags, tmp_path, capsys):
+    from hdr2l.cli import main
+
+    (source,) = write_corpus(tmp_path / "corpus", 1, size=24, seed=6)
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(source), "--out", str(tmp_path / "img.h2l"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "img.h2l").exists()
 
 
 def test_cli_decode_of_a_truncated_stream_exits_1(tmp_path, capsys):
@@ -357,10 +414,11 @@ def test_cli_bench_synthetic_zero_is_refused(tmp_path, capsys):
     """``--synthetic 0`` asks for an empty corpus, not for the directory."""
     from hdr2l.cli import main
 
-    corpus = tmp_path / "corpus"
+    corpus, absent = tmp_path / "corpus", tmp_path / "absent"
     write_corpus(corpus, 1, size=24)
-    for args in (["--synthetic", "0"], [str(corpus), "--synthetic", "0"]):
+    for args in (["--synthetic", "0"], [str(corpus), "--synthetic", "0"], [str(absent), "--synthetic", "0"]):
         assert main(["bench", *args, "--size", "24", "--tmo", "default", "--no-tmqi"]) == 1
         captured = capsys.readouterr()
         assert "corpus needs at least one image" in captured.err
         assert "records over" not in captured.out
+    assert not absent.exists()

@@ -60,7 +60,7 @@ def test_arm_table_rows_and_findings(format_sizes, capsys):
         assert list(r) == ["workload", "tmo", "arm", "bpp", *SECTIONS]
         assert r["bpp"] == round(8 * sum(r[k] for k in SECTIONS) / (24 * 24), 6)
     assert sum(line.startswith("  hp < xt @ ") for line in lines) == 9
-    assert sum(line.startswith("  hp - xt_r0 @ ") for line in lines) == 9
+    assert sum(line.startswith("  hp - xt-r0 @ ") for line in lines) == 9
     assert sum(line.startswith("  cross-TMO cov @ q80: ") for line in lines) == 3
 
 

@@ -10,7 +10,7 @@ The codec comes from the checkout's ``src/`` and the seeded images from
 ``perfbench/workloads.py``, so the same command measures any checkout.
 
 The first image of each workload runs through ``hdr2l.bench.run_images``:
-every arm (HP, XT R=0, XT R=4) under each distinct tone curve at q = 80.  The
+every arm (hp, xt-r0, xt-r4) under each distinct tone curve at q = 80.  The
 tool prints ``bench.print_findings`` per workload; its JSON rows hold stream
 bpp and the section bytes.
 
@@ -41,8 +41,7 @@ def arm_table(seed: int) -> tuple[list[dict], int]:
         bench.print_findings(result.summary)
         mismatches += len(result.summary["lossless_failures"])
         rows += [{
-            "workload": name, "tmo": r.tmo, "arm": r.mode if r.mode == "hp" else f"xt-r{r.refine}",
-            "bpp": round(r.bpp, 6), **r.sections,
+            "workload": name, "tmo": r.tmo, "arm": r.arm, "bpp": round(r.bpp, 6), **r.sections,
         } for r in result.records]
     return rows, mismatches
 
