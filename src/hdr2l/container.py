@@ -47,7 +47,7 @@ base-layer JPEG encode (46.4-46.5 B/px under the local operator on the photo
 and ladder images, set by the upsampling of its pyramid surrounds in the tone
 map).  The JPEG encode's peak grows with its scan: on the XT R = 4 texture
 image it is 51.6 B/px under the local operator and 54.0 under drago.  That of
-:func:`decode` is 32.1-40.2 B/px on an 8-bit base, set by the base-layer
+:func:`decode` is 32.1-40.0 B/px on an 8-bit base, set by the base-layer
 decode (32.0 B/px) and the residual decode, and 50.7 B/px on the 12-bit base
 of R = 4, set by the per-pixel prediction; the half-float input itself is 6
 B/px.

@@ -56,6 +56,11 @@ of the last two.  The encoder gives each block the k of fewest bits (the
 least on a tie), and searches k only in blocks that hold a nonzero symbol.
 A decoder rejects any other length, nonzero pad bits, a run of more than E
 zeros, an escaped u with u >> k < E, and u > 65535.
+
+:func:`decode_plane` reads the streams a whole plane at a time: it finds the
+unary stream's stop bits with ``np.flatnonzero`` on a bool view of the
+unpacked bits, and gathers every remainder field at its byte from the
+native uint32 windows of :func:`_byte_windows`, one conversion per payload.
 """
 
 from __future__ import annotations
@@ -234,12 +239,14 @@ def _pack_fields(values: np.ndarray, widths: np.ndarray | int) -> bytes:
 
 
 def _byte_windows(data) -> np.ndarray:
-    """The codec's only window builder: a zero-copy big-endian uint32 view of
-    the 32 bits from each byte of ``data`` and from its end, zero-filled past
-    it, so a field of up to 16 bits at bit b is in ``windows[b >> 3]``."""
+    """The codec's only window builder: the 32 bits from each byte of
+    ``data`` and from its end, zero-filled past it and read MSB-first, as a
+    native uint32 array (4 B per byte of ``data``), so a field of up to 16
+    bits at bit b is in ``windows[b >> 3]``.  The one conversion from the
+    byte-strided big-endian view makes every later gather a native one."""
     padded = np.zeros(len(data) + 4, dtype=np.uint8)
     padded[:-4] = np.frombuffer(data, np.uint8)
-    return np.ndarray((len(data) + 1,), dtype=">u4", buffer=padded, strides=(1,))
+    return np.ndarray((len(data) + 1,), dtype=">u4", buffer=padded, strides=(1,)).astype(np.uint32)
 
 
 def code_plane(errors: np.ndarray) -> bytes:
@@ -301,7 +308,9 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
     if len(data) - unary_start < unary_len:
         raise CorruptStreamError("truncated unary stream")
 
-    stops = np.flatnonzero(np.unpackbits(np.frombuffer(data, np.uint8, unary_len, unary_start)))
+    unary = np.unpackbits(np.frombuffer(data, np.uint8, unary_len, unary_start))
+    stops = np.flatnonzero(unary.view(bool))  # flatnonzero is several times faster on bool
+    del unary
     if stops.size < coded_count:
         raise CorruptStreamError(f"unary stream has {stops.size} stop bits for {coded_count} symbols")
     if stops.size > coded_count:
@@ -315,13 +324,16 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
     q = stops.astype(np.uint8)
     del stops
 
-    k = np.repeat(ks, RICE_BLOCK)[:count]
-    coded = k != ZERO_BLOCK
-    k = k[coded]
+    # The field widths are uint32 like the fields, so neither the sum of the
+    # widths nor the right shift converts an operand; k and the byte phases
+    # stay uint8, which keeps the decode's peak where a uint8 k had it.
+    coded = ks != ZERO_BLOCK
+    k = np.repeat(ks[coded], RICE_BLOCK)[:coded_count]  # a coded last block is short
     escape = np.flatnonzero(q == RICE_ESCAPE_QUOTIENT)
-    width = k.copy()
+    width = k.astype(np.uint32)
     width[escape] = 16
-    starts = np.cumsum(width, dtype=np.int64)
+    starts = width.astype(np.int64)
+    np.cumsum(starts, out=starts)
     remainder_bits = int(starts[-1]) if coded_count else 0
     starts -= width
     remainder_start = unary_start + unary_len
@@ -330,15 +342,19 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
         raise CorruptStreamError(f"payload is {len(data)} bytes, its fields imply {expected}")
     if remainder_bits % 8 and data[-1] & (0xFF >> remainder_bits % 8):
         raise CorruptStreamError("nonzero pad bits after the remainder stream")
-    windows = _byte_windows(memoryview(data)[remainder_start:])
-    shift = (starts & 7).astype(np.uint8)
-    np.subtract(32 - width, shift, out=shift)
+    # Shift each field's first bit to the top of the window of its byte,
+    # then its last bit to the bottom; numpy shifts a uint32 by 32 to 0, the
+    # field of k = 0.
+    shift = starts.astype(np.uint8)
+    shift &= 7
     starts >>= 3
-    fields = windows[starts].astype(np.uint32)
+    fields = _byte_windows(memoryview(data)[remainder_start:])[starts]
     del starts
-    fields >>= shift
+    fields <<= shift
     del shift
-    fields &= _LOW_BITS[width]
+    np.subtract(32, width, out=width)
+    fields >>= width
+    del width
     if ((fields[escape] >> k[escape]) < RICE_ESCAPE_QUOTIENT).any():
         raise CorruptStreamError("escaped symbol whose quotient is below the escape")
     q[escape] = 0
@@ -348,7 +364,7 @@ def _decode_symbols(data: bytes, count: int) -> np.ndarray:
     if coded_count and value.max() > MASK:
         raise CorruptStreamError(f"decoded symbol {int(value.max())} exceeds 16-bit range")
     symbols = np.zeros(count, dtype=np.uint16)
-    symbols[coded] = value
+    symbols[np.repeat(coded, RICE_BLOCK)[:count]] = value
     return symbols
 
 

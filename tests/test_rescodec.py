@@ -310,12 +310,16 @@ def test_plane_coder_matches_reference(name, plane):
             decoder(payload + b"\x00", width, height)
 
 
+def _k_table(payload: bytes, count: int) -> list[int]:
+    """The k-table nibbles of a payload of ``count`` symbols."""
+    blocks = -(-count // B)
+    return [n for byte in payload[4 : 4 + (blocks + 1) // 2] for n in (byte >> 4, byte & 0xF)][:blocks]
+
+
 def test_reference_planes_reach_the_format_corners():
     def k_table(name):
         plane = _reference_planes()[name]
-        payload = code_planes(plane[None])[0]
-        blocks = -(-plane.size // B)
-        return [n for byte in payload[4 : 4 + (blocks + 1) // 2] for n in (byte >> 4, byte & 0xF)][:blocks]
+        return _k_table(code_planes(plane[None])[0], plane.size)
 
     assert k_table("zero") == [ZERO_BLOCK] * -(-256 // B)
     assert ZERO_BLOCK in k_table("mixed-zero-blocks") and min(k_table("mixed-zero-blocks")) < ZERO_BLOCK
@@ -422,6 +426,67 @@ def test_decode_plane_rejects_symbol_above_16_bits():
     for decoder in (decode_plane, _ref_decode_plane):
         with pytest.raises(CorruptStreamError, match="exceeds 16-bit range"):
             decoder(payload, 1, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pack_fields_read_back_through_byte_windows(seed):
+    """The codec's only bit writer and its only window builder agree: every
+    field comes back from the window of its byte, and each window is the
+    big-endian 32 bits from its byte, zero-filled past the end."""
+    rng = np.random.default_rng(seed)
+    widths = np.concatenate([rng.permutation(np.repeat(np.arange(17), 25)), np.ones(53, dtype=np.int64)])
+    values = rng.integers(0, 1 << 16, size=widths.size) & ((1 << widths) - 1)
+    data = rescodec._pack_fields(values.astype(np.uint16), widths.astype(np.uint8))
+    nbits = int(widths.sum())
+    assert len(data) == (nbits + 7) // 8
+    assert int.from_bytes(data, "big") & ((1 << (-nbits % 8)) - 1) == 0  # zero pad bits
+    windows = rescodec._byte_windows(data)
+    assert windows.dtype == np.uint32 and windows.dtype.isnative
+    padded = data + bytes(4)
+    assert windows.tolist() == [int.from_bytes(padded[i : i + 4], "big") for i in range(len(data) + 1)]
+    words = windows.tolist()
+    start = 0
+    for width, value in zip(widths.tolist(), values.tolist()):
+        assert words[start >> 3] >> (32 - (start & 7) - width) & ((1 << width) - 1) == value
+        start += width
+
+
+def _remainder_bits(plane: np.ndarray) -> int:
+    """The bit length of the remainder stream of ``plane``'s payload: k bits
+    per symbol of a coded block, 16 per escaped one."""
+    ks = _k_table(code_planes(plane[None])[0], plane.size)
+    symbols = _ref_symbols(plane)
+    return sum(16 if u >> k >= E else k for i, u in enumerate(symbols) if (k := ks[i // B]) != ZERO_BLOCK)
+
+
+def _assert_decoders_agree(plane: np.ndarray) -> None:
+    height, width = plane.shape
+    payload = code_planes(plane[None])[0]
+    assert np.array_equal(decode_plane(payload, width, height), plane - med_predict(plane))
+    assert np.array_equal(_ref_decode_plane(payload, width, height), plane)
+
+
+@pytest.mark.parametrize("escape_last", [False, True])
+@pytest.mark.parametrize("phase", range(8))
+def test_decode_plane_at_each_end_phase_of_the_remainder_stream(phase, escape_last):
+    """The remainder stream ends at each bit phase of its last byte, so the
+    last fields are read from the windows that run into the zero fill."""
+    # u = 3 takes k = 1, one remainder bit a symbol; 300 is escaped under k = 1.
+    plane = _row_of_symbols([3] * (B + 8 + phase) + [300] * escape_last)
+    assert _k_table(code_planes(plane[None])[0], plane.size) == [1, 1]
+    assert _remainder_bits(plane) % 8 == phase
+    _assert_decoders_agree(plane)
+
+
+def test_decode_plane_with_an_empty_remainder_stream():
+    # Symbols of 0 and 1 take k = 0 and are never escaped, so no block puts
+    # a bit in the remainder stream: the payload ends with the unary stream.
+    plane = _row_of_symbols([0, 1, 1, 0] * (B // 4) + [0] * B + [1, 0, 1])
+    payload = code_planes(plane[None])[0]
+    assert _k_table(payload, plane.size) == [0, ZERO_BLOCK, 0]
+    assert _remainder_bits(plane) == 0
+    assert len(payload) == 4 + 2 + int.from_bytes(payload[:4], "little")
+    _assert_decoders_agree(plane)
 
 
 def _peak_bytes(fn) -> int:
