@@ -801,12 +801,12 @@ REFINE_BIT_CHOICES = (0, 4)
 
 @dataclass(frozen=True)
 class RefinementPlane:
-    """Losslessly coded plane of the R least significant sample bits."""
+    """Losslessly coded plane of the R least significant sample bits: R and
+    one payload per channel, none when R == 0.  Its size is the base image's,
+    which :func:`merge_refinement` decodes it at."""
 
     refine_bits: int
     payloads: tuple[bytes, ...]
-    width: int
-    height: int
 
     def __post_init__(self):
         if self.refine_bits not in REFINE_BIT_CHOICES:
@@ -823,11 +823,11 @@ def split_refinement(image: LdrImage) -> tuple[LdrImage, RefinementPlane]:
     if refine_bits not in REFINE_BIT_CHOICES:
         raise ParameterError(f"bit depth {image.bit_depth} is not 8 + R, R in {REFINE_BIT_CHOICES}")
     if refine_bits == 0:
-        return image, RefinementPlane(0, (), image.width, image.height)
+        return image, RefinementPlane(0, ())
     top = LdrImage(image.samples >> refine_bits, bit_depth=8)
     mask = (1 << refine_bits) - 1
     payloads = code_planes(image.samples & mask)
-    return top, RefinementPlane(refine_bits, payloads, image.width, image.height)
+    return top, RefinementPlane(refine_bits, payloads)
 
 
 def merge_refinement(base: LdrImage, plane: RefinementPlane) -> LdrImage:
@@ -836,8 +836,6 @@ def merge_refinement(base: LdrImage, plane: RefinementPlane) -> LdrImage:
         raise ParameterError(f"refinement merge needs an 8-bit base, got {base.bit_depth}-bit")
     if plane.refine_bits == 0:
         return base
-    if (base.width, base.height) != (plane.width, plane.height):
-        raise ParameterError("refinement plane dimensions disagree with the base image")
-    lsbs = decode_planes(plane.payloads, plane.width, plane.height)
-    merged = (base.samples.astype(np.uint16) << plane.refine_bits) | lsbs
+    lsbs = decode_planes(plane.payloads, base.width, base.height)
+    merged = (base.samples << plane.refine_bits) | lsbs
     return LdrImage(merged, bit_depth=8 + plane.refine_bits)

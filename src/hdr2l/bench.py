@@ -75,8 +75,9 @@ class BenchConfig:
     compute_tmqi: bool = True
 
     def __post_init__(self):
-        if not self.tmos or not self.qs:
-            raise ParameterError("benchmark grid must have at least one arm")
+        for name in ("tmos", "qs"):
+            if not getattr(self, name):
+                raise ParameterError(f"benchmark grid needs at least one entry in {name}")
 
 
 @dataclass

@@ -248,7 +248,7 @@ def _parse(data: bytes) -> _Parsed:
         raise FormatError(f"{len(data) - 4 - pos} unaccounted bytes in stream")
     return _Parsed(
         tmo=tmo_params, width=width, height=height, pixel_crc=pixel_crc, base=base,
-        refinement=basejpeg.RefinementPlane(refine_bits, payloads, width, height), residual=residual,
+        refinement=basejpeg.RefinementPlane(refine_bits, payloads), residual=residual,
     )
 
 

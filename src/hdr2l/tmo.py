@@ -30,14 +30,16 @@ residual layer restores the original bit-exactly regardless.  Prediction
 quality affects bitrate only.  Everything in it that depends on one sample
 code alone (the gamma-linearized level and the inverse display curve at that
 level) is computed once per code into tables of 2^b entries, b the base
-depth.  Both base depths take as a pixel's top the largest rank of its
-channels' codes in the stable level order; two tails follow.  On an 8-bit
-base, which HP and XT with R = 0 have, a predicted half code depends only on
-the pixel's top rank and the channel's code, so the 256 x 256 pair codes are
-computed once per call and each channel sample is one gather from that
-table.  The 12-bit base of XT with R = 4 would need 2^24 pairs; it maps the
-top rank back to a code, gathers the per-code tables and scales each channel
-as a float64 plane.  Both give the values of the per-pixel formula.
+depth.  A pixel's top is the largest of its channels' codes.  The level table
+(k / maxval) ** GAMMA is strictly increasing: consecutive levels differ by at
+least 0.053 % at 12 bits, about 2.4e12 ulps, so no rounding of ``np.power``
+reorders them, and the largest code has the largest level.  Two tails
+follow.  On an 8-bit base, which HP and XT with R = 0 have, a predicted half
+code depends only on the pixel's top code and the channel's code, so the
+256 x 256 pair codes are computed once per call and each channel sample is
+one gather from that table.  The 12-bit base of XT with R = 4 would need
+2^24 pairs; it gathers the per-code tables at the top code and scales each
+channel as a float64 plane.  Both give the values of the per-pixel formula.
 """
 
 from __future__ import annotations
@@ -422,7 +424,6 @@ def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: in
         mapped = half_decode_array(plane)
         mapped /= divisor
         mapped *= display
-        np.clip(mapped, 0.0, None, out=mapped)
         np.power(mapped, 1.0 / GAMMA, out=mapped)
         mapped *= maxval
         if not np.isfinite(mapped).all():
@@ -451,37 +452,24 @@ def _drago_inverse(target: np.ndarray, l_max: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _top_ranks(samples: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The codes in stable level order and, per pixel, the largest rank of its
-    channels in it: ``order[top]`` has the channel maximum of ``levels``, which
-    need not be monotone.  Both are uint16; no base has over 2^16 codes."""
-    order = np.argsort(levels, kind="stable").astype(np.uint16)
-    rank = np.empty(levels.size, dtype=np.uint16)
-    rank[order] = np.arange(levels.size)
-    top = np.take(rank, samples[0])
-    for plane in samples[1:]:
-        np.maximum(top, np.take(rank, plane), out=top)
-    return order, top
-
-
 def _predict_by_pairs(samples: np.ndarray, levels: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Half codes of the prediction of an 8-bit base, one table gather per
     channel sample.  Row r of the table holds the pixels whose largest
-    channel level is the r-th smallest level (a rank table, so ``levels``
-    need not be monotone) and column c the channel code, so a sample's index
-    is r << 8 | c.  Only rows some pixel takes are computed, and in them only
-    the columns whose level does not exceed the row's; the rest hold 0.  A
-    taken row's own top code has a non-finite value whenever another column
-    of the row has, so the domain check of :func:`half_encode_array` refuses
-    exactly the predictions the per-pixel path refuses."""
-    order, top = _top_ranks(samples, levels)
+    channel code is r, which has their largest level because no two levels
+    are closer than 0.053 % (module docstring), and column c the channel
+    code, so a sample's index is r << 8 | c.  Only rows some pixel takes are
+    computed, and in them only the columns c <= r; the rest hold 0.  A taken row's own top code has a
+    non-finite value whenever another column of the row has, so the domain
+    check of :func:`half_encode_array` refuses exactly the predictions the
+    per-pixel path refuses."""
+    top = samples.max(axis=0)
     taken = np.bincount(top.ravel(), minlength=levels.size) > 0
-    top_level = levels[order][:, None]
+    top_level = levels[:, None]
     reach = (levels <= top_level) & taken[:, None]
     # A top level of 0 has all three channels at level 0, divided by 1.
     divisor = np.where(top_level > 0.0, top_level, 1.0)
     table = np.divide(levels, divisor, out=np.zeros(reach.shape), where=reach)
-    np.multiply(table, inverse[order][:, None], out=table, where=reach)
+    np.multiply(table, inverse[:, None], out=table, where=reach)
     table = half_encode_array(table).ravel()
     top <<= 8
     codes = np.empty(samples.shape, dtype=np.uint16)
@@ -494,7 +482,7 @@ def _predict_per_pixel(samples: np.ndarray, levels: np.ndarray, inverse: np.ndar
     """Half codes of the prediction, evaluated per pixel: levels are gathered
     one channel at a time, and each channel is scaled and half-encoded in one
     float64 plane."""
-    top = np.take(*_top_ranks(samples, levels))
+    top = samples.max(axis=0)
     proxy = levels[top]
     lum_est = inverse[top]
     del top
@@ -518,10 +506,10 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     their maximum, the global curve is inverted at the proxy, and channel
     ratios are rescaled by the recovered scene luminance.
 
-    The tables, the rank rule (:func:`_top_ranks`) and its two tails are
-    those of the module docstring.  Both tails run the same float64
-    operations in the same order on the same operands, so every code equals
-    the per-pixel evaluation of the formula.
+    The tables, the top rule (the largest channel code, whose level is the
+    largest) and its two tails are those of the module docstring.  Both
+    tails run the same float64 operations in the same order on the same
+    operands, so every code equals the per-pixel evaluation of the formula.
 
     Statistics from a crafted stream can overflow the inverse curve.  That
     raises no floating-point warning: a non-finite value that some pixel

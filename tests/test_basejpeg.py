@@ -985,8 +985,8 @@ def test_merge_uses_decoded_base():
 
 def test_refinement_plane_validation():
     with pytest.raises(ParameterError):
-        RefinementPlane(2, (), 4, 4)
+        RefinementPlane(2, ())
     with pytest.raises(ParameterError):
-        RefinementPlane(0, (b"x",), 4, 4)
+        RefinementPlane(0, (b"x",))
     with pytest.raises(ParameterError):
-        RefinementPlane(4, (b"x",), 4, 4)
+        RefinementPlane(4, (b"x",))

@@ -21,7 +21,7 @@ from hdr2l.bench import (
 )
 from hdr2l.basejpeg import decode_base
 from hdr2l.container import ARMS, CodecParams
-from hdr2l.errors import BenchError
+from hdr2l.errors import BenchError, ParameterError
 from hdr2l.imagio import write_pfm
 from hdr2l.tmo import TmoKind, TmoParams
 from hdr2l.tmqi import MIN_SIDE as TMQI_MIN_SIDE
@@ -29,6 +29,12 @@ from hdr2l.tmqi import boxstats, tmqi
 
 
 SINGLE_TMO = BenchConfig(tmos=(TmoKind.DEFAULT,), compute_tmqi=False)
+
+
+@pytest.mark.parametrize("name", ["tmos", "qs"])
+def test_config_names_its_empty_field(name):
+    with pytest.raises(ParameterError, match=f"at least one entry in {name}$"):
+        BenchConfig(**{name: ()})
 
 
 def test_grid_arm_counting_matches_contract():

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from hdr2l import basejpeg, tmo
-from hdr2l.container import _HEADER, CodecParams, CoderMode, _parse, decode, encode, extract_ldr, measure
+from hdr2l.container import _HEADER, ARMS, CodecParams, CoderMode, _parse, decode, encode, extract_ldr, measure
 from hdr2l.errors import CorruptStreamError, Hdr2lError, ParseError
 from hdr2l.imagio import HdrImage
 from hdr2l.rescodec import PLANE_HEADER, RICE_BLOCK, RICE_MAX_K, ZERO_BLOCK, split_residual_sections
@@ -123,8 +123,9 @@ def _patch_image() -> HdrImage:
     return HdrImage(np.ascontiguousarray(patches[:, :SIDE, :SIDE]))
 
 
-@pytest.mark.parametrize("mode,refine,seed", [(CoderMode.HP, 0, 11), (CoderMode.XT, 4, 12)])
-def test_mutated_streams_raise_only_codec_errors(mode, refine, seed):
+@pytest.mark.parametrize("arm,seed", [("hp", 11), ("xt-r4", 12)])
+def test_mutated_streams_raise_only_codec_errors(arm, seed):
+    mode, refine = ARMS[arm]
     params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=100, refine_bits=refine)
     image = _patch_image()
     stream = encode(image, params)
@@ -147,10 +148,11 @@ def test_mutated_streams_raise_only_codec_errors(mode, refine, seed):
     assert escapes == []
 
 
-@pytest.mark.parametrize("mode,refine", [(CoderMode.HP, 0), (CoderMode.XT, 4)])
-def test_overflowing_log_average_raises_a_codec_error_without_warnings(mode, refine):
+@pytest.mark.parametrize("arm", ["hp", "xt-r4"])
+def test_overflowing_log_average_raises_a_codec_error_without_warnings(arm):
     """A CRC-valid TMO block whose log-average of 1e308 overflows the inverse
     curve: ``decode`` raises a codec error, even with warnings as errors."""
+    mode, refine = ARMS[arm]
     params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=100, refine_bits=refine)
     mutant = bytearray(encode(_patch_image(), params)[:-4])
     mutant[_HEADER.size + 1 : _HEADER.size + 9] = struct.pack("<d", 1e308)
@@ -180,8 +182,9 @@ def _decodes_within_cost_bound(stream: bytes) -> bool:
     return decoded
 
 
-@pytest.mark.parametrize("mode,refine,seed", [(CoderMode.HP, 0, 11), (CoderMode.XT, 4, 12)])
-def test_field_mutants_decode_within_the_cost_per_input_byte(mode, refine, seed):
+@pytest.mark.parametrize("arm,seed", [("hp", 11), ("xt-r4", 12)])
+def test_field_mutants_decode_within_the_cost_per_input_byte(arm, seed):
+    mode, refine = ARMS[arm]
     params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), q=100, refine_bits=refine)
     stream = encode(_patch_image(), params)
     assert _decodes_within_cost_bound(stream)
@@ -189,10 +192,11 @@ def test_field_mutants_decode_within_the_cost_per_input_byte(mode, refine, seed)
         _decodes_within_cost_bound(mutant)
 
 
-@pytest.mark.parametrize("mode,refine", [(CoderMode.HP, 0), (CoderMode.XT, 4)])
-def test_flat_image_decodes_within_the_cost_per_input_byte(mode, refine):
+@pytest.mark.parametrize("arm", ["hp", "xt-r4"])
+def test_flat_image_decodes_within_the_cost_per_input_byte(arm):
     """A flat image codes each pixel in the fewest bytes the format allows,
     so its decode holds the most memory per input byte of any valid stream."""
+    mode, refine = ARMS[arm]
     params = CodecParams(mode, tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), refine_bits=refine)
     flat = HdrImage(np.full((3, 512, 512), 0x3C00, dtype=np.uint16))
     assert _decodes_within_cost_bound(encode(flat, params))

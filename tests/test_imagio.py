@@ -359,7 +359,7 @@ def test_ppm_round_trip(rng):
     b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n2 1\n255\n",
     b"P6 2#width\n1 #height\r255\n",
     b"P6#\n#\n\n2\t1\n# maxval\n255 ",
-])
+], ids=["own-lines", "inside-lines", "empty-comments"])
 def test_parse_ppm_skips_header_comments(header):
     # Netpbm allows "#" comments, to the end of a line, between header tokens.
     pixels = bytes(range(6))

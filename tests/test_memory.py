@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import smooth_hdr_image, sparse_hdr_image
-from hdr2l.container import CodecParams, CoderMode, decode, encode
+from hdr2l.container import ARMS, CodecParams, decode, encode
 from hdr2l.imagio import HdrImage
 from hdr2l.tmo import TmoKind, TmoParams
 
 SIDE = 256
-ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode.XT, 4)}
 # B/px: the largest peak of either image, plus about 15 %.  One encode
 # ceiling covers every operator: the local operator's encode peak is
 # 46.6-47.1 B/px, its activity and Gaussians computed a block of rows at a

@@ -399,19 +399,21 @@ def test_payload_builder_matches_codec():
     assert code_planes(plane[None])[0] == _payload([0], "0" * E + "1" * B, f"{8:016b}")
 
 
+_MALFORMED_PAYLOADS = [
+    ("zero-run-above-E", _payload([0], "0" * (E + 1) + "1", ""), 1, f"more than {E} zeros"),
+    ("escape-below-E", _payload([0], "0" * E + "1", f"{E - 1:016b}"), 1, "below the escape"),
+    ("pad-nibble", _payload([0, 1], "1", ""), 1, "pad nibble"),
+    ("unary-pad-bit", _payload([0], "11", ""), 1, "pad bits after the unary"),
+    ("unary-extra-byte", _payload([0], "1" + "0" * 8, ""), 1, "last stop bit is sooner"),
+    ("missing-stop-bits", _payload([0], "1" + "0" * 7, ""), 2, "stop bits for 2 symbols"),
+    ("remainder-pad-bit", _payload([1], "1", "01"), 1, "pad bits after the remainder"),
+    ("remainder-extra-byte", _payload([1], "1", "0" * 9), 1, "fields imply"),
+    ("remainder-short", _payload([4], "1", ""), 1, "fields imply"),
+]
+
+
 @pytest.mark.parametrize(
-    "name,payload,width,match",
-    [
-        ("zero-run-above-E", _payload([0], "0" * (E + 1) + "1", ""), 1, f"more than {E} zeros"),
-        ("escape-below-E", _payload([0], "0" * E + "1", f"{E - 1:016b}"), 1, "below the escape"),
-        ("pad-nibble", _payload([0, 1], "1", ""), 1, "pad nibble"),
-        ("unary-pad-bit", _payload([0], "11", ""), 1, "pad bits after the unary"),
-        ("unary-extra-byte", _payload([0], "1" + "0" * 8, ""), 1, "last stop bit is sooner"),
-        ("missing-stop-bits", _payload([0], "1" + "0" * 7, ""), 2, "stop bits for 2 symbols"),
-        ("remainder-pad-bit", _payload([1], "1", "01"), 1, "pad bits after the remainder"),
-        ("remainder-extra-byte", _payload([1], "1", "0" * 9), 1, "fields imply"),
-        ("remainder-short", _payload([4], "1", ""), 1, "fields imply"),
-    ],
+    "name,payload,width,match", _MALFORMED_PAYLOADS, ids=[case[0] for case in _MALFORMED_PAYLOADS]
 )
 def test_decode_plane_rejects_malformed_payloads(name, payload, width, match):
     with pytest.raises(CorruptStreamError, match=match):

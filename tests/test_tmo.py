@@ -356,25 +356,38 @@ def test_predict_hdr_tables_match_per_pixel_reference(depth, kind, rng):
         assert outcomes[0, 5e307, HALF_MAX] is DomainError
 
 
-def test_top_codes_follow_a_non_monotone_level_table(rng):
-    """A pixel's top is its largest channel rank in the stable level order,
-    so the code it maps back to has the channel maximum of the levels, which
-    is not the largest code when the level table is not monotone."""
-    levels = rng.permutation(256) / 255.0
-    samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
-    samples[1, ::2] = samples[0, ::2]
-    order, top = tmo._top_ranks(samples, levels)
-    assert np.all(np.diff(levels[order]) >= 0)
-    assert np.array_equal(levels[order[top]], levels[samples].max(axis=0))
-    assert not np.array_equal(order[top], samples.max(axis=0))
+def _prediction_tables(depth: int, kind: TmoKind, monkeypatch) -> tuple[np.ndarray, np.ndarray]:
+    """The level and inverse tables :func:`predict_hdr` hands its tail for a
+    ``depth``-bit base."""
+    seen = []
+    name = "_predict_by_pairs" if depth == 8 else "_predict_per_pixel"
+    tail = getattr(tmo, name)
+    base = LdrImage(np.zeros((3, 1, 1), dtype=np.uint16), bit_depth=depth)
+    with monkeypatch.context() as patch:
+        patch.setattr(tmo, name, lambda samples, *tables: seen.append(tables) or tail(samples, *tables))
+        predict_hdr(base, TmoParams(kind=kind, log_avg=0.37, l_max=100.0))
+    (tables,) = seen
+    return tables
 
 
-def test_pair_table_follows_a_non_monotone_level_table(rng):
-    """The pair table's rows are ranked by level, not by code, so it agrees
-    with the per-pixel path, and with the formula evaluated directly, under a
-    level table that is not monotone."""
-    levels = rng.permutation(256) / 255.0
-    inverse = levels * 3.0
+@pytest.mark.parametrize("depth", [8, 12])
+def test_level_table_is_strictly_increasing(depth, monkeypatch):
+    """The top rule takes a pixel's largest channel code as the one with the
+    largest level.  That holds because consecutive levels differ by at least
+    1e-4 of the larger, about 2.4e12 ulps at 12 bits, far past any rounding
+    of the power."""
+    levels, _ = _prediction_tables(depth, TmoKind.DEFAULT, monkeypatch)
+    assert levels.shape == (1 << depth,)
+    gaps = np.diff(levels)
+    assert np.all(gaps >= 1e-4 * levels[1:])
+
+
+@pytest.mark.parametrize("kind", list(TmoKind), ids=lambda kind: kind.name.lower())
+def test_pair_table_matches_per_pixel_path_and_formula(kind, rng, monkeypatch):
+    """On the real 8-bit tables under every operator's inverse, the pair
+    table agrees with the per-pixel path and with the formula evaluated
+    directly, the top taken as the channel of the largest level."""
+    levels, inverse = _prediction_tables(8, kind, monkeypatch)
     samples = rng.integers(0, 256, size=(3, 16, 16)).astype(np.uint16)
     samples[1, ::2] = samples[0, ::2]
     got = tmo._predict_by_pairs(samples, levels, inverse)
@@ -384,8 +397,6 @@ def test_pair_table_follows_a_non_monotone_level_table(rng):
     lum_est = inverse[np.take_along_axis(samples, linearized.argmax(axis=0)[None], axis=0)[0]]
     want = half_encode_array(linearized / np.where(proxy > 0.0, proxy, 1.0) * lum_est)
     assert np.array_equal(got, want)
-    order, top = tmo._top_ranks(samples, levels)
-    assert not np.array_equal(order[top], samples.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
