@@ -5,14 +5,11 @@ from .container import CodecParams, CoderMode, SizeReport, decode, encode, extra
 from .imagio import (
     HdrImage,
     LdrImage,
-    half_decode,
-    half_encode,
     luminance,
     parse_pfm,
     parse_ppm,
     parse_rgbe,
     write_pfm,
-    write_ppm,
 )
 from .tmo import TmoKind, TmoParams, log_average_luminance, predict_hdr, tonemap
 from .tmqi import BoxStats, TmqiScore, boxstats, tmqi
@@ -33,14 +30,11 @@ __all__ = [
     "decode",
     "extract_ldr",
     "measure",
-    "half_encode",
-    "half_decode",
     "luminance",
     "parse_rgbe",
     "parse_pfm",
     "parse_ppm",
     "write_pfm",
-    "write_ppm",
     "log_average_luminance",
     "tonemap",
     "predict_hdr",

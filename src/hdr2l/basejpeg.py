@@ -36,15 +36,9 @@ passes give a lone DC the flat value
 clip(((level * q0 + 4) >> 3) + 128, 0, 255).  On the benchmark's exposure
 ladders about 93 % of units are DC-only, on its noisy textures none.
 
-``_JpegBitReader`` is the one bit reader left beside the windows.  The
-planned replacement keeps one int bit position over the windows, with no
-reader object, and reads each Huffman symbol by T.81's DECODE procedure
-(F.2.2.3) on a 16-bit peek: the peek is compared with the first code and
-count of each code length in turn.  Only that walk pays: the int position
-alone, under the per-bit walk, read the scan 1.12-1.38x slower than this
-reader.  The change waits for the benchmark to stop keeping every cell's
-stream until it reads peak RSS: there a faster texture cell raises
-``peak_rss_mb`` past its bound with no change in the codec's memory.
+``_JpegBitReader`` is the one bit reader left beside the windows: whole
+DC-only units are stepped over from the windows, and every other unit is read
+from it bit by bit.
 
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R

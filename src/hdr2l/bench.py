@@ -267,16 +267,19 @@ def run_grid(input_dir: Path, config: BenchConfig | None = None) -> GridResult:
     config = config or BenchConfig()
     input_dir = Path(input_dir)
     paths = sorted(p for p in input_dir.iterdir() if p.suffix.lower() in (".hdr", ".pfm"))
-    images = []
+    images = {}
     skipped = []
     for path in paths:
+        if path.stem in images:
+            skipped.append((path.name, f"repeats image id {path.stem!r}"))
+            continue
         try:
-            images.append((path.stem, load_hdr_file(path)))
+            images[path.stem] = load_hdr_file(path)
         except Hdr2lError as exc:
             skipped.append((path.name, str(exc)))
     if not images:
         raise BenchError(f"no usable HDR images in {input_dir}")
-    result = run_images(images, config)
+    result = run_images(list(images.items()), config)
     result.skipped.extend(skipped)
     return result
 

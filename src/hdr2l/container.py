@@ -93,7 +93,8 @@ ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode
 
 @dataclass(frozen=True)
 class CodecParams:
-    """Everything the encoder needs besides the image itself."""
+    """Everything the encoder needs besides the image itself.  ``tmo`` names
+    the operator only: :func:`encode` binds the image's statistics."""
 
     mode: CoderMode
     tmo: tmo.TmoParams
@@ -114,6 +115,10 @@ class CodecParams:
             raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
         if self.mode == CoderMode.HP and self.refine_bits != 0:
             raise ParameterError("the HP coder never carries a refinement scan (R must be 0)")
+        if not isinstance(self.tmo, tmo.TmoParams):
+            raise ParameterError(f"tmo must be a TmoParams, got {self.tmo!r}")
+        if self.tmo.log_avg or self.tmo.l_max:
+            raise ParameterError("tmo statistics are bound from the image by encode; pass TmoParams(kind)")
 
 
 @dataclass(frozen=True)

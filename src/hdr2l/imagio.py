@@ -11,10 +11,15 @@ File formats:
   value ``m`` with exponent byte ``e > 0`` decodes to ``m * 2**(e - 136)``;
   ``e == 0`` decodes to black.  The only accepted orientation is
   ``-Y height +X width`` with the first scanline as the top row.
-* PFM (``.pfm``), read and write, color ``PF`` only.  Scanlines are stored
-  bottom-to-top; the sign of the scale line selects endianness.
-* PPM ``P6`` (8-bit), read and write, for tone-mapped renderings: ``hdr2l
-  tmqi`` reads one to score it.
+* PFM (``.pfm``), read and write, color ``PF`` only.  The header is ``PF``,
+  the decimal width, height and scale separated by whitespace, then one
+  whitespace byte; the scale is ``[+-]`` digits with an optional fraction and
+  exponent, and nonzero.  ``nan``, ``inf`` and ``1_0`` are not numbers there.
+  Scanlines are stored bottom-to-top; the sign of the scale selects
+  endianness (negative: little-endian).
+* PPM ``P6`` (8-bit, maxval 255), read-only: it holds the tone-mapped
+  renderings that ``hdr2l tmqi`` scores.  Netpbm ``#`` comments may stand
+  between header tokens.
 
 Ingestion normalizes out-of-domain samples: negatives clamp to 0, +inf clamps
 to the half maximum, NaN is rejected.
@@ -38,33 +43,11 @@ MAX_DIMENSION = 65535
 LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
 
 
-def half_encode(value: float) -> int:
-    """Encode a non-negative finite real as a binary16 bit pattern.
-
-    Rounds to nearest even; values above the half maximum clamp to it.
-    """
-    v = float(value)
-    if math.isnan(v) or math.isinf(v) or v < 0.0:
-        raise DomainError(f"half_encode requires a finite non-negative value, got {value!r}")
-    if v > HALF_MAX:
-        return HALF_MAX_CODE
-    return int(np.float16(v).view(np.uint16))
-
-
-def half_decode(code: int) -> float:
-    """Exact real value of a non-negative finite binary16 bit pattern."""
-    c = int(code)
-    if not 0 <= c <= 0xFFFF:
-        raise DomainError(f"half code out of 16-bit range: {code!r}")
-    if c & 0x8000:
-        raise DomainError(f"half code 0x{c:04X} has the sign bit set")
-    if (c & 0x7C00) == 0x7C00:
-        raise DomainError(f"half code 0x{c:04X} is NaN or infinity")
-    return float(np.uint16(c).view(np.float16))
-
-
 def half_encode_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized half_encode. Same domain rules, returns uint16."""
+    """Binary16 bit patterns of non-negative finite reals, uint16.
+
+    Rounds to nearest even; values above the half maximum clamp to it.  NaN,
+    infinity or a negative value raises :class:`DomainError`."""
     a = np.asarray(values, dtype=np.float64)
     # min and max propagate NaN, so one test covers NaN, infinity and sign.
     if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
@@ -80,7 +63,7 @@ def half_encode_array(values: np.ndarray) -> np.ndarray:
 
 
 def half_decode_array(codes: np.ndarray) -> np.ndarray:
-    """Vectorized half_decode for already-validated code arrays."""
+    """Exact float64 values of already-validated binary16 code arrays."""
     c = np.ascontiguousarray(codes, dtype=np.uint16)
     return c.view(np.float16).astype(np.float64)
 
@@ -116,10 +99,6 @@ class HdrImage:
     @property
     def height(self) -> int:
         return self.samples.shape[1]
-
-    def linear(self) -> np.ndarray:
-        """Decoded linear-light values, float64, shape (3, h, w)."""
-        return half_decode_array(self.samples)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HdrImage):
@@ -179,15 +158,6 @@ def luminance(image: HdrImage) -> np.ndarray:
         lum += term
         del term  # before the next channel is decoded
     return lum
-
-
-def _normalize_linear(values: np.ndarray, where: str) -> np.ndarray:
-    """Apply the ingestion rules: clamp negatives to 0 and +inf to HALF_MAX."""
-    if np.isnan(values).any():
-        raise ParseError(f"{where}: NaN sample value")
-    out = np.clip(values, 0.0, None)
-    out[np.isposinf(out)] = HALF_MAX
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,65 +289,42 @@ def _read_flat_scanline(data: bytes, pos: int, out: np.ndarray) -> int:
 # PFM reader / writer
 
 
+# "PF", width, height, scale, then one whitespace byte (see the module docstring).
+_PFM_HEADER = re.compile(rb"PF\s+(\d+)\s+(\d+)\s+([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s")
+
+
 def parse_pfm(data: bytes) -> HdrImage:
-    """Parse a binary color PFM stream into half codes."""
-    pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError("truncated PFM header", offset=start)
-        return data[start:pos]
-
-    magic = token()
-    if magic != b"PF":
-        raise ParseError(f"unsupported PFM type {magic!r} (only color 'PF')", offset=0)
-    try:
-        width = int(token())
-        height = int(token())
-        scale = float(token())
-    except ValueError as exc:
-        raise ParseError(f"malformed PFM header: {exc}", offset=pos) from None
+    """Parse a binary color PFM stream into half codes, with the ingestion rules."""
+    m = _PFM_HEADER.match(data)
+    if not m:
+        raise ParseError("not a color PFM (PF) stream", offset=0)
+    width, height, scale = int(m.group(1)), int(m.group(2)), float(m.group(3))
     if not (1 <= width <= MAX_DIMENSION and 1 <= height <= MAX_DIMENSION):
-        raise ParseError(f"bad PFM dimensions {width}x{height}", offset=pos)
+        raise ParseError(f"bad PFM dimensions {width}x{height}", offset=m.end())
     if scale == 0.0:
-        raise ParseError("PFM scale must be nonzero", offset=pos)
-    pos += 1  # single whitespace byte after the scale token
+        raise ParseError("PFM scale must be nonzero", offset=m.end())
     count = width * height * 3
-    if len(data) - pos < count * 4:
-        raise ParseError("truncated PFM pixel data", offset=pos)
+    if len(data) - m.end() < count * 4:
+        raise ParseError("truncated PFM pixel data", offset=m.end())
     dtype = "<f4" if scale < 0 else ">f4"
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=pos).astype(np.float64)
-    values = values.reshape(height, width, 3)[::-1]  # rows are stored bottom-up
-    values = _normalize_linear(np.array(values), "PFM")
-    codes = half_encode_array(values)
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=m.end()).astype(np.float64)
+    if np.isnan(values).any():
+        raise ParseError("PFM: NaN sample value")
+    np.clip(values, 0.0, None, out=values)
+    values[np.isposinf(values)] = HALF_MAX
+    codes = half_encode_array(values.reshape(height, width, 3)[::-1])  # rows are stored bottom-up
     return HdrImage(np.transpose(codes, (2, 0, 1)))
 
 
 def write_pfm(image: HdrImage) -> bytes:
     """Serialize to little-endian color PFM (lossless for half-coded samples)."""
-    rgb = image.linear()  # (3, h, w)
-    interleaved = np.transpose(rgb, (1, 2, 0)).astype("<f4")
+    interleaved = np.transpose(half_decode_array(image.samples), (1, 2, 0)).astype("<f4")
     header = f"PF\n{image.width} {image.height}\n-1.0\n".encode("ascii")
     return header + interleaved[::-1].tobytes()
 
 
 # ---------------------------------------------------------------------------
-# PPM writer
-
-
-def write_ppm(image: LdrImage) -> bytes:
-    """Serialize an 8-bit image as binary PPM (P6, maxval 255)."""
-    if image.bit_depth != 8:
-        raise ParameterError(f"PPM writer requires 8-bit samples, got {image.bit_depth}-bit")
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    interleaved = np.transpose(image.samples, (1, 2, 0)).astype(np.uint8)
-    return header + interleaved.tobytes()
+# PPM reader
 
 
 # Between the tokens of a Netpbm header: whitespace, and "#" comments that run

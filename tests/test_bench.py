@@ -26,6 +26,7 @@ from hdr2l.imagio import write_pfm
 from hdr2l.tmo import TmoKind, TmoParams
 from hdr2l.tmqi import MIN_SIDE as TMQI_MIN_SIDE
 from hdr2l.tmqi import boxstats, tmqi
+from conftest import ppm_bytes
 
 
 SINGLE_TMO = BenchConfig(tmos=(TmoKind.DEFAULT,), compute_tmqi=False)
@@ -114,6 +115,19 @@ def test_run_grid_skips_rgbe_header_without_newline(tmp_path):
     result = run_grid(tmp_path, SINGLE_TMO)
     assert len(result.records) == 6
     assert result.skipped == [("cut.hdr", "unterminated RGBE signature line (byte offset 10)")]
+
+
+def test_run_grid_skips_a_file_that_repeats_an_image_id(tmp_path):
+    (first,) = write_corpus(tmp_path / "a", 1, size=24, seed=3)
+    (second,) = write_corpus(tmp_path / "b", 1, size=24, seed=4)
+    (tmp_path / "scene.PFM").write_bytes(first.read_bytes())
+    (tmp_path / "scene.pfm").write_bytes(second.read_bytes())
+    result = run_grid(tmp_path, SINGLE_TMO)
+    assert len(result.records) == 6
+    assert {r.image_id for r in result.records} == {"scene"}
+    assert result.skipped == [("scene.pfm", "repeats image id 'scene'")]
+    want = run_images([("scene", bench.load_hdr_file(first))], SINGLE_TMO)
+    assert [r.bpp for r in result.records] == [r.bpp for r in want.records]
 
 
 def test_run_grid_empty_directory_errors(tmp_path):
@@ -308,14 +322,14 @@ def test_cli_missing_or_unwritable_file_exits_1(command, tmp_path, capsys):
 
 def test_cli_tmqi_scores_a_ppm_with_a_comment_line(tmp_path, capsys):
     from hdr2l.cli import main
-    from hdr2l.imagio import luminance, write_ppm
+    from hdr2l.imagio import luminance
     from hdr2l.tmo import bind_image_stats, tonemap
 
     (pfm,) = write_corpus(tmp_path / "corpus", 1, size=TMQI_MIN_SIDE, seed=6)
     hdr = bench.load_hdr_file(pfm)
     lum = luminance(hdr)
     ldr = tonemap(hdr, lum, bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), lum))
-    ppm = write_ppm(ldr)
+    ppm = ppm_bytes(ldr)
     assert ppm.startswith(b"P6\n")
     ldr_path = tmp_path / "ldr.ppm"
     ldr_path.write_bytes(b"P6\n# CREATOR: GIMP PNM Filter Version 1.1\n" + ppm[3:])

@@ -75,6 +75,25 @@ def test_non_integral_codec_parameter_raises_parameter_error(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        (None, "must be a TmoParams"),
+        ("default", "must be a TmoParams"),
+        (tmo.TmoKind.DEFAULT, "must be a TmoParams"),
+        (tmo.TmoParams(tmo.TmoKind.DEFAULT, log_avg=5.0, l_max=9.0), "bound from the image"),
+        (tmo.TmoParams(tmo.TmoKind.DRAGO, l_max=9.0), "bound from the image"),
+    ],
+    ids=["none", "name", "kind", "bound", "peak-only"],
+)
+def test_codec_tmo_must_be_unbound_tmo_params(value, match):
+    """encode binds the statistics from the image, so a caller's statistics
+    would be ignored, and anything but a TmoParams would fail inside encode
+    with a bare TypeError."""
+    with pytest.raises(ParameterError, match=match):
+        CodecParams(mode=CoderMode.HP, tmo=value)
+
+
 def test_numpy_integer_codec_parameters_accepted():
     params = _params(mode=CoderMode.XT, q=np.int64(80), refine=np.uint8(4))
     assert (params.q, params.refine_bits) == (80, 4)

@@ -10,57 +10,48 @@ from hdr2l.imagio import (
     HdrImage,
     LdrImage,
     LUMA_WEIGHTS,
-    half_decode,
     half_decode_array,
-    half_encode,
     half_encode_array,
     luminance,
     parse_pfm,
     parse_ppm,
     parse_rgbe,
     write_pfm,
-    write_ppm,
 )
+from conftest import ppm_bytes
 
 
 # ---------------------------------------------------------------------------
 # half codes
 
 
+def _float16_codes(values) -> list[int]:
+    """The oracle: NumPy's own binary16 rounding, as bit patterns."""
+    return np.asarray(values, dtype=np.float64).astype(np.float16).view(np.uint16).tolist()
+
+
 def test_half_encode_known_values():
-    assert half_encode(0.0) == 0x0000
-    assert half_encode(1.0) == 0x3C00
-    assert half_encode(65504.0) == 0x7BFF
-    assert half_encode(0.5) == 0x3800
+    values = [0.0, 1.0, 65504.0, 0.5]
+    assert half_encode_array(np.array(values)).tolist() == [0x0000, 0x3C00, 0x7BFF, 0x3800]
+    assert _float16_codes(values) == [0x0000, 0x3C00, 0x7BFF, 0x3800]
 
 
 def test_half_encode_clamps_above_max():
-    assert half_encode(65505.0) == 0x7BFF
-    assert half_encode(1e30) == 0x7BFF
+    assert half_encode_array(np.array([65505.0, 1e30])).tolist() == [0x7BFF, 0x7BFF]
 
 
 def test_half_encode_rejects_bad_domain():
     for bad in (-1.0, -1e-30, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            half_encode(bad)
+            half_encode_array(np.array([bad]))
 
 
 def test_half_decode_known_values():
-    assert half_decode(0x3C00) == 1.0
-    assert half_decode(0x0001) == 2.0**-24
-    assert half_decode(0x7BFF) == 65504.0
-    assert half_decode(0x0000) == 0.0
-
-
-def test_half_decode_rejects_invalid_codes():
-    with pytest.raises(DomainError):
-        half_decode(0x8000)  # sign bit
-    with pytest.raises(DomainError):
-        half_decode(0x7C00)  # +inf
-    with pytest.raises(DomainError):
-        half_decode(0x7C01)  # NaN
-    with pytest.raises(DomainError):
-        half_decode(0x10000)
+    codes = np.array([0x3C00, 0x0001, 0x7BFF, 0x0000], dtype=np.uint16)
+    values = half_decode_array(codes)
+    assert values.dtype == np.float64
+    assert values.tolist() == [1.0, 2.0**-24, 65504.0, 0.0]
+    assert values.tolist() == codes.view(np.float16).astype(np.float64).tolist()
 
 
 def test_half_round_trip_all_valid_codes_vectorized():
@@ -79,7 +70,10 @@ def test_half_encode_array_boundaries_match_scalar():
     expected = [0x7BFF] * 5 + [0x0001, 0x0000, 0x0001, 0x0002, 0x0000, 0x0000]
     codes = half_encode_array(np.array(values))
     assert codes.dtype == np.uint16
-    assert codes.tolist() == expected == [half_encode(v) for v in values]
+    assert codes.tolist() == expected
+    # Where binary16 does not overflow, each value rounds as np.float16 rounds it.
+    unclamped = [i for i, v in enumerate(values) if v < 65520.0]
+    assert _float16_codes([values[i] for i in unclamped]) == [expected[i] for i in unclamped]
 
 
 @pytest.mark.parametrize("values, message", [
@@ -93,15 +87,10 @@ def test_half_encode_array_rejects_bad_domain(values, message):
         half_encode_array(np.array(values))
 
 
-def test_half_round_trip_spot_scalars():
-    for code in (0, 1, 2, 0x03FF, 0x0400, 0x3C00, 0x7BFF, 12345):
-        assert half_encode(half_decode(code)) == code
-
-
 def test_half_encode_rounds_to_nearest_even():
     # 1 + 2^-11 is exactly between 1.0 and the next half; ties go to even.
-    assert half_encode(1.0 + 2.0**-11) == 0x3C00
-    assert half_encode(1.0 + 3 * 2.0**-11) == 0x3C02
+    values = [1.0 + 2.0**-11, 1.0 + 3 * 2.0**-11]
+    assert half_encode_array(np.array(values)).tolist() == [0x3C00, 0x3C02] == _float16_codes(values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +146,8 @@ def test_ldr_image_range_check():
 
 def test_luminance_known_pixels():
     codes = np.zeros((3, 1, 2), dtype=np.uint16)
-    codes[:, 0, 0] = half_encode(1.0)  # white
-    codes[0, 0, 1] = half_encode(1.0)  # pure red
+    codes[:, 0, 0] = 0x3C00  # white
+    codes[0, 0, 1] = 0x3C00  # pure red
     lum = luminance(HdrImage(codes))
     assert lum[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert lum[0, 1] == pytest.approx(0.2126, abs=1e-12)
@@ -166,11 +155,7 @@ def test_luminance_known_pixels():
 
 def test_luminance_uniform_image_scalar_oracle():
     r, g, b = 0.25, 0.5, 0.75
-    codes = np.stack([
-        np.full((4, 4), half_encode(r), dtype=np.uint16),
-        np.full((4, 4), half_encode(g), dtype=np.uint16),
-        np.full((4, 4), half_encode(b), dtype=np.uint16),
-    ])
+    codes = half_encode_array(np.broadcast_to(np.array([r, g, b])[:, None, None], (3, 4, 4)))
     expected = LUMA_WEIGHTS[0] * r + LUMA_WEIGHTS[1] * g + LUMA_WEIGHTS[2] * b
     assert np.allclose(luminance(HdrImage(codes)), expected, atol=1e-12)
 
@@ -309,10 +294,35 @@ def test_pfm_ingestion_normalization():
     data = b"PF\n1 1\n-1.0\n" + np.array([-2.0, np.inf, 1.0], dtype="<f4").tobytes()
     img = parse_pfm(data)
     assert img.samples[0, 0, 0] == 0  # negative clamps to zero
-    assert half_decode(int(img.samples[1, 0, 0])) == HALF_MAX
+    assert half_decode_array(img.samples[1, 0, 0]) == HALF_MAX
     nan_data = b"PF\n1 1\n-1.0\n" + np.array([np.nan, 0, 0], dtype="<f4").tobytes()
     with pytest.raises(ParseError):
         parse_pfm(nan_data)
+
+
+@pytest.mark.parametrize("header", [
+    b"PF 1 1 -1 ",
+    b"PF\n\n1\t1\r-1e0\n",
+    b"PF\n01 1\n-.5\n",
+    b"PF\n1 1\n-2.\n",
+], ids=["spaces", "mixed-whitespace", "leading-zero", "trailing-point"])
+def test_pfm_header_accepts_decimal_tokens_and_any_whitespace(header):
+    pixels = np.array([0.5, 1.0, 2.0], dtype="<f4").tobytes()
+    assert parse_pfm(header + pixels) == parse_pfm(b"PF\n1 1\n-1.0\n" + pixels)
+
+
+@pytest.mark.parametrize("header", [
+    b"PF\n1 1\nnan\n",
+    b"PF\n1 1\ninf\n",
+    b"PF\n1 1\n-inf\n",
+    b"PF\n1_0 1\n-1.0\n",
+    b"PF\n1 1\n-1_0\n",
+], ids=["nan-scale", "inf-scale", "minus-inf-scale", "underscore-width", "underscore-scale"])
+def test_pfm_header_refuses_non_decimal_numbers(header):
+    # int() and float() accept these tokens; the PFM header grammar does not.
+    with pytest.raises(ParseError, match="not a color PFM") as err:
+        parse_pfm(header + bytes(10 * 3 * 4))
+    assert err.value.offset == 0
 
 
 def test_pfm_errors():
@@ -328,31 +338,17 @@ def test_pfm_errors():
 # PPM
 
 
-def test_write_ppm_golden_all_zero():
-    img = LdrImage(np.zeros((3, 2, 2), dtype=np.uint16), bit_depth=8)
-    assert write_ppm(img) == b"P6\n2 2\n255\n" + b"\x00" * 12
-
-
-def test_write_ppm_interleaving():
-    samples = np.zeros((3, 1, 2), dtype=np.uint16)
-    samples[0, 0, 0] = 1
-    samples[1, 0, 0] = 2
-    samples[2, 0, 0] = 3
-    samples[:, 0, 1] = (4, 5, 6)
-    body = write_ppm(LdrImage(samples, bit_depth=8))[len(b"P6\n2 1\n255\n"):]
-    assert body == bytes([1, 2, 3, 4, 5, 6])
-
-
-def test_write_ppm_requires_8_bit():
-    img = LdrImage(np.zeros((3, 1, 1), dtype=np.uint16), bit_depth=12)
-    with pytest.raises(ParameterError):
-        write_ppm(img)
-
-
 def test_ppm_round_trip(rng):
     samples = rng.integers(0, 256, size=(3, 5, 7)).astype(np.uint16)
     img = LdrImage(samples, bit_depth=8)
-    assert parse_ppm(write_ppm(img)) == img
+    assert parse_ppm(ppm_bytes(img)) == img
+
+
+def test_parse_ppm_interleaving():
+    img = parse_ppm(b"P6\n2 1\n255\n" + bytes([1, 2, 3, 4, 5, 6]))
+    assert img.bit_depth == 8
+    assert img.samples[:, 0, 0].tolist() == [1, 2, 3]
+    assert img.samples[:, 0, 1].tolist() == [4, 5, 6]
 
 
 @pytest.mark.parametrize("header", [

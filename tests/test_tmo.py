@@ -16,7 +16,6 @@ from hdr2l.imagio import (
     HdrImage,
     LdrImage,
     half_decode_array,
-    half_encode,
     half_encode_array,
     luminance,
 )
@@ -46,8 +45,7 @@ from conftest import smooth_hdr_image, sparse_hdr_image
 
 
 def _uniform_image(value: float, size: int = 4) -> HdrImage:
-    code = half_encode(value)
-    return HdrImage(np.full((3, size, size), code, dtype=np.uint16))
+    return HdrImage(half_encode_array(np.full((3, size, size), value)))
 
 
 def _gray_image(lums: np.ndarray) -> HdrImage:
@@ -408,7 +406,7 @@ def test_pair_table_matches_per_pixel_path_and_formula(kind, rng, monkeypatch):
 
 
 def _luminance_whole(image: HdrImage) -> np.ndarray:
-    rgb = image.linear()
+    rgb = half_decode_array(image.samples)
     w = LUMA_WEIGHTS
     return w[0] * rgb[0] + w[1] * rgb[1] + w[2] * rgb[2]
 
@@ -454,7 +452,7 @@ def _tonemap_whole(image: HdrImage, params: TmoParams, refine_bits: int) -> np.n
 
 
 def _map_channels_whole(image: HdrImage, lum: np.ndarray, display: np.ndarray, refine_bits: int) -> np.ndarray:
-    rgb = image.linear()
+    rgb = half_decode_array(image.samples)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(lum > 0.0, rgb / np.where(lum > 0.0, lum, 1.0), 0.0)
     maxval = (1 << (8 + refine_bits)) - 1
