@@ -59,7 +59,10 @@ least 14 bits per 8 x 8 block (36.6 px/B), so at 32 B/px C1 is 1,170 B.  A
 frame larger than its scan is refused at 85 px/B, before its 6 B/px level
 array exists.  A stream that decodes also holds k tables of 1 byte per 32 px,
 17.1 px/B at most in all, so its C1 is 550 B (a flat 1024 x 1024 stream: 541
-B per input byte on HP, 455 on XT with R = 4).
+B per input byte on HP, 455 on XT with R = 4).  Time per base byte:
+:func:`basejpeg.decode_base` took 1.9 us on a 1.08 MB q100 base of uniform
+noise (512 x 512, 2.05 s) and 1.2-1.3 us on the 29,281 B base of a flat 1024 x
+1024 image (36-37 ms); minimum of 9 runs, 2-vCPU Intel Xeon, NumPy 2.4.6.
 """
 
 from __future__ import annotations

@@ -7,10 +7,16 @@ exactly invertible.
 
 File formats:
 
-* Radiance RGBE (``.hdr``), read-only, flat and RLE scanlines.  The component
-  value ``m`` with exponent byte ``e > 0`` decodes to ``m * 2**(e - 136)``;
-  ``e == 0`` decodes to black.  The only accepted orientation is
-  ``-Y height +X width`` with the first scanline as the top row.
+* Radiance RGBE (``.hdr``), read-only, flat and RLE scanlines.  The header
+  is ``#?RADIANCE`` or ``#?RGBE`` and the rest of that line, then header
+  lines that are not empty, one empty line, and the resolution line
+  ``-Y height +X width``, each line ending in a newline byte (Ward, "Real
+  pixels", Graphics Gems II, 1991).  A ``FORMAT=`` line must read
+  ``FORMAT=32-bit_rle_rgbe``; other header lines (comments, ``EXPOSURE=``,
+  ...) are ignored.  No other orientation is accepted, so the first
+  scanline is the top row.  The component value ``m`` with
+  exponent byte ``e > 0`` decodes to ``m * 2**(e - 136)``; ``e == 0``
+  decodes to black.
 * PFM (``.pfm``), read and write, color ``PF`` only.  The header is ``PF``,
   the decimal width, height and scale separated by whitespace, then one
   whitespace byte; the scale is ``[+-]`` digits with an optional fraction and
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,8 +52,9 @@ LUMA_WEIGHTS = (0.2126, 0.7152, 0.0722)
 def half_encode_array(values: np.ndarray) -> np.ndarray:
     """Binary16 bit patterns of non-negative finite reals, uint16.
 
-    Rounds to nearest even; values above the half maximum clamp to it.  NaN,
-    infinity or a negative value raises :class:`DomainError`."""
+    Rounds to nearest even; values above the half maximum clamp to it, and
+    -0.0 gives code 0.  NaN, infinity or a negative value raises
+    :class:`DomainError`."""
     a = np.asarray(values, dtype=np.float64)
     # min and max propagate NaN, so one test covers NaN, infinity and sign.
     if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
@@ -57,9 +64,11 @@ def half_encode_array(values: np.ndarray) -> np.ndarray:
             raise DomainError("half_encode_array: infinity in input")
         raise DomainError("half_encode_array: negative value in input")
     with np.errstate(over="ignore"):
-        h = a.astype(np.float16)
-    # Round-to-nearest overflows to +inf from 65520 up; those take HALF_MAX_CODE.
-    return np.where(np.isinf(h), np.uint16(HALF_MAX_CODE), h.view(np.uint16))
+        codes = a.astype(np.float16).view(np.uint16)
+    # -0.0 passes the sign test and takes the code of +0.  Round-to-nearest
+    # overflows to +inf (0x7C00) from 65520 up; those take HALF_MAX_CODE.
+    codes &= 0x7FFF
+    return np.minimum(codes, HALF_MAX_CODE, out=codes)
 
 
 def half_decode_array(codes: np.ndarray) -> np.ndarray:
@@ -68,27 +77,24 @@ def half_decode_array(codes: np.ndarray) -> np.ndarray:
     return c.view(np.float16).astype(np.float64)
 
 
-def _valid_half_codes(codes: np.ndarray) -> bool:
-    """No uint16 code is negative, NaN or infinite: every code with the sign
-    bit clear and an exponent below all ones is below 0x7C00."""
-    return int(codes.max()) < 0x7C00
-
-
 @dataclass(frozen=True, eq=False)
-class HdrImage:
-    """Linear-light RGB image; samples are binary16 bit codes, one uint16
-    plane per channel, shape (3, height, width), row-major."""
+class _Planes:
+    """Three uint16 planes, shape (3, height, width), row-major, read-only."""
 
     samples: np.ndarray
 
-    def __post_init__(self):
+    def _freeze(self, limit: int, message: str) -> None:
+        """Store ``samples`` as a read-only, C-contiguous (3, h, w) uint16
+        array with at least one pixel; a code of ``limit`` or more raises
+        :class:`DomainError` with ``message``."""
+        name = type(self).__name__
         arr = np.ascontiguousarray(self.samples, dtype=np.uint16)
         if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ParameterError(f"HdrImage samples must have shape (3, h, w), got {arr.shape}")
+            raise ParameterError(f"{name} samples must have shape (3, h, w), got {arr.shape}")
         if arr.shape[1] < 1 or arr.shape[2] < 1:
-            raise ParameterError("HdrImage must have at least one pixel")
-        if not _valid_half_codes(arr):
-            raise DomainError("HdrImage samples contain negative, NaN, or infinite half codes")
+            raise ParameterError(f"{name} must have at least one pixel")
+        if int(arr.max()) >= limit:
+            raise DomainError(message)
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
@@ -101,48 +107,33 @@ class HdrImage:
         return self.samples.shape[1]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, HdrImage):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.samples.shape == other.samples.shape and bool(
-            np.array_equal(self.samples, other.samples)
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
-class LdrImage:
+class HdrImage(_Planes):
+    """Linear-light RGB image; samples are binary16 bit codes.
+
+    A code above ``HALF_MAX_CODE`` has the sign bit set or an exponent of all
+    ones, so every valid code is non-negative and finite."""
+
+    def __post_init__(self):
+        self._freeze(HALF_MAX_CODE + 1, "HdrImage samples contain negative, NaN, or infinite half codes")
+
+
+@dataclass(frozen=True, eq=False)
+class LdrImage(_Planes):
     """Tone-mapped integer RGB image with 8 to 16 bits per sample."""
 
-    samples: np.ndarray
     bit_depth: int = 8
 
     def __post_init__(self):
         if not 8 <= int(self.bit_depth) <= 16:
             raise ParameterError(f"LdrImage bit depth must be in [8, 16], got {self.bit_depth}")
-        arr = np.ascontiguousarray(self.samples, dtype=np.uint16)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ParameterError(f"LdrImage samples must have shape (3, h, w), got {arr.shape}")
-        if arr.shape[1] < 1 or arr.shape[2] < 1:
-            raise ParameterError("LdrImage must have at least one pixel")
-        if int(arr.max(initial=0)) >= (1 << int(self.bit_depth)):
-            raise DomainError(f"LdrImage sample exceeds {self.bit_depth}-bit range")
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "bit_depth", int(self.bit_depth))
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[2]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LdrImage):
-            return NotImplemented
-        return self.bit_depth == other.bit_depth and bool(
-            np.array_equal(self.samples, other.samples)
-        )
+        self._freeze(1 << self.bit_depth, f"LdrImage sample exceeds {self.bit_depth}-bit range")
 
 
 def luminance(image: HdrImage) -> np.ndarray:
@@ -164,69 +155,41 @@ def luminance(image: HdrImage) -> np.ndarray:
 # Radiance RGBE reader
 
 
-_RESOLUTION_RE = re.compile(rb"^-Y (\d+) \+X (\d+)$")
+# The signature line, header lines that are not empty, one empty line, then
+# the resolution line (see the module docstring).
+_RGBE_HEADER = re.compile(rb"#\?(?:RADIANCE|RGBE)[^\n]*\n((?:[^\n]+\n)*)\n-Y (\d+) \+X (\d+)\n")
 
 
 def parse_rgbe(data: bytes) -> HdrImage:
     """Parse a Radiance RGBE stream (flat or RLE scanlines)."""
-    if not (data.startswith(b"#?RADIANCE") or data.startswith(b"#?RGBE")):
-        raise ParseError("missing #?RADIANCE / #?RGBE signature", offset=0)
-
-    pos = data.find(b"\n") + 1
-    if not pos:
-        raise ParseError("unterminated RGBE signature line", offset=len(data))
-    # Header: variable lines terminated by one empty line.
-    while True:
-        end = data.find(b"\n", pos)
-        if end < 0:
-            raise ParseError("unterminated RGBE header", offset=pos)
-        line = data[pos:end]
-        pos = end + 1
-        if line == b"":
-            break
-        if line.startswith(b"#"):
-            continue
-        if line.startswith(b"FORMAT="):
-            if line != b"FORMAT=32-bit_rle_rgbe":
-                raise ParseError(f"unsupported RGBE format {line!r}", offset=pos - len(line) - 1)
-        # Other header variables (EXPOSURE, GAMMA, ...) are ignored.
-
-    end = data.find(b"\n", pos)
-    if end < 0:
-        raise ParseError("missing resolution line", offset=pos)
-    m = _RESOLUTION_RE.match(data[pos:end])
+    m = _RGBE_HEADER.match(data)
     if not m:
-        raise ParseError(f"unsupported orientation string {data[pos:end]!r}", offset=pos)
-    pos = end + 1
-    height = int(m.group(1))
-    width = int(m.group(2))
+        raise ParseError("not a Radiance RGBE stream with a -Y h +X w header", offset=0)
+    pos = m.start(1)
+    for line in m.group(1).split(b"\n")[:-1]:
+        if line.startswith(b"FORMAT=") and line != b"FORMAT=32-bit_rle_rgbe":
+            raise ParseError(f"unsupported RGBE format {line!r}", offset=pos)
+        pos += len(line) + 1
+    height, width = int(m.group(2)), int(m.group(3))
     if not (1 <= width <= MAX_DIMENSION and 1 <= height <= MAX_DIMENSION):
-        raise ParseError(f"bad RGBE dimensions {width}x{height}", offset=pos)
+        raise ParseError(f"bad RGBE dimensions {width}x{height}", offset=m.end())
 
+    # A scanline that opens with 2, 2 and its width as u16 is RLE, when the
+    # width is in the range that RLE encodes.
+    rle_mark = bytes((2, 2, width >> 8, width & 0xFF)) if 8 <= width <= 0x7FFF else None
     rgbe = np.empty((height, width, 4), dtype=np.uint8)
-    for row in range(height):
-        pos = _read_scanline(data, pos, rgbe[row])
+    pos = m.end()
+    for row in rgbe:
+        if data[pos : pos + 4] == rle_mark:
+            pos = _read_rle_scanline(data, pos + 4, row)
+        else:
+            pos = _read_flat_scanline(data, pos, row)
 
     exp = rgbe[:, :, 3].astype(np.int32)
     scale = np.where(exp > 0, np.exp2((exp - 136).astype(np.float64)), 0.0)
     linear = rgbe[:, :, :3].astype(np.float64) * scale[:, :, None]
     codes = half_encode_array(linear)
     return HdrImage(np.transpose(codes, (2, 0, 1)))
-
-
-def _read_scanline(data: bytes, pos: int, out: np.ndarray) -> int:
-    """Decode one scanline of RGBE quads into ``out`` (width, 4). Returns new pos."""
-    width = out.shape[0]
-    if pos + 4 > len(data):
-        raise ParseError("truncated RGBE scanline", offset=pos)
-    if (
-        8 <= width <= 0x7FFF
-        and data[pos] == 2
-        and data[pos + 1] == 2
-        and (data[pos + 2] << 8 | data[pos + 3]) == width
-    ):
-        return _read_rle_scanline(data, pos + 4, out)
-    return _read_flat_scanline(data, pos, out)
 
 
 def _read_rle_scanline(data: bytes, pos: int, out: np.ndarray) -> int:

@@ -385,9 +385,9 @@ def _local_adaptation(scaled: np.ndarray) -> np.ndarray:
 
 def display_luminance(lum: np.ndarray, params: TmoParams) -> np.ndarray:
     """Map scene luminance to display luminance under the chosen operator."""
+    if not params.bound:
+        raise ParameterError("tone mapping requires bound TmoParams (call bind_image_stats)")
     if params.kind == TmoKind.DRAGO:
-        if params.l_max <= 0:
-            raise ParameterError("Drago operator requires bound l_max")
         return _drago_curve(lum, params.l_max)
     # Each curve is evaluated in the order its formula reads, in place; IEEE
     # addition and multiplication commute, so 1 + x is computed as x + 1.
@@ -412,8 +412,6 @@ def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: in
     """
     if refine_bits not in REFINE_BIT_CHOICES:
         raise ParameterError(f"refine_bits must be one of {REFINE_BIT_CHOICES}, got {refine_bits}")
-    if params.log_avg <= 0:
-        raise ParameterError("tonemap requires bound TmoParams (call bind_image_stats)")
     display = display_luminance(lum, params)
     # Zero luminance means all three half codes are 0, which 0 / 1 maps to 0.
     divisor = np.where(lum > 0.0, lum, 1.0)
@@ -515,12 +513,10 @@ def predict_hdr(base: LdrImage, params: TmoParams) -> HdrImage:
     raises no floating-point warning: a non-finite value that some pixel
     takes is refused by :func:`half_encode_array` with ``DomainError``.
     """
-    if params.log_avg <= 0:
+    if not params.bound:
         raise ParameterError("predict_hdr requires bound TmoParams (call bind_image_stats)")
     maxval = (1 << base.bit_depth) - 1
     levels = np.power(np.arange(maxval + 1, dtype=np.float64) / maxval, GAMMA)
-    if params.kind == TmoKind.DRAGO and params.l_max <= 0:
-        raise ParameterError("Drago inverse requires bound l_max")
     with np.errstate(over="ignore", invalid="ignore"):
         if params.kind == TmoKind.DRAGO:
             inverse = _drago_inverse(levels, params.l_max)

@@ -114,7 +114,7 @@ def test_run_grid_skips_rgbe_header_without_newline(tmp_path):
     (tmp_path / "cut.hdr").write_bytes(b"#?RADIANCE")
     result = run_grid(tmp_path, SINGLE_TMO)
     assert len(result.records) == 6
-    assert result.skipped == [("cut.hdr", "unterminated RGBE signature line (byte offset 10)")]
+    assert result.skipped == [("cut.hdr", "not a Radiance RGBE stream with a -Y h +X w header (byte offset 0)")]
 
 
 def test_run_grid_skips_a_file_that_repeats_an_image_id(tmp_path):

@@ -34,6 +34,10 @@ def test_half_encode_known_values():
     values = [0.0, 1.0, 65504.0, 0.5]
     assert half_encode_array(np.array(values)).tolist() == [0x0000, 0x3C00, 0x7BFF, 0x3800]
     assert _float16_codes(values) == [0x0000, 0x3C00, 0x7BFF, 0x3800]
+    # -0.0 is not negative; it takes +0's code, not np.float16's 0x8000.
+    assert half_encode_array(np.array([-0.0, 0.0, -0.0])).tolist() == [0, 0, 0]
+    assert _float16_codes([-0.0]) == [0x8000]
+    assert HdrImage(half_encode_array(np.full((3, 1, 1), -0.0))) == HdrImage(np.zeros((3, 1, 1)))
 
 
 def test_half_encode_clamps_above_max():
@@ -105,24 +109,25 @@ def test_hdr_image_validates_codes():
         HdrImage(np.zeros((2, 2, 2), dtype=np.uint16))
 
 
-def _valid_half_codes_two_masks(codes: np.ndarray) -> bool:
-    """The check the single reduction replaced: sign bit clear, exponent not
-    all ones."""
-    return bool(((codes & 0x8000) == 0).all() and ((codes & 0x7C00) != 0x7C00).all())
+def _valid_half_codes_two_masks(codes: np.ndarray) -> np.ndarray:
+    """Per code: sign bit clear and exponent not all ones."""
+    return ((codes & 0x8000) == 0) & ((codes & 0x7C00) != 0x7C00)
 
 
-def test_valid_half_codes_equals_the_two_mask_check_on_every_code():
+def test_hdr_image_limit_equals_the_two_mask_check_on_every_code():
     codes = np.arange(1 << 16, dtype=np.uint16)
-    valid = np.array([imagio._valid_half_codes(codes[i : i + 1]) for i in range(1 << 16)])
-    assert np.array_equal(valid, [_valid_half_codes_two_masks(codes[i : i + 1]) for i in range(1 << 16)])
-    assert np.array_equal(np.flatnonzero(valid), np.arange(0x7C00))
-    # One bad code among valid ones decides the whole array either way.
-    grid = np.arange(0x7C00, dtype=np.uint16).reshape(31, 32, 32)
+    assert np.array_equal(_valid_half_codes_two_masks(codes), codes <= imagio.HALF_MAX_CODE)
+    assert imagio.HALF_MAX_CODE == 0x7BFF
+    assert HdrImage(np.full((3, 1, 1), 0x7BFF)).samples.max() == 0x7BFF
+    # Every valid code is accepted, and one bad code among them decides the
+    # whole image.
+    grid = np.resize(np.arange(0x7C00, dtype=np.uint16), (3, 32, 331))
+    assert HdrImage(grid).samples.max() == 0x7BFF
     for bad in (0x7C00, 0x7E00, 0x8000, 0xFBFF, 0xFFFF):
         mixed = grid.copy()
         mixed[1, 10, 20] = bad
-        assert imagio._valid_half_codes(mixed) is _valid_half_codes_two_masks(mixed) is False
-    assert imagio._valid_half_codes(grid) is _valid_half_codes_two_masks(grid) is True
+        with pytest.raises(DomainError, match="negative, NaN, or infinite"):
+            HdrImage(mixed)
 
 
 def test_hdr_image_equality_and_immutability():
@@ -251,9 +256,44 @@ def test_parse_rgbe_errors():
 
 @pytest.mark.parametrize("data", [b"#?RADIANCE", b"#?RGBE FORMAT=32-bit_rle_rgbe"])
 def test_parse_rgbe_signature_without_newline(data):
-    with pytest.raises(ParseError, match="signature line") as err:
+    with pytest.raises(ParseError, match="not a Radiance RGBE stream") as err:
         parse_rgbe(data)
-    assert err.value.offset == len(data)
+    assert err.value.offset == 0
+
+
+_ONE_PIXEL = bytes([40, 20, 30, 130])
+
+
+@pytest.mark.parametrize("header", [
+    b"#?RGBE\n\n-Y 1 +X 1\n",
+    b"#?RADIANCE\n# made by hand\nEXPOSURE=2.0\nFORMAT=32-bit_rle_rgbe\n\n-Y 1 +X 1\n",
+    b"#?RADIANCE\nGAMMA=1.0\n\n-Y 1 +X 1\n",
+    b"#?RADIANCE 5.2\n#FORMAT=32-bit_rle_xyze\n\n-Y 1 +X 1\n",
+], ids=["rgbe-signature", "comment-and-exposure", "no-format-line", "format-in-a-comment"])
+def test_rgbe_header_accepts_the_radiance_grammar(header):
+    assert parse_rgbe(header + _ONE_PIXEL) == parse_rgbe(_rgbe_header(1, 1) + _ONE_PIXEL)
+
+
+@pytest.mark.parametrize("header", [
+    b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n-Y 1 +X 1\n",
+    b"#?RADIANCE\n\n+Y 1 +X 1\n",
+    b"#?RADIANCE\n\n-Y 1 +X 1",
+    b"#?RADIANCE\n\n-Y 1 +X 1 \n",
+    b"#?RADIANCE\r\n\r\n-Y 1 +X 1\r\n",
+    b"?RADIANCE\n\n-Y 1 +X 1\n",
+    b"#?RADIANCE\n\n-Y +1 +X 1\n",
+], ids=["no-empty-line", "plus-y", "no-newline-after-resolution", "space-after-resolution", "crlf", "no-hash", "signed-height"])
+def test_rgbe_header_refuses_other_layouts(header):
+    with pytest.raises(ParseError, match="not a Radiance RGBE stream") as err:
+        parse_rgbe(header + _ONE_PIXEL)
+    assert err.value.offset == 0
+
+
+def test_rgbe_header_refuses_another_format_at_its_line():
+    data = b"#?RADIANCE\n# note\nFORMAT=32-bit_rle_xyze\n\n-Y 1 +X 1\n" + _ONE_PIXEL
+    with pytest.raises(ParseError, match="unsupported RGBE format b'FORMAT=32-bit_rle_xyze'") as err:
+        parse_rgbe(data)
+    assert err.value.offset == data.index(b"FORMAT=")
 
 
 def test_parse_rgbe_huge_values_clamp_to_half_max():

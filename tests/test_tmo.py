@@ -216,6 +216,21 @@ def test_tonemap_rejects_bad_refine_and_unbound_params():
         tonemap(img, luminance(img), TmoParams(kind=TmoKind.DEFAULT), 0)
 
 
+@pytest.mark.parametrize("kind", list(TmoKind), ids=lambda k: k.name.lower())
+@pytest.mark.parametrize("stats", [{"log_avg": 0.5}, {"l_max": 10.0}], ids=["log-avg-only", "peak-only"])
+def test_half_bound_params_are_refused_by_every_operator(kind, stats):
+    # Tone mapping and prediction need both statistics under every operator.
+    from hdr2l.imagio import LdrImage
+
+    params = TmoParams(kind=kind, **stats)
+    assert not params.bound
+    img = _uniform_image(1.0)
+    with pytest.raises(ParameterError, match="requires bound TmoParams"):
+        tonemap(img, luminance(img), params, 0)
+    with pytest.raises(ParameterError, match="requires bound TmoParams"):
+        predict_hdr(LdrImage(np.zeros((3, 2, 2), dtype=np.uint16)), params)
+
+
 def test_tonemap_monotone_in_luminance_for_global_kinds():
     lums = np.sort(np.exp(np.linspace(-4, 5, 64))).reshape(1, 64)
     img = _gray_image(lums)
