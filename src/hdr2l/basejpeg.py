@@ -789,33 +789,24 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Refinement plane
 
-# Legal refinement depths R: the base alone, or a 12-bit tone-mapped image.
-REFINE_BIT_CHOICES = (0, 4)
-
-
 @dataclass(frozen=True)
 class RefinementPlane:
     """Losslessly coded plane of the R least significant sample bits: R and
     one payload per channel, none when R == 0.  Its size is the base image's,
-    which :func:`merge_refinement` decodes it at."""
+    which :func:`merge_refinement` decodes it at.  Which depths a stream may
+    carry is :data:`container.ARMS`'s rule, checked where R is read."""
 
     refine_bits: int
     payloads: tuple[bytes, ...]
 
     def __post_init__(self):
-        if self.refine_bits not in REFINE_BIT_CHOICES:
-            raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
-        if self.refine_bits == 0 and self.payloads:
-            raise ParameterError("refinement payload must be absent when R == 0")
-        if self.refine_bits and len(self.payloads) != 3:
-            raise ParameterError("refinement requires one payload per channel")
+        if len(self.payloads) != (3 if self.refine_bits else 0):
+            raise ParameterError("refinement needs one payload per channel when R > 0 and none when R == 0")
 
 
 def split_refinement(image: LdrImage) -> tuple[LdrImage, RefinementPlane]:
-    """Split an (8+R)-bit image into its 8-bit top and a coded R-bit plane."""
+    """Split an (8+R)-bit image, R <= 8, into its 8-bit top and a coded R-bit plane."""
     refine_bits = image.bit_depth - 8
-    if refine_bits not in REFINE_BIT_CHOICES:
-        raise ParameterError(f"bit depth {image.bit_depth} is not 8 + R, R in {REFINE_BIT_CHOICES}")
     if refine_bits == 0:
         return image, RefinementPlane(0, ())
     top = LdrImage(image.samples >> refine_bits, bit_depth=8)

@@ -105,6 +105,8 @@ def synthetic_corpus(count: int, size: int = 96, seed: int = DEFAULT_SEED) -> li
     """Deterministic desk-scale HDR scenes with sparse sample histograms."""
     if count < 1:
         raise ParameterError("corpus needs at least one image")
+    if size < 1:
+        raise ParameterError(f"synthetic image side must be at least 1 px, got {size}")
     rng = np.random.default_rng(seed)
     makers = (_gradient_scene, _sparse_exponent_scene, _patch_noise_scene, _step_wedge_scene)
     corpus = []
@@ -275,7 +277,7 @@ def run_grid(input_dir: Path, config: BenchConfig | None = None) -> GridResult:
             continue
         try:
             images[path.stem] = load_hdr_file(path)
-        except Hdr2lError as exc:
+        except (Hdr2lError, OSError) as exc:  # OSError: say, a directory named scene.hdr
             skipped.append((path.name, str(exc)))
     if not images:
         raise BenchError(f"no usable HDR images in {input_dir}")

@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tone-mapping operator for the base layer")
     p.add_argument("--q", type=int, default=80, metavar="1..100", help="base layer JPEG quality")
     p.add_argument("--arm", choices=list(ARMS), default="hp",
-                   help="coder arm: histogram-packed (hp), or plain with R = 0 or 4 refinement bits")
+                   help="coder arm (coder mode, refinement bits R): "
+                        + ", ".join(f"{name} ({mode.name}, R = {r})" for name, (mode, r) in ARMS.items()))
 
     p = sub.add_parser("decode", help="restore the original HDR image (PFM output)")
     p.add_argument("input", type=Path)

@@ -7,7 +7,7 @@ bytes     field
 ========  =====================================================
 4         magic ``H2L1``
 1         format version (3)
-1         refinement bits R (0 or 4)
+1         refinement bits R (a depth of ``ARMS``)
 4 + 4     width, height (u32 each)
 4         CRC-32 of the source half codes (pixel CRC)
 17        tone-mapping parameter block (below)
@@ -76,7 +76,6 @@ from enum import IntEnum
 import numpy as np
 
 from . import basejpeg, rescodec, tmo
-from .basejpeg import REFINE_BIT_CHOICES
 from .errors import FormatError, Hdr2lError, IntegrityError, ParameterError
 from .imagio import MAX_DIMENSION, HdrImage, luminance
 
@@ -92,6 +91,7 @@ class CoderMode(IntEnum):
 
 # The paper's coder arms by name: (coder mode, refinement bits R).
 ARMS = {"hp": (CoderMode.HP, 0), "xt-r0": (CoderMode.XT, 0), "xt-r4": (CoderMode.XT, 4)}
+_DEPTHS = tuple(sorted({r for _, r in ARMS.values()}))
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,9 @@ class CodecParams:
             raise ParameterError(f"invalid codec parameter: {exc}") from None
         if not 1 <= self.q <= 100:
             raise ParameterError(f"quality must lie in [1, 100], got {self.q}")
-        if self.refine_bits not in REFINE_BIT_CHOICES:
-            raise ParameterError(f"refinement bits {self.refine_bits} not in {REFINE_BIT_CHOICES}")
-        if self.mode == CoderMode.HP and self.refine_bits != 0:
-            raise ParameterError("the HP coder never carries a refinement scan (R must be 0)")
+        if (self.mode, self.refine_bits) not in ARMS.values():
+            arms = ", ".join(f"{name} ({mode.name}, R = {r})" for name, (mode, r) in ARMS.items())
+            raise ParameterError(f"{self.mode.name} with R = {self.refine_bits} is no coder arm: {arms}")
         if not isinstance(self.tmo, tmo.TmoParams):
             raise ParameterError(f"tmo must be a TmoParams, got {self.tmo!r}")
         if self.tmo.log_avg or self.tmo.l_max:
@@ -225,8 +224,8 @@ def _parse(data: bytes) -> _Parsed:
     (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if zlib.crc32(data[:-4]) != crc_stored:
         raise FormatError("CRC-32 mismatch")
-    if refine_bits not in REFINE_BIT_CHOICES:
-        raise FormatError(f"refinement bits {refine_bits} not in {REFINE_BIT_CHOICES}")
+    if refine_bits not in _DEPTHS:
+        raise FormatError(f"refinement bits {refine_bits} not in {_DEPTHS}")
     if not width or not height:
         raise FormatError(f"empty image {width}x{height}")
     if max(width, height) > MAX_DIMENSION:

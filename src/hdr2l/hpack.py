@@ -74,9 +74,9 @@ def unpack(packed: np.ndarray, table: PackTable) -> np.ndarray:
     return table.symbols[arr]
 
 
-# A varint of a table holds at most four bytes (28 bits); its first three may
-# carry the continuation bit, a fourth may not.
-_VARINT_BYTES = 4
+# A varint of a table holds at most three bytes (a gap is below 2^16); its
+# first two may carry the continuation bit, a third may not.
+_VARINT_BYTES = 3
 
 
 def serialize_table(table: PackTable) -> bytes:
@@ -96,23 +96,26 @@ def serialize_table(table: PackTable) -> bytes:
 
 def read_table(data: bytes, pos: int, count: int) -> tuple[PackTable, int]:
     """Parse the ``count`` varints of one serialized table starting at
-    ``pos``; returns (table, end).
+    ``pos``, in :func:`serialize_table`'s form only; returns (table, end).
 
     Errors carry the offset a byte-at-a-time reader stops at: ``pos`` for a
     count outside 1..65536, the end of the data for a truncated varint, the
-    byte after the fourth for a varint that does not end there, and the end
-    of the table for a symbol past 0xFFFF."""
+    byte after the third for a varint that does not end there, the byte after
+    a multi-byte varint that ends in 0 (not minimal), and the end of the table
+    for a symbol past 0xFFFF."""
     if not 1 <= count <= 65536:
         raise ParseError(f"pack table symbol count {count} out of range", offset=pos)
-    # Only the first count * 4 bytes can hold the table.
+    # Only the first count * 3 bytes can hold the table.
     window = np.frombuffer(data, np.uint8, min(len(data) - pos, _VARINT_BYTES * count), pos)
     ends = np.flatnonzero(window < 0x80)[:count]  # the last byte of each varint
     starts = np.zeros(ends.size, dtype=np.int64)
     starts[1:] = ends[:-1] + 1
     sizes = ends - starts + 1
-    over = np.flatnonzero(sizes > _VARINT_BYTES)
-    if over.size:
-        raise ParseError("oversized pack table varint", offset=pos + int(starts[over[0]]) + _VARINT_BYTES)
+    bad = np.flatnonzero((sizes > _VARINT_BYTES) | ((sizes > 1) & (window[ends] == 0)))
+    if bad.size and sizes[bad[0]] > _VARINT_BYTES:
+        raise ParseError("oversized pack table varint", offset=pos + int(starts[bad[0]]) + _VARINT_BYTES)
+    if bad.size:
+        raise ParseError("non-minimal pack table varint", offset=pos + int(ends[bad[0]]) + 1)
     if ends.size < count:  # varint ends.size has no last byte in the window
         start = int(ends[-1]) + 1 if ends.size else 0
         if window.size - start >= _VARINT_BYTES:

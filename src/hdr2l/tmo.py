@@ -52,7 +52,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .basejpeg import REFINE_BIT_CHOICES
 from .errors import InternalError, ParameterError, ParseError
 from .imagio import HdrImage, LdrImage, half_decode_array, half_encode_array
 
@@ -94,12 +93,7 @@ class TmoKind(IntEnum):
     DRAGO = 3
 
 
-TMO_NAMES = {
-    TmoKind.DEFAULT: "default",
-    TmoKind.REINHARD_GLOBAL: "reinhard-global",
-    TmoKind.REINHARD_LOCAL: "reinhard-local",
-    TmoKind.DRAGO: "drago",
-}
+TMO_NAMES = {kind: kind.name.lower().replace("_", "-") for kind in TmoKind}
 TMO_BY_NAME = {name: kind for kind, name in TMO_NAMES.items()}
 
 # The kind byte, then the log-average and peak luminance as little-endian
@@ -410,8 +404,6 @@ def tonemap(image: HdrImage, lum: np.ndarray, params: TmoParams, refine_bits: in
     clamped to the output range; pixels with zero luminance map to 0.  The
     channels are mapped one at a time, each in one float64 plane.
     """
-    if refine_bits not in REFINE_BIT_CHOICES:
-        raise ParameterError(f"refine_bits must be one of {REFINE_BIT_CHOICES}, got {refine_bits}")
     display = display_luminance(lum, params)
     # Zero luminance means all three half codes are 0, which 0 / 1 maps to 0.
     divisor = np.where(lum > 0.0, lum, 1.0)

@@ -117,6 +117,15 @@ def test_run_grid_skips_rgbe_header_without_newline(tmp_path):
     assert result.skipped == [("cut.hdr", "not a Radiance RGBE stream with a -Y h +X w header (byte offset 0)")]
 
 
+def test_run_grid_skips_an_entry_it_cannot_read(tmp_path):
+    write_corpus(tmp_path, 1, size=24, seed=3)
+    (tmp_path / "d.hdr").mkdir()
+    result = run_grid(tmp_path, SINGLE_TMO)
+    assert len(result.records) == 6
+    assert [name for name, _ in result.skipped] == ["d.hdr"]
+    assert result.skipped[0][1]  # the OSError's text
+
+
 def test_run_grid_skips_a_file_that_repeats_an_image_id(tmp_path):
     (first,) = write_corpus(tmp_path / "a", 1, size=24, seed=3)
     (second,) = write_corpus(tmp_path / "b", 1, size=24, seed=4)
@@ -351,6 +360,18 @@ def test_cli_bench_reads_a_directory(tmp_path, capsys):
     assert out.count("  hp < xt @ ") == 2
     assert main(["bench", "--no-tmqi"]) == 1  # neither a directory nor --synthetic
     assert "either an input directory or --synthetic N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [-3, 0])
+def test_cli_bench_refuses_a_synthetic_side_below_one(size, tmp_path, capsys):
+    from hdr2l.cli import main
+
+    corpus = tmp_path / "corpus"
+    capsys.readouterr()
+    assert main(["bench", str(corpus), "--synthetic", "1", "--size", str(size), "--no-tmqi"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hdr2l: ") and err.count("\n") == 1 and f"got {size}" in err
+    assert not corpus.exists()
 
 
 def test_cli_bench_synthetic_with_outputs(tmp_path):

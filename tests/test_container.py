@@ -11,6 +11,7 @@ import pytest
 from hdr2l import basejpeg, tmo
 from hdr2l.container import (
     _HEADER,
+    ARMS,
     MAGIC,
     CodecParams,
     CoderMode,
@@ -44,6 +45,17 @@ def test_single_black_pixel_round_trip():
 def test_hp_mode_rejects_refinement():
     with pytest.raises(ParameterError):
         CodecParams(mode=CoderMode.HP, tmo=tmo.TmoParams(kind=tmo.TmoKind.DEFAULT), refine_bits=4)
+
+
+@pytest.mark.parametrize("mode", list(CoderMode), ids=lambda mode: mode.name)
+def test_codec_params_accept_exactly_the_arms(mode):
+    for refine in range(9):
+        if (mode, refine) in ARMS.values():
+            assert _params(mode=mode, refine=refine).refine_bits == refine
+            continue
+        with pytest.raises(ParameterError) as info:
+            _params(mode=mode, refine=refine)
+        assert all(name in str(info.value) for name in ARMS), (refine, str(info.value))
 
 
 @pytest.mark.parametrize(

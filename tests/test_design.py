@@ -57,3 +57,28 @@ def test_every_function_and_class_is_used(module):
     used = _referenced_names()
     dead = [name for name in _definitions(module) if name not in used]
     assert dead == [], f"{module.name} defines {dead}, which no code in the package, tools/ or perfbench/ uses"
+
+
+def test_the_refinement_depths_are_stated_in_container_alone():
+    """``container.ARMS`` is the one statement of the refinement depths R: no
+    other module binds a name to them, and ``tmo`` imports nothing from
+    ``basejpeg``."""
+    from hdr2l.container import ARMS
+
+    depths = {r for _, r in ARMS.values()}
+    bound = []
+    for path in MODULES:
+        if path.name == "container.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if isinstance(value, (ast.Tuple, ast.List, ast.Set)) and all(
+                isinstance(e, ast.Constant) for e in value.elts
+            ) and {e.value for e in value.elts} == depths:
+                bound.append(f"{path.name}:{node.lineno}")
+    assert bound == [], f"the refinement depths {sorted(depths)} are bound outside container at {bound}"
+    imported = set()  # modules and names, so `from . import basejpeg` counts too
+    for node in ast.walk(_tree(PACKAGE / "tmo.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {getattr(node, "module", None) or ""} | {a.name for a in node.names}
+    assert "basejpeg" not in {name.rpartition(".")[2] for name in imported}, "tmo imports from basejpeg"

@@ -136,6 +136,13 @@ def test_read_table_errors():
     overflow = bytes([0xFF, 0xFF, 0x03]) + bytes([0x00])
     with pytest.raises(ParseError):
         read_table(overflow, 0, 2)  # second symbol lands beyond 16 bits
+    # The table [0] in any form but the one byte serialize_table writes.
+    with pytest.raises(ParseError, match="non-minimal pack table varint") as info:
+        read_table(b"\x80\x00", 0, 1)
+    assert info.value.offset == 2
+    with pytest.raises(ParseError, match="oversized pack table varint") as info:
+        read_table(b"\x80\x80\x80\x00", 0, 1)
+    assert info.value.offset == 3
 
 
 # The byte-at-a-time table writer and reader that the numpy ones replaced:
@@ -167,8 +174,10 @@ def _read_table_loop(data: bytes, pos: int, count: int) -> tuple[PackTable, int]
             if byte < 0x80:
                 break
             shift += 7
-            if shift > 21:
+            if shift > 14:
                 raise ParseError("oversized pack table varint", offset=pos)
+        if shift and byte == 0:
+            raise ParseError("non-minimal pack table varint", offset=pos)
         gaps[i] = value
     symbols = np.cumsum(gaps + 1) - 1
     if symbols[-1] > 0xFFFF:
@@ -222,6 +231,10 @@ def test_read_table_matches_loop_oracle_on_malformed_tables(rng):
         (3, b"\x80\x80\x80\x80\x00\x00"),  # no end in four bytes
         (3, b"\x00\x80\x80\x80\x80"),
         (3, b"\x00\x00\xff\xff\xff\x7f"),  # 28 bits
+        (3, b"\x00\x00\xff\xff\x7f"),  # 21 bits, past 0xFFFF
+        (1, b"\x80\x00"),  # 0 in two bytes: non-minimal
+        (1, b"\x80\x80\x80\x00"),  # 0 in four bytes: oversized
+        (2, b"\x00\xff\x80\x00"),  # 127 in three bytes: non-minimal
         (3, b"\x00\xff\xff\x03\x00"),  # past 0xFFFF
         (3, b"\xff\xff\x03\x00"),  # the last gap runs past 0xFFFF
         (3, b"\x00\x80\x80"),

@@ -208,10 +208,14 @@ def test_tonemap_output_depth_and_range(rng):
 
 
 def test_tonemap_rejects_bad_refine_and_unbound_params():
+    # Which depths a stream carries is container.ARMS's rule; tonemap maps to
+    # any depth an LdrImage holds, 8 to 16 bits.
     img = _uniform_image(1.0)
     params = bind_image_stats(TmoParams(kind=TmoKind.DEFAULT), luminance(img))
-    with pytest.raises(ParameterError):
-        tonemap(img, luminance(img), params, 2)
+    ten = tonemap(img, luminance(img), params, 2)
+    assert ten.bit_depth == 10 and np.array_equal(ten.samples, _tonemap_whole(img, params, 2))
+    with pytest.raises(ParameterError, match="LdrImage bit depth must be in"):
+        tonemap(img, luminance(img), params, 9)
     with pytest.raises(ParameterError):
         tonemap(img, luminance(img), TmoParams(kind=TmoKind.DEFAULT), 0)
 
