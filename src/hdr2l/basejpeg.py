@@ -36,9 +36,19 @@ passes give a lone DC the flat value
 clip(((level * q0 + 4) >> 3) + 128, 0, 255).  On the benchmark's exposure
 ladders about 93 % of units are DC-only, on its noisy textures none.
 
+A flat MCU, three DC-only units of difference 0, is one fixed 14-bit pattern
+(the DC size-0 code and EOB of luma, then twice those of chroma), derived from
+the standard tables at import.  When the luma unit's table entry is that of
+difference 0, the decoder steps over the whole run of flat MCUs that starts
+there: it peeks the pattern at each MCU while all 14 bits lie inside the scan
+and blocks remain, then writes the unchanged DC predictors into the run's
+blocks with one slice per component.  A flat MCU cannot raise, so every error
+keeps its offset.  On the exposure ladders about 74 % of MCUs are flat, in
+runs of about 9; on the photos 0.1 %, on the textures none.
+
 ``_JpegBitReader`` is the one bit reader left beside the windows: whole
-DC-only units are stepped over from the windows, and every other unit is read
-from it bit by bit.
+DC-only units and runs of flat MCUs are stepped over from the windows, and
+every other unit is read from it bit by bit.
 
 The refinement plane carries the low bits of a deeper tone-mapped image when
 the extra-precision mode is on: the top 8 bits travel as the JPEG, the R
@@ -673,6 +683,12 @@ def _decode_map(bits, values) -> dict[tuple[int, int], int]:
     return {(length, code): symbol for symbol, code, length in _canonical_codes(bits, values)}
 
 
+def _huffman_code(bits, values, symbol: int) -> tuple[int, int]:
+    """(code, length) of ``symbol`` in a canonical Huffman table."""
+    (code, length), = ((c, n) for s, c, n in _canonical_codes(bits, values) if s == symbol)
+    return code, length
+
+
 def _dc_only_table(dc_bits, dc_values, ac_bits, ac_values) -> array:
     """Unit table of one component class, indexed by the next 16 scan bits.
 
@@ -680,7 +696,7 @@ def _dc_only_table(dc_bits, dc_values, ac_bits, ac_values) -> array:
     size code, its magnitude bits, then EOB) is 32 * difference + bit length
     of that unit; every other window's entry is 0.  A unit fits in 16 bits
     only for a DC size of at most 7, so every entry fits an int16."""
-    (eob_code, eob_length), = ((c, n) for s, c, n in _canonical_codes(ac_bits, ac_values) if s == _EOB)
+    eob_code, eob_length = _huffman_code(ac_bits, ac_values, _EOB)
     table = np.zeros(1 << 16, dtype=np.int16)
     for size, code, length in _canonical_codes(dc_bits, dc_values):
         span = length + size + eob_length
@@ -698,6 +714,22 @@ _LUMA_MAPS = (_decode_map(DC_LUMA_BITS, DC_LUMA_VALUES), _decode_map(AC_LUMA_BIT
               _dc_only_table(DC_LUMA_BITS, DC_LUMA_VALUES, AC_LUMA_BITS, AC_LUMA_VALUES))
 _CHROMA_MAPS = (_decode_map(DC_CHROMA_BITS, DC_CHROMA_VALUES), _decode_map(AC_CHROMA_BITS, AC_CHROMA_VALUES),
                 _dc_only_table(DC_CHROMA_BITS, DC_CHROMA_VALUES, AC_CHROMA_BITS, AC_CHROMA_VALUES))
+
+
+def _flat_unit(dc_bits, dc_values, ac_bits, ac_values) -> tuple[int, int]:
+    """(code, length) of a DC-only unit of difference 0: the DC size-0 code,
+    then EOB.  Its entry in the unit table is its length."""
+    dc_code, dc_length = _huffman_code(dc_bits, dc_values, 0)
+    eob_code, eob_length = _huffman_code(ac_bits, ac_values, _EOB)
+    return dc_code << eob_length | eob_code, dc_length + eob_length
+
+
+# A flat MCU is a luma and two chroma DC-only units of difference 0: one fixed
+# bit pattern, 14 bits long for the standard tables.
+_FLAT_LUMA = _flat_unit(DC_LUMA_BITS, DC_LUMA_VALUES, AC_LUMA_BITS, AC_LUMA_VALUES)
+_FLAT_CHROMA = _flat_unit(DC_CHROMA_BITS, DC_CHROMA_VALUES, AC_CHROMA_BITS, AC_CHROMA_VALUES)
+_FLAT_MCU_BITS = _FLAT_LUMA[1] + 2 * _FLAT_CHROMA[1]
+_FLAT_MCU = ((_FLAT_LUMA[0] << _FLAT_CHROMA[1] | _FLAT_CHROMA[0]) << _FLAT_CHROMA[1]) | _FLAT_CHROMA[0]
 
 
 def decode_base(stream: bytes) -> LdrImage:
@@ -728,10 +760,20 @@ def decode_base(stream: bytes) -> LdrImage:
 
 def _scan_levels(scan: bytes, n: int) -> np.ndarray:
     """(3, 64, n) int16 levels, in natural order, of the ``n`` blocks of the
-    unstuffed ``scan``, which must end, pad bits aside, with the last unit."""
+    unstuffed ``scan``, which must end, pad bits aside, with the last unit.
+
+    A luma unit whose table entry is the one of difference 0 may start a run
+    of flat MCUs.  The run is stepped over while the next 14 bits, all inside
+    the scan, hold the flat-MCU pattern and blocks remain; its blocks take the
+    unchanged DC predictors, one slice per component, and decoding resumes
+    with the MCU after it.  A flat MCU cannot raise, so no error moves."""
     reader = _JpegBitReader(scan)
     windows = array("I", _byte_windows(scan).tobytes())  # ints for the peek
     last_window = 8 * len(scan) - 16
+    # The flat-MCU peek, in locals: the luma entry that starts it, the
+    # pattern, its length, the window shift and mask, and its last start.
+    flat_luma, flat_mcu, flat_bits = _FLAT_LUMA[1], _FLAT_MCU, _FLAT_MCU_BITS
+    flat_shift, flat_mask, last_flat = 32 - flat_bits, (1 << flat_bits) - 1, 8 * len(scan) - flat_bits
     bit = read = 0  # bits decoded, and bits the per-bit reader has read
     # Laid out (component, natural coefficient index, block): a block's DC sits
     # at dc_at[component] + block, its zig-zag coefficient k step[k] further.
@@ -740,7 +782,8 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
     dc_at = (0, 64 * n, 128 * n)
     step = [int(z) * n for z in ZIGZAG]
     pred = [0, 0, 0]
-    for block_index in range(n):
+    block_index = 0
+    while block_index < n:
         for comp, (dc_tbl, ac_tbl, dc_only) in enumerate((_LUMA_MAPS, _CHROMA_MAPS, _CHROMA_MAPS)):
             at = dc_at[comp] + block_index
             # A DC-only unit in the next 16 bits takes one table step.  A
@@ -749,6 +792,19 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
             if bit <= last_window:
                 entry = dc_only[windows[bit >> 3] >> (16 - (bit & 7)) & 0xFFFF]
                 if entry and abs(pred[comp] + (entry >> 5)) <= _LEVEL_LIMIT:
+                    # A luma unit of difference 0 may start a run of flat
+                    # MCUs; with none, it is stepped over as one unit.
+                    if entry == flat_luma and not comp:
+                        end = block_index
+                        while (end < n and bit <= last_flat
+                               and windows[bit >> 3] >> (flat_shift - (bit & 7)) & flat_mask == flat_mcu):
+                            bit += flat_bits
+                            end += 1
+                        if end > block_index:
+                            for c in range(3):
+                                levels[dc_at[c] + block_index : dc_at[c] + end] = pred[c]
+                            block_index = end
+                            break
                     bit += entry & 31
                     pred[comp] += entry >> 5
                     levels[at] = pred[comp]
@@ -780,6 +836,8 @@ def _scan_levels(scan: bytes, n: int) -> np.ndarray:
                 levels[at + step[k]] = _extend(reader.read(size), size)
                 k += 1
             bit = read = reader.tell()
+        else:  # a run breaks out of the MCU after moving block_index past it
+            block_index += 1
 
     reader.seek(bit)
     reader.check_end()

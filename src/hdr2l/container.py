@@ -60,9 +60,10 @@ frame larger than its scan is refused at 85 px/B, before its 6 B/px level
 array exists.  A stream that decodes also holds k tables of 1 byte per 32 px,
 17.1 px/B at most in all, so its C1 is 550 B (a flat 1024 x 1024 stream: 541
 B per input byte on HP, 455 on XT with R = 4).  Time per base byte:
-:func:`basejpeg.decode_base` took 1.9 us on a 1.08 MB q100 base of uniform
-noise (512 x 512, 2.05 s) and 1.2-1.3 us on the 29,281 B base of a flat 1024 x
-1024 image (36-37 ms); minimum of 9 runs, 2-vCPU Intel Xeon, NumPy 2.4.6.
+:func:`basejpeg.decode_base` took 2.0 us on a 1.08 MB q100 base of uniform
+noise (512 x 512, 2.19 s) and 0.75 us on the 29,283 B base of a flat 1024 x
+1024 image (21.9 ms), whose MCUs after the first are one run of flat MCUs;
+minimum of 15 runs, 2-vCPU Intel Xeon, NumPy 2.4.6.
 """
 
 from __future__ import annotations

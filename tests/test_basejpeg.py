@@ -918,6 +918,160 @@ def test_every_bit_flip_and_truncation_decodes_as_per_bit():
     assert any(outcome[0] is not ParseError for outcome in outcomes)  # some flips still decode
 
 
+# ---------------------------------------------------------------------------
+# runs of flat MCUs against the per-bit decoder and the oracle
+
+
+def _mcu_levels(dcs, ac=()) -> list[np.ndarray]:
+    """Zig-zag levels of blocks whose three components take the DC levels of
+    the rows of ``dcs`` and no AC level but the (block, component, zig-zag
+    index, level) entries of ``ac``."""
+    dcs = np.asarray(dcs, dtype=np.int64).reshape(-1, 3)
+    levels = [np.zeros((len(dcs), 64), dtype=np.int64) for _ in range(3)]
+    for comp in range(3):
+        levels[comp][:, 0] = dcs[:, comp]
+    for block, comp, index, level in ac:
+        levels[comp][block, index] = level
+    return levels
+
+
+def _assert_decodes_as_per_bit_and_oracle(levels, tables, width: int, height: int) -> bytes:
+    stream = _stream(tables, width, height, levels)
+    assert _assert_decodes_as_per_bit(stream)[1] == _oracle_decode(levels, tables, width, height).tobytes()
+    return stream
+
+
+_A, _B, _C = (5, -3, 2), (-40, 7, 100), (5, -3, 3)
+FLAT_RUN_SCANS = {
+    "starts the scan": ([(0, 0, 0)] * 9 + [_A, _A, _B], ()),
+    "mid-scan": ([_B] + [_A] * 9 + [_B, _B], ()),
+    "ends at the last block": ([_B, _B, _A] + [_A] * 10, ()),
+    # a chroma difference, then a luma difference, each between two runs
+    "broken by a DC difference": ([_A] * 5 + [_C] * 5 + [(6, -3, 3)] * 4, ()),
+    # difference-0 luma units followed by a chroma unit with an AC level
+    "broken by a chroma AC level": ([_A] * 9, ((3, 1, 1, 4), (6, 2, 63, -1), (7, 0, 5, 2))),
+    # runs of one flat MCU between MCUs that are not flat
+    "alternating": ([_A, _A, _B, _B] * 2 + [_A], ((2, 0, 1, 1), (7, 2, 2, -3))),
+    # flat MCUs at the limit a q = 100 level may reach
+    "at the level limit": ([(1151, -1151, 0)] * 6 + [(1000, -1000, 1151)] * 3, ()),
+}
+
+
+@pytest.mark.parametrize("q", [100, 80])
+@pytest.mark.parametrize("name", sorted(FLAT_RUN_SCANS))
+def test_flat_runs_decode_as_per_bit_and_oracle(name, q):
+    dcs, ac = FLAT_RUN_SCANS[name]
+    tables = quality_to_tables(q)
+    levels = _mcu_levels(dcs, ac)
+    if q == 80:  # levels beyond the q = 80 limit are covered at q = 100
+        for comp, zz in enumerate((tables.luma, tables.chroma, tables.chroma)):
+            top = basejpeg._LEVEL_LIMIT // zz[0]
+            levels[comp][:, 0] = np.clip(levels[comp][:, 0], -top, top)
+    _assert_decodes_as_per_bit_and_oracle(levels, tables, 8 * len(dcs), 8)
+
+
+def test_flat_mcu_pattern_is_the_reference_writers_flat_mcu():
+    writer = _JpegBitWriter()
+    for _ in range(4):  # 56 bits: no pad
+        for comp in range(3):
+            _encode_block([0] * 64, 0, min(comp, 1), writer)
+    runs = 0
+    for _ in range(4):
+        runs = runs << basejpeg._FLAT_MCU_BITS | basejpeg._FLAT_MCU
+    assert writer.getvalue() == runs.to_bytes(7, "big")
+    # The luma unit table's entry of the difference-0 unit starts the run.
+    window = basejpeg._FLAT_MCU << (16 - basejpeg._FLAT_MCU_BITS + 2) >> 2
+    assert basejpeg._LUMA_MAPS[2][window] == basejpeg._FLAT_LUMA[1]
+
+
+def test_final_flat_mcu_ending_in_the_last_scan_byte_takes_the_run_step(monkeypatch):
+    # One MCU of DC-only units that are not flat, then flat MCUs of 14 bits
+    # each: the scans end in every pad of 0, 2, 4 and 6 bits.  Every unit,
+    # the last included, is stepped over from the windows.
+    tables = quality_to_tables(80)
+    streams, pads = {}, set()
+    for blocks in range(2, 10):
+        levels = _mcu_levels([_A] * blocks)
+        stream = _assert_decodes_as_per_bit_and_oracle(levels, tables, 8 * blocks, 8)
+        streams[stream] = _oracle_decode(levels, tables, 8 * blocks, 8).tobytes()
+        pads.add(int(basejpeg._scan_fields(levels)[-1, 1]))
+    assert pads == {0, 2, 4, 6}
+
+    def per_bit(reader, table):
+        raise AssertionError("a DC-only unit was read bit by bit")
+    monkeypatch.setattr(basejpeg, "_read_huffman", per_bit)
+    for stream, samples in streams.items():
+        assert decode_base(stream).samples.tobytes() == samples
+
+
+def _flat_prefix_scan(mcus: int, tail: int, pad: bool) -> bytes:
+    """The scan of ``mcus`` flat MCUs and then the first ``tail`` bits of one
+    more, one-filled to a byte when ``pad`` is set and left unfinished
+    otherwise."""
+    bits = mcus * basejpeg._FLAT_MCU_BITS + tail
+    value = 0
+    for _ in range(mcus + 1):
+        value = value << basejpeg._FLAT_MCU_BITS | basejpeg._FLAT_MCU
+    value >>= basejpeg._FLAT_MCU_BITS - tail
+    if not pad:
+        assert bits % 8 == 0
+        return value.to_bytes(bits // 8, "big")
+    writer = _JpegBitWriter()
+    writer.write(value, bits)
+    return writer.getvalue()
+
+
+def test_final_mcu_with_fewer_than_14_bits_left_decodes_as_per_bit():
+    # The window past the end of the scan is zero-filled, and a flat MCU
+    # ends in zeros, so only the bound keeps a run inside the scan.
+    tables = quality_to_tables(80)
+    unpadded = 0
+    for mcus in range(5):
+        for tail in range(1, basejpeg._FLAT_MCU_BITS):
+            for pad in (True, False):
+                if not pad and (mcus * basejpeg._FLAT_MCU_BITS + tail) % 8:
+                    continue
+                unpadded += not pad
+                scan = _flat_prefix_scan(mcus, tail, pad)
+                stream = basejpeg._header(tables, 8 * (mcus + 1), 8) + scan + basejpeg._EOI
+                assert _assert_decodes_as_per_bit(stream)[0] is ParseError, (mcus, tail, pad)
+    assert unpadded >= 6
+
+
+def test_flat_run_past_the_last_block_decodes_as_per_bit():
+    # The scan holds one flat MCU more than the frame's blocks.
+    tables = quality_to_tables(80)
+    for blocks in range(1, 9):
+        levels = _mcu_levels([_B] * (blocks + 1))
+        stream = _stream(tables, 8 * blocks, 8, levels)
+        kind, message, offset = _assert_decodes_as_per_bit(stream)
+        assert kind is ParseError and offset < len(stream)
+
+
+@pytest.mark.parametrize("height, width", [(1, 41), (41, 1), (13, 21), (9, 70), (20, 3)])
+def test_flat_runs_off_the_block_grid_decode_as_per_bit_and_oracle(height, width, rng):
+    tables = quality_to_tables(100)
+    blocks = ((width + 7) // 8) * ((height + 7) // 8)
+    for _ in range(4):
+        dcs = rng.integers(-60, 61, size=(blocks, 3))
+        for block in range(1, blocks):
+            if rng.random() < 0.7:
+                dcs[block] = dcs[block - 1]
+        ac = [(int(b), int(rng.integers(3)), int(rng.integers(1, 64)), 1) for b in range(blocks) if rng.random() < 0.1]
+        _assert_decodes_as_per_bit_and_oracle(_mcu_levels(dcs, ac), tables, width, height)
+
+
+def test_every_bit_flip_of_a_flat_run_stream_decodes_as_per_bit():
+    dcs = [(0, 0, 0)] * 4 + [_A] * 6 + [_B] * 5 + [_C] * 2
+    levels = _mcu_levels(dcs, ((12, 1, 1, 3),))
+    stream = _assert_decodes_as_per_bit_and_oracle(levels, quality_to_tables(100), 8 * len(dcs), 8)
+    bad = [stream[:at] + bytes([stream[at] ^ (1 << bit)]) + stream[at + 1 :]
+           for at in range(len(stream)) for bit in range(8)]
+    outcomes = {_assert_decodes_as_per_bit(data) for data in bad}
+    assert any(outcome[0] is ParseError for outcome in outcomes)
+    assert any(outcome[0] is not ParseError for outcome in outcomes)  # some flips still decode
+
+
 def test_flat_block_closed_form_equals_the_inverse_dct_at_every_dc():
     dc = np.arange(-basejpeg._LEVEL_LIMIT, basejpeg._LEVEL_LIMIT + 1)
     levels = np.zeros((64, dc.size), dtype=np.int32)
